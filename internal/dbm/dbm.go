@@ -9,7 +9,11 @@
 // honest part of the model) plus explicit DBT costs: a one-time translation
 // cost per built block and a dispatch cost per executed indirect control
 // transfer (the indirect-branch-lookup of a real DBT). Direct transitions
-// are linked and free after the first execution, as in DynamoRIO. The
+// are linked and free after the first execution, as in DynamoRIO — and the
+// host links them too: each cached block keeps direct links to the blocks
+// dispatched after it (vm.BlockCache), so a repeated transition skips the
+// code-cache map. Blocks run on the machine's one executor
+// (vm.Machine.ExecBlock), in the form the client emitted them. The
 // "null client" — translation with no instrumentation — therefore shows the
 // baseline DBT overhead the paper reports in Figs. 8 and 11.
 package dbm
@@ -23,42 +27,22 @@ import (
 	"repro/internal/vm"
 )
 
-// RelocKind tags a meta instruction whose immediate is position-dependent.
-// The DBM itself never consults it — meta code it caches was emitted against
-// run-time addresses and is correct as-is — but the static rewriting backend
-// (internal/rewrite) replays the same emission into a relocated copy of the
-// code and must know which immediates to rematerialise there.
-type RelocKind uint8
+// RelocKind tags a meta instruction whose immediate is position-dependent
+// (see vm.RelocKind).
+type RelocKind = vm.RelocKind
 
 const (
 	// RelocNone marks position-independent meta code (the default).
-	RelocNone RelocKind = iota
+	RelocNone = vm.RelocNone
 	// RelocRetAddr marks a meta MovRI whose immediate is the return
 	// address of the anchor call instruction (the shadow-stack push).
-	// A static copy must substitute the copy's own fall-through address.
-	RelocRetAddr
+	RelocRetAddr = vm.RelocRetAddr
 )
 
 // CInstr is one code-cache instruction: an application instruction copied
-// into the cache, or a meta-instruction inserted by the client.
-type CInstr struct {
-	In isa.Instr
-	// JumpTo, for meta branch instructions, is the index inside the
-	// block's Code slice to continue at when the branch is taken.
-	// -1 selects application semantics (the branch leaves the block).
-	JumpTo int
-	// Meta marks inserted instrumentation (for statistics; meta
-	// instructions still execute on the machine and cost cycles).
-	Meta bool
-	// CC is the cost center the instruction's cycles are charged to when
-	// a telemetry profile is attached. Only meaningful on meta
-	// instructions (application instructions always charge CCApp); the
-	// zero value is telemetry.CCOther, so untagged meta code stays
-	// accounted for.
-	CC telemetry.CostCenter
-	// Reloc marks a position-dependent meta immediate (see RelocKind).
-	Reloc RelocKind
-}
+// into the cache, or a meta-instruction inserted by the client. It is the
+// executor's own form (vm.CInstr), so a cached block holds its code once.
+type CInstr = vm.CInstr
 
 // App wraps an application instruction for the code cache.
 func App(in isa.Instr) CInstr { return CInstr{In: in, JumpTo: -1} }
@@ -69,21 +53,11 @@ func Meta(in isa.Instr) CInstr { return CInstr{In: in, JumpTo: -1, Meta: true} }
 // MetaJump wraps an inserted branch that, when taken, continues at index
 // target within the same block.
 func MetaJump(in isa.Instr, target int) CInstr {
-	return CInstr{In: in, JumpTo: target, Meta: true}
+	return CInstr{In: in, JumpTo: int32(target), Meta: true}
 }
 
 // Block is one translated basic block in the code cache.
-type Block struct {
-	// Start is the application (run-time) address the block was built
-	// from.
-	Start uint64
-	// AppLen is the number of application instructions.
-	AppLen int
-	// Code is the translated instruction sequence.
-	Code []CInstr
-	// Execs counts executions of this block.
-	Execs uint64
-}
+type Block = vm.Block
 
 // BlockContext is what a client sees when a block is first built.
 type BlockContext struct {
@@ -169,7 +143,7 @@ type DBM struct {
 	// TraceHook, when set, observes every block dispatch (diagnostics).
 	TraceHook func(pc uint64)
 
-	cache map[uint64]*Block
+	cache vm.BlockCache
 }
 
 // New creates a dynamic modifier over a loaded process. proc may be nil when
@@ -178,36 +152,29 @@ func New(m *vm.Machine, proc *loader.Process, client Client) *DBM {
 	return &DBM{
 		M: m, Proc: proc, Client: client,
 		Costs: DefaultCosts,
-		cache: map[uint64]*Block{},
 	}
 }
 
 // Lookup returns the cached block at run-time address addr, or nil.
-func (d *DBM) Lookup(addr uint64) *Block { return d.cache[addr] }
+func (d *DBM) Lookup(addr uint64) *Block { return d.cache.Get(addr) }
 
 // CacheSize returns the number of blocks in the code cache.
-func (d *DBM) CacheSize() int { return len(d.cache) }
+func (d *DBM) CacheSize() int { return d.cache.Len() }
 
 // Blocks returns the cached blocks (iteration order unspecified).
-func (d *DBM) Blocks() map[uint64]*Block { return d.cache }
+func (d *DBM) Blocks() map[uint64]*Block { return d.cache.Blocks() }
 
 // Flush empties the code cache (used when application code is overwritten).
 func (d *DBM) Flush() {
 	d.Stats.Flushes++
-	d.Stats.FlushedBlocks += uint64(len(d.cache))
-	d.cache = map[uint64]*Block{}
+	d.Stats.FlushedBlocks += uint64(d.cache.Flush())
 }
 
 // FlushRange evicts cached blocks whose start address lies in [lo, hi) —
-// used when a module is unloaded.
+// used when a module is unloaded — and unlinks the blocks that remain.
 func (d *DBM) FlushRange(lo, hi uint64) {
 	d.Stats.Flushes++
-	for addr := range d.cache {
-		if addr >= lo && addr < hi {
-			delete(d.cache, addr)
-			d.Stats.FlushedBlocks++
-		}
-	}
+	d.Stats.FlushedBlocks += uint64(d.cache.FlushRange(lo, hi))
 }
 
 // RegisterMetrics exposes the code-cache counters on a telemetry registry
@@ -234,7 +201,7 @@ func (d *DBM) RegisterMetrics(r *telemetry.Registry, labels ...string) {
 		func() uint64 { return d.Stats.IndirectDispatch }, labels...)
 	r.GaugeFunc("janitizer_dbm_cache_blocks",
 		"Blocks currently in the code cache.",
-		func() float64 { return float64(len(d.cache)) }, labels...)
+		func() float64 { return float64(d.cache.Len()) }, labels...)
 }
 
 // Run executes the program from entry under dynamic modification until it
@@ -254,7 +221,8 @@ func (d *DBM) Run(entry uint64) error {
 }
 
 // Step dispatches exactly one block at the machine's current PC: cache
-// lookup (or translation on a miss) followed by execution. On return m.PC
+// lookup — through the previous block's successor links, else the cache
+// map — or translation on a miss, followed by execution. On return m.PC
 // holds the next application address, or the machine has halted. Step is
 // Run's loop body, exported so the hybrid rewriting backend can interleave
 // DBM dispatch with native execution of statically rewritten code.
@@ -263,7 +231,7 @@ func (d *DBM) Step() error {
 	if d.TraceHook != nil {
 		d.TraceHook(m.PC)
 	}
-	blk := d.cache[m.PC]
+	blk := d.cache.Dispatch(m.PC)
 	if blk == nil {
 		var err error
 		blk, err = d.build(m.PC)
@@ -291,7 +259,7 @@ func (d *DBM) endRunSpan(sp *telemetry.Span) {
 // build decodes, rewrites and caches the block starting at addr (Fig. 4
 // step 2: the dispatcher fetches the block and hands it to the modifier).
 func (d *DBM) build(addr uint64) (*Block, error) {
-	appInstrs, err := d.decodeBlock(addr)
+	appInstrs, err := d.M.DecodeBlock(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +274,7 @@ func (d *DBM) build(addr uint64) (*Block, error) {
 		return nil, fmt.Errorf("dbm: client returned empty block at %#x", addr)
 	}
 	blk := &Block{Start: addr, AppLen: len(appInstrs), Code: code}
-	d.cache[addr] = blk
+	d.cache.Add(blk)
 
 	d.Stats.BlocksBuilt++
 	d.Stats.AppInstrsInCache += uint64(len(appInstrs))
@@ -321,83 +289,19 @@ func (d *DBM) build(addr uint64) (*Block, error) {
 	return blk, nil
 }
 
-// decodeBlock reads application instructions from memory until the first
-// control transfer or system instruction.
-func (d *DBM) decodeBlock(addr uint64) ([]isa.Instr, error) {
-	var out []isa.Instr
-	var buf [isa.MaxInstrLen]byte
-	pc := addr
-	for {
-		if err := d.M.Mem.ReadBytes(pc, buf[:]); err != nil {
-			return nil, err
-		}
-		in, err := isa.Decode(buf[:], pc)
-		if err != nil {
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, &vm.Fault{PC: pc,
-				Kind: "dbm: undecodable instruction: " + err.Error()}
-		}
-		out = append(out, in)
-		pc += uint64(in.Size)
-		if in.IsCTI() || in.Op == isa.OpSyscall || in.Op == isa.OpTrap {
-			return out, nil
-		}
-	}
-}
-
-// exec runs one cached block. Meta branches with JumpTo continue inside the
-// block; application control transfers leave it with m.PC holding the next
-// application address. Indirect terminators charge the dispatch cost.
-//
-// With a profile attached, each instruction's cycle delta — including any
-// cycles its trap handler adds — is charged to its cost center, and the
-// dispatch cost to CCDispatch, so the profile's total matches the
-// machine's cycle counter exactly.
+// exec runs one cached block on the machine's executor. Application
+// control transfers leave it with m.PC holding the next application
+// address; an indirect one charges the dispatch cost.
 func (d *DBM) exec(b *Block) error {
-	m := d.M
-	b.Execs++
 	d.Stats.BlockExecs++
-	prof := d.Prof
-	i := 0
-	for i < len(b.Code) {
-		c := &b.Code[i]
-		var taken bool
-		var err error
-		if prof != nil {
-			before := m.Cycles
-			taken, err = m.Exec(&c.In)
-			cc := telemetry.CCApp
-			if c.Meta {
-				cc = c.CC
-			}
-			prof.Charge(cc, m.Cycles-before, 1)
-		} else {
-			taken, err = m.Exec(&c.In)
-		}
-		if err != nil {
-			return err
-		}
-		if m.Halted {
-			return nil
-		}
-		if taken {
-			if c.JumpTo >= 0 {
-				i = c.JumpTo
-				continue
-			}
-			// Application control transfer.
-			if c.In.IsIndirectCTI() {
-				d.Stats.IndirectDispatch++
-				m.AddCycles(d.Costs.IndirectDispatch)
-				prof.Charge(telemetry.CCDispatch, d.Costs.IndirectDispatch, 0)
-			}
-			return nil
-		}
-		i++
+	exit, err := d.M.ExecBlock(b, d.Prof)
+	if err != nil {
+		return err
 	}
-	// Fell through the end: m.PC already holds the fall-through address
-	// set by the last executed instruction.
+	if exit != nil && exit.In.IsIndirectCTI() {
+		d.Stats.IndirectDispatch++
+		d.M.AddCycles(d.Costs.IndirectDispatch)
+		d.Prof.Charge(telemetry.CCDispatch, d.Costs.IndirectDispatch, 0)
+	}
 	return nil
 }

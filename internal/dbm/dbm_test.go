@@ -1,12 +1,15 @@
 package dbm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/libj"
 	"repro/internal/loader"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -319,18 +322,25 @@ dst:
 	}
 }
 
-func TestJITCodeUnderDBM(t *testing.T) {
-	// Dynamically generated code must be discovered and translated.
+// jitBlob encodes the function "mov r0, v; ret".
+func jitBlob(v int64) []byte {
+	mov := isa.Instr{Op: isa.OpMovRI, Rd: isa.R0, Imm: v}
 	ret := isa.Instr{Op: isa.OpRet}
-	mov := isa.Instr{Op: isa.OpMovRI, Rd: isa.R0, Imm: 7}
-	var blob []byte
-	blob = isa.Encode(blob, &mov)
-	blob = isa.Encode(blob, &ret)
+	return isa.Encode(isa.Encode(nil, &mov), &ret)
+}
+
+// jitProgram requests an executable region into r12, copies blob there and
+// calls it, exiting with its result. Started again with r12 still holding
+// the region, it goes straight to the call, so a rerun executes whatever
+// code the region holds by then.
+func jitProgram(blob []byte) string {
 	src := `
 .module prog
 .entry _start
 .section .text
 _start:
+    cmp r12, 0
+    jne .call
     mov r1, 4096
     mov r0, 4
     syscall            ; mmapx
@@ -343,6 +353,7 @@ _start:
     add r8, 1
     cmp r8, ` + itoa(len(blob)) + `
     jl .copy
+.call:
     calli r12
     mov r1, r0
     mov r0, 1
@@ -353,7 +364,26 @@ blob:
 	for _, b := range blob {
 		src += "    .byte " + itoa(int(b)) + "\n"
 	}
-	m, d, entry := setup(t, src, NullClient{})
+	return src
+}
+
+// rerunJIT overwrites the region of a finished jitProgram run with a
+// function returning v, calls invalidate, and runs the program again.
+func rerunJIT(t *testing.T, m *vm.Machine, run func() error, invalidate func(), v int64) {
+	t.Helper()
+	if err := m.Mem.WriteBytes(m.Regs[isa.R12], jitBlob(v)); err != nil {
+		t.Fatal(err)
+	}
+	invalidate()
+	m.Halted = false
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestJITCodeUnderDBM(t *testing.T) {
+	// Dynamically generated code must be discovered and translated.
+	m, d, entry := setup(t, jitProgram(jitBlob(7)), NullClient{})
 	if err := d.Run(entry); err != nil {
 		t.Fatal(err)
 	}
@@ -369,6 +399,77 @@ blob:
 	}
 	if !found {
 		t.Error("JIT block not found in code cache")
+	}
+
+	// Overwrite JIT code that already ran. The modifier does not watch code
+	// writes, so its translation keeps running until a flush; after one,
+	// neither the cache nor a successor link may reach the old code.
+	run := func() error { return d.Run(entry) }
+	rerunJIT(t, m, run, func() {}, 9)
+	if m.ExitStatus != 7 {
+		t.Fatalf("unflushed rerun exit = %d, want the cached translation's 7", m.ExitStatus)
+	}
+	rerunJIT(t, m, run, d.Flush, 9)
+	if m.ExitStatus != 9 {
+		t.Fatalf("rerun after Flush exit = %d, want the new code's 9", m.ExitStatus)
+	}
+	if s := d.Stats; s.BlockExecs != s.CacheHits+s.BlocksBuilt {
+		t.Errorf("BlockExecs (%d) != CacheHits (%d) + BlocksBuilt (%d)",
+			s.BlockExecs, s.CacheHits, s.BlocksBuilt)
+	}
+
+	// Natively, InvalidateCode is the flush.
+	mN, _, entryN := setup(t, jitProgram(jitBlob(7)), NullClient{})
+	runN := func() error { return mN.Run(entryN) }
+	if err := runN(); err != nil {
+		t.Fatal(err)
+	}
+	rerunJIT(t, mN, runN, mN.InvalidateCode, 9)
+	if mN.ExitStatus != 9 {
+		t.Fatalf("native rerun after InvalidateCode exit = %d, want 9", mN.ExitStatus)
+	}
+}
+
+// loopClient prefixes every block with a meta countdown loop:
+// mov r13, n; top: sub r13, 1; jne top.
+type loopClient struct{ n int64 }
+
+func (c loopClient) OnBlock(ctx *BlockContext) []CInstr {
+	e := &Emitter{}
+	e.Meta(MkInstr(isa.OpMovRI, func(in *isa.Instr) { in.Rd = isa.R13; in.Imm = c.n }))
+	top := e.JumpHere()
+	e.Meta(MkInstr(isa.OpSubRI, func(in *isa.Instr) { in.Rd = isa.R13; in.Imm = 1 }))
+	e.MetaJumpTo(isa.OpJne, top)
+	for _, in := range ctx.AppInstrs {
+		e.App(in)
+	}
+	return e.Out
+}
+
+// TestInstrBudgetInMetaLoop is the machine's exact budget accounting under
+// the DBM, with the budget running out inside a meta-branch loop.
+func TestInstrBudgetInMetaLoop(t *testing.T) {
+	m, d, entry := setup(t, sumProgram, loopClient{n: 1000})
+	m.MaxInstrs = 100
+	prof := &telemetry.Profile{}
+	d.Prof = prof
+	err := d.Run(entry)
+	var f *vm.Fault
+	if !errors.As(err, &f) || !strings.Contains(f.Kind, "budget") {
+		t.Fatalf("err = %v, want budget fault", err)
+	}
+	// One mov, then (sub, jne) pairs: instruction 101 is the 50th jne, a
+	// meta instruction with no application address.
+	app := uint64(d.Lookup(entry).AppLen)
+	want := d.Costs.BlockBuild + d.Costs.PerInstr*app +
+		vm.Costs.ALU + 50*(vm.Costs.ALU+vm.Costs.Branch)
+	if m.Instrs != m.MaxInstrs+1 || f.PC != 0 || m.Cycles != want {
+		t.Fatalf("at budget fault: Instrs=%d PC=%#x Cycles=%d, want %d 0 %d",
+			m.Instrs, f.PC, m.Cycles, m.MaxInstrs+1, want)
+	}
+	if prof.TotalCycles() != m.Cycles || prof.TotalInstrs() != m.Instrs {
+		t.Fatalf("profile %d cycles %d instrs, machine %d %d",
+			prof.TotalCycles(), prof.TotalInstrs(), m.Cycles, m.Instrs)
 	}
 }
 

@@ -60,7 +60,7 @@ func (e *Emitter) Placeholder() int {
 // PatchJump fills a placeholder with a conditional/unconditional meta branch
 // targeting the current position.
 func (e *Emitter) PatchJump(idx int, op isa.Op) {
-	e.Out[idx] = CInstr{In: MkInstr(op, nil), JumpTo: len(e.Out), Meta: true, CC: e.cc}
+	e.Out[idx] = CInstr{In: MkInstr(op, nil), JumpTo: int32(len(e.Out)), Meta: true, CC: e.cc}
 }
 
 // JumpHere returns the current position for use as a backward MetaJump
@@ -70,7 +70,7 @@ func (e *Emitter) JumpHere() int { return len(e.Out) }
 // MetaJumpTo appends a meta branch to an already-known index (backward
 // jumps, e.g. probe loops).
 func (e *Emitter) MetaJumpTo(op isa.Op, target int) {
-	e.Out = append(e.Out, CInstr{In: MkInstr(op, nil), JumpTo: target, Meta: true, CC: e.cc})
+	e.Out = append(e.Out, CInstr{In: MkInstr(op, nil), JumpTo: int32(target), Meta: true, CC: e.cc})
 }
 
 // ScratchCandidates is the preference order for scratch registers that are

@@ -81,6 +81,24 @@ func TestFlushRangeBoundary(t *testing.T) {
 		t.Errorf("after full flush: Flushes=%d FlushedBlocks=%d, want 3/%d",
 			d.Stats.Flushes, d.Stats.FlushedBlocks, before)
 	}
+
+	// A flushed block must not stay reachable through the links of the
+	// blocks that survive: overwrite JIT code that ran, flush only its
+	// block, and the rerun — which reaches the JIT block from a surviving,
+	// linked call block — must execute the new code.
+	m, d, entry := setup(t, jitProgram(jitBlob(7)), NullClient{})
+	if err := d.Run(entry); err != nil {
+		t.Fatal(err)
+	}
+	jit := m.Regs[isa.R12]
+	rerunJIT(t, m, func() error { return d.Run(entry) }, func() { d.FlushRange(jit, jit+1) }, 9)
+	if m.ExitStatus != 9 {
+		t.Fatalf("rerun after FlushRange exit = %d, want the new code's 9", m.ExitStatus)
+	}
+	if s := d.Stats; s.FlushedBlocks != 1 || s.BlockExecs != s.CacheHits+s.BlocksBuilt {
+		t.Errorf("FlushedBlocks=%d, want 1; BlockExecs (%d) != CacheHits (%d) + BlocksBuilt (%d)",
+			s.FlushedBlocks, s.BlockExecs, s.CacheHits, s.BlocksBuilt)
+	}
 }
 
 // nativeRun executes src directly on a fresh machine (no DBM) and returns it.

@@ -183,9 +183,9 @@ func (mi *MetaInstr) Instr() isa.Instr {
 // fragment starts at output index fragStart, rebasing the fragment-relative
 // jump target to a block-absolute one (the inverse of metaFromCInstr).
 func (mi *MetaInstr) CInstr(fragStart int) dbm.CInstr {
-	jt := -1
+	jt := int32(-1)
 	if mi.JumpTo >= 0 {
-		jt = fragStart + int(mi.JumpTo)
+		jt = int32(fragStart) + mi.JumpTo
 	}
 	return dbm.CInstr{
 		In:     mi.Instr(),
@@ -203,7 +203,7 @@ func metaFromCInstr(c dbm.CInstr, fragLen int) (MetaInstr, error) {
 	if !c.Meta {
 		return MetaInstr{}, fmt.Errorf("rewrite: captured fragment contains a non-meta instruction %v", c.In.Op)
 	}
-	if c.JumpTo < -1 || c.JumpTo > fragLen {
+	if c.JumpTo < -1 || int(c.JumpTo) > fragLen {
 		return MetaInstr{}, fmt.Errorf("rewrite: captured jump target %d outside fragment of %d", c.JumpTo, fragLen)
 	}
 	return MetaInstr{
@@ -215,7 +215,7 @@ func metaFromCInstr(c dbm.CInstr, fragLen int) (MetaInstr, error) {
 		Disp:   c.In.Disp,
 		Addr:   c.In.Addr,
 		Size:   c.In.Size,
-		JumpTo: int32(c.JumpTo),
+		JumpTo: c.JumpTo,
 		CC:     uint8(c.CC),
 		Reloc:  uint8(c.Reloc),
 	}, nil

@@ -2,10 +2,164 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
+
+// RelocKind tags an instruction whose immediate is position-dependent. The
+// executor never consults it — code it runs was emitted against run-time
+// addresses and is correct as-is — but the static rewriting backend
+// (internal/rewrite) replays the same emission into a relocated copy of the
+// code and must know which immediates to rematerialise there.
+type RelocKind uint8
+
+const (
+	// RelocNone marks position-independent code (the default).
+	RelocNone RelocKind = iota
+	// RelocRetAddr marks a meta MovRI whose immediate is the return
+	// address of the anchor call instruction (the shadow-stack push).
+	// A static copy must substitute the copy's own fall-through address.
+	RelocRetAddr
+)
+
+// CInstr is one instruction in executor form: an application instruction,
+// or a meta instruction a dynamic-modifier client inserted.
+type CInstr struct {
+	In isa.Instr
+	// JumpTo, for meta branch instructions, is the index inside the
+	// block's Code to continue at when the branch is taken. -1 selects
+	// application semantics (the branch leaves the block).
+	JumpTo int32
+	// Meta marks inserted instrumentation (for statistics; meta
+	// instructions still execute on the machine and cost cycles).
+	Meta bool
+	// CC is the cost center the instruction's cycles are charged to when
+	// a telemetry profile is attached. Only meaningful on meta
+	// instructions (application instructions always charge CCApp); the
+	// zero value is telemetry.CCOther, so untagged meta code stays
+	// accounted for.
+	CC telemetry.CostCenter
+	// Reloc marks a position-dependent meta immediate (see RelocKind).
+	Reloc RelocKind
+}
+
+// Block is one straight-line run of code in executor form, cached under
+// the application address it was decoded from. The native block cache and
+// the dynamic modifier's code cache both hold Blocks; the modifier's also
+// carry the meta instructions its client inserted.
+type Block struct {
+	// Start is the application (run-time) address the block was built
+	// from.
+	Start uint64
+	// AppLen is the number of application instructions.
+	AppLen int
+	// Code is the instruction sequence the executor runs.
+	Code []CInstr
+	// Execs counts executions of this block.
+	Execs uint64
+
+	// links are the direct successor links (see BlockCache).
+	links [2]blockLink
+}
+
+type blockLink struct {
+	pc uint64
+	to *Block
+}
+
+// BlockCache maps block start addresses to blocks. Every dispatch also
+// links the previously dispatched block to the new one under the new
+// block's start address, so a transition seen before is served from the
+// predecessor's two links without a map lookup — the host side of the
+// block linking the cycle model already treats as free. A link is only a
+// shortcut: it always leads to the block the map holds for its address.
+type BlockCache struct {
+	blocks map[uint64]*Block
+	last   *Block // the block dispatched last
+}
+
+// Dispatch returns the cached block starting at pc, or nil, and records it
+// as the block dispatched last.
+func (c *BlockCache) Dispatch(pc uint64) *Block {
+	if l := c.last; l != nil {
+		if k := &l.links[0]; k.pc == pc && k.to != nil {
+			c.last = k.to
+			return k.to
+		}
+		if k := &l.links[1]; k.pc == pc && k.to != nil {
+			c.last = k.to
+			return k.to
+		}
+	}
+	b := c.blocks[pc]
+	if b != nil {
+		c.enter(b)
+	}
+	return b
+}
+
+// Add caches b and dispatches it.
+func (c *BlockCache) Add(b *Block) {
+	if c.blocks == nil {
+		c.blocks = map[uint64]*Block{}
+	}
+	c.blocks[b.Start] = b
+	c.enter(b)
+}
+
+// enter links the block dispatched last to b, evicting its older link,
+// and makes b the block dispatched last.
+func (c *BlockCache) enter(b *Block) {
+	if l := c.last; l != nil {
+		l.links[1] = l.links[0]
+		l.links[0] = blockLink{b.Start, b}
+	}
+	c.last = b
+}
+
+// Get returns the cached block starting at pc, or nil, without
+// dispatching it.
+func (c *BlockCache) Get(pc uint64) *Block { return c.blocks[pc] }
+
+// Len returns the number of cached blocks.
+func (c *BlockCache) Len() int { return len(c.blocks) }
+
+// Blocks returns the cached blocks keyed by start address.
+func (c *BlockCache) Blocks() map[uint64]*Block { return c.blocks }
+
+// Flush drops every block and returns how many there were.
+func (c *BlockCache) Flush() int {
+	n := len(c.blocks)
+	c.blocks = nil
+	c.last = nil
+	return n
+}
+
+// FlushRange drops the blocks whose start address lies in [lo, hi) and
+// returns how many there were. Surviving blocks lose their links, which
+// may lead to a dropped block.
+func (c *BlockCache) FlushRange(lo, hi uint64) int {
+	n := 0
+	for addr, b := range c.blocks {
+		if addr >= lo && addr < hi {
+			delete(c.blocks, addr)
+			n++
+		}
+		b.links = [2]blockLink{}
+	}
+	c.last = nil
+	return n
+}
+
+// opCost is Costs as a table indexed by opcode.
+var opCost = func() (t [256]uint64) {
+	for op := range t {
+		t[op] = instrCost(isa.Op(op))
+	}
+	return t
+}()
 
 // Exec executes one decoded instruction and updates PC, registers, flags,
 // memory and cycle counters. For branches it returns taken=true when control
@@ -14,234 +168,277 @@ import (
 // addresses, PC-relative accesses and fall-through targets keep application
 // semantics even when the instruction executes from a code cache.
 func (m *Machine) Exec(in *isa.Instr) (taken bool, err error) {
-	m.Instrs++
-	m.Cycles += instrCost(in.Op)
-	if m.MaxInstrs != 0 && m.Instrs > m.MaxInstrs {
-		return false, &Fault{PC: in.Addr, Kind: "instruction budget exhausted"}
-	}
-	next := in.Addr + uint64(in.Size)
-	r := &m.Regs
-
-	mem := func() uint64 { return r[in.Rb] + uint64(int64(in.Disp)) }
-	memx8 := func() uint64 { return r[in.Rb] + r[in.Ri]*8 + uint64(int64(in.Disp)) }
-	memx1 := func() uint64 { return r[in.Rb] + r[in.Ri] + uint64(int64(in.Disp)) }
-
-	switch in.Op {
-	case isa.OpMovRI:
-		r[in.Rd] = uint64(in.Imm)
-	case isa.OpMovRR:
-		r[in.Rd] = r[in.Rb]
-	case isa.OpLdQ:
-		if r[in.Rd], err = m.Mem.Read64(mem()); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpStQ:
-		m.watch(in.Addr, mem(), 8)
-		if err = m.Mem.Write64(mem(), r[in.Rd]); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpLdB:
-		var b byte
-		if b, err = m.Mem.ReadB(mem()); err != nil {
-			return false, m.at(err, in)
-		}
-		r[in.Rd] = uint64(b)
-	case isa.OpStB:
-		m.watch(in.Addr, mem(), 1)
-		if err = m.Mem.WriteB(mem(), byte(r[in.Rd])); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpLdXQ:
-		if r[in.Rd], err = m.Mem.Read64(memx8()); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpStXQ:
-		m.watch(in.Addr, memx8(), 8)
-		if err = m.Mem.Write64(memx8(), r[in.Rd]); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpLdXB:
-		var b byte
-		if b, err = m.Mem.ReadB(memx1()); err != nil {
-			return false, m.at(err, in)
-		}
-		r[in.Rd] = uint64(b)
-	case isa.OpStXB:
-		m.watch(in.Addr, memx1(), 1)
-		if err = m.Mem.WriteB(memx1(), byte(r[in.Rd])); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpLea:
-		r[in.Rd] = mem()
-	case isa.OpLeaX:
-		r[in.Rd] = memx8()
-	case isa.OpLeaXB:
-		r[in.Rd] = memx1()
-	case isa.OpLdPC:
-		if r[in.Rd], err = m.Mem.Read64(next + uint64(int64(in.Disp))); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpLeaPC:
-		r[in.Rd] = next + uint64(int64(in.Disp))
-	case isa.OpLdG:
-		r[in.Rd] = m.Canary
-
-	case isa.OpAddRR, isa.OpAddRI:
-		a := r[in.Rd]
-		b := m.srcVal(in)
-		res := a + b
-		r[in.Rd] = res
-		m.setFlags(res, res < a, int64(^(a^b)&(a^res)) < 0)
-	case isa.OpSubRR, isa.OpSubRI, isa.OpCmpRR, isa.OpCmpRI:
-		a := r[in.Rd]
-		b := m.srcVal(in)
-		res := a - b
-		if in.Op == isa.OpSubRR || in.Op == isa.OpSubRI {
-			r[in.Rd] = res
-		}
-		m.setFlags(res, a < b, int64((a^b)&(a^res)) < 0)
-	case isa.OpMulRR, isa.OpMulRI:
-		res := r[in.Rd] * m.srcVal(in)
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpDivRR, isa.OpRemRR:
-		d := r[in.Rb]
-		if d == 0 {
-			return false, &Fault{PC: in.Addr, Kind: "division by zero"}
-		}
-		var res uint64
-		if in.Op == isa.OpDivRR {
-			res = uint64(int64(r[in.Rd]) / int64(d))
-		} else {
-			res = uint64(int64(r[in.Rd]) % int64(d))
-		}
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpAndRR, isa.OpAndRI, isa.OpTestRR:
-		res := r[in.Rd] & m.srcVal(in)
-		if in.Op != isa.OpTestRR {
-			r[in.Rd] = res
-		}
-		m.setFlags(res, false, false)
-	case isa.OpOrRR, isa.OpOrRI:
-		res := r[in.Rd] | m.srcVal(in)
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpXorRR, isa.OpXorRI:
-		res := r[in.Rd] ^ m.srcVal(in)
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpShlRR, isa.OpShlRI:
-		res := r[in.Rd] << (m.srcVal(in) & 63)
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpShrRR, isa.OpShrRI:
-		res := r[in.Rd] >> (m.srcVal(in) & 63)
-		r[in.Rd] = res
-		m.setFlags(res, false, false)
-	case isa.OpNot:
-		r[in.Rd] = ^r[in.Rd]
-		m.setFlags(r[in.Rd], false, false)
-	case isa.OpNeg:
-		r[in.Rd] = -r[in.Rd]
-		m.setFlags(r[in.Rd], false, false)
-
-	case isa.OpPush:
-		m.watch(in.Addr, m.Regs[isa.SP]-8, 8)
-		if err = m.Push(r[in.Rd]); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpPop:
-		if r[in.Rd], err = m.Pop(); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpPushF:
-		if err = m.Push(uint64(m.Flags)); err != nil {
-			return false, m.at(err, in)
-		}
-	case isa.OpPopF:
-		var v uint64
-		if v, err = m.Pop(); err != nil {
-			return false, m.at(err, in)
-		}
-		m.Flags = isa.Flag(v) & isa.AllFlags
-
-	case isa.OpJmp:
-		m.PC = in.Target()
-		return true, nil
-	case isa.OpJmpI:
-		m.PC = r[in.Rd]
-		return true, nil
-	case isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge,
-		isa.OpJb, isa.OpJae:
-		if m.condTaken(in.Op) {
-			m.PC = in.Target()
-			return true, nil
-		}
-	case isa.OpCall:
-		if err = m.Push(next); err != nil {
-			return false, m.at(err, in)
-		}
-		m.PC = in.Target()
-		return true, nil
-	case isa.OpCallI:
-		if err = m.Push(next); err != nil {
-			return false, m.at(err, in)
-		}
-		m.PC = r[in.Rd]
-		return true, nil
-	case isa.OpRet:
-		var ra uint64
-		if ra, err = m.Pop(); err != nil {
-			return false, m.at(err, in)
-		}
-		m.PC = ra
-		return true, nil
-
-	case isa.OpSyscall:
-		m.PC = next
-		if err = m.syscall(); err != nil {
-			return false, m.at(err, in)
-		}
-		return false, nil
-	case isa.OpTrap:
-		h := m.traps[in.Imm]
-		if h == nil {
-			return false, &Fault{PC: in.Addr,
-				Kind: fmt.Sprintf("unhandled trap %d", in.Imm)}
-		}
-		m.PC = next
-		m.TrapPC = in.Addr
-		if m.TrapOrigin != nil {
-			if orig, ok := m.TrapOrigin[in.Addr]; ok {
-				m.TrapPC = orig
-			}
-		}
-		if err = h(m); err != nil {
-			return false, m.at(err, in)
-		}
-		return false, nil
-	case isa.OpNop:
-	case isa.OpHlt:
-		m.Halted = true
-		m.PC = next
-		return true, nil
-	default:
-		return false, &Fault{PC: in.Addr, Kind: "invalid opcode " + in.Op.String()}
-	}
-	m.PC = next
-	return false, nil
+	code := [1]CInstr{{In: *in, JumpTo: -1}}
+	exit, err := m.run(code[:], nil)
+	return exit != nil, err
 }
 
-// srcVal returns the second ALU operand: register for RR forms, immediate
-// for RI forms.
-func (m *Machine) srcVal(in *isa.Instr) uint64 {
-	switch in.Op {
-	case isa.OpAddRR, isa.OpSubRR, isa.OpMulRR, isa.OpAndRR, isa.OpOrRR,
-		isa.OpXorRR, isa.OpShlRR, isa.OpShrRR, isa.OpCmpRR, isa.OpTestRR:
-		return m.Regs[in.Rb]
+// ExecBlock executes b from its first instruction until control leaves
+// it. Taken meta branches with a JumpTo continue inside the block; any
+// other taken transfer leaves it with m.PC holding the next application
+// address, and ExecBlock returns the transferring instruction. It returns
+// nil when execution fell off the end of the block or the machine halted
+// without a transfer.
+//
+// With prof attached, each instruction's cycle delta — including any
+// cycles its trap handler adds — is charged to its cost center.
+func (m *Machine) ExecBlock(b *Block, prof *telemetry.Profile) (exit *CInstr, err error) {
+	b.Execs++
+	return m.run(b.Code, prof)
+}
+
+// run is the executor: the one loop, and the one switch over opcodes, that
+// every native, modified and rewritten instruction retires through.
+func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
+	r := &m.Regs
+	limit := m.MaxInstrs
+	if limit == 0 {
+		limit = math.MaxUint64
 	}
-	return uint64(in.Imm)
+	for i := 0; ; {
+		c := &code[i]
+		in := &c.In
+		before := m.Cycles
+		m.Instrs++
+		m.Cycles += opCost[in.Op]
+		var err error
+		taken := false
+		next := in.Addr + uint64(in.Size)
+		if m.Instrs > limit {
+			err = &Fault{PC: in.Addr, Kind: "instruction budget exhausted"}
+			goto retired
+		}
+
+		switch in.Op {
+		case isa.OpMovRI:
+			r[in.Rd] = uint64(in.Imm)
+		case isa.OpMovRR:
+			r[in.Rd] = r[in.Rb]
+		case isa.OpLdQ:
+			r[in.Rd], err = m.Mem.Read64(ea(r, in))
+		case isa.OpStQ:
+			a := ea(r, in)
+			m.watch(in.Addr, a, 8)
+			err = m.Mem.Write64(a, r[in.Rd])
+		case isa.OpLdB:
+			var b byte
+			if b, err = m.Mem.ReadB(ea(r, in)); err == nil {
+				r[in.Rd] = uint64(b)
+			}
+		case isa.OpStB:
+			a := ea(r, in)
+			m.watch(in.Addr, a, 1)
+			err = m.Mem.WriteB(a, byte(r[in.Rd]))
+		case isa.OpLdXQ:
+			r[in.Rd], err = m.Mem.Read64(eax8(r, in))
+		case isa.OpStXQ:
+			a := eax8(r, in)
+			m.watch(in.Addr, a, 8)
+			err = m.Mem.Write64(a, r[in.Rd])
+		case isa.OpLdXB:
+			var b byte
+			if b, err = m.Mem.ReadB(eax1(r, in)); err == nil {
+				r[in.Rd] = uint64(b)
+			}
+		case isa.OpStXB:
+			a := eax1(r, in)
+			m.watch(in.Addr, a, 1)
+			err = m.Mem.WriteB(a, byte(r[in.Rd]))
+		case isa.OpLea:
+			r[in.Rd] = ea(r, in)
+		case isa.OpLeaX:
+			r[in.Rd] = eax8(r, in)
+		case isa.OpLeaXB:
+			r[in.Rd] = eax1(r, in)
+		case isa.OpLdPC:
+			r[in.Rd], err = m.Mem.Read64(next + uint64(int64(in.Disp)))
+		case isa.OpLeaPC:
+			r[in.Rd] = next + uint64(int64(in.Disp))
+		case isa.OpLdG:
+			r[in.Rd] = m.Canary
+
+		case isa.OpAddRR:
+			r[in.Rd] = m.add(r[in.Rd], r[in.Rb])
+		case isa.OpAddRI:
+			r[in.Rd] = m.add(r[in.Rd], uint64(in.Imm))
+		case isa.OpSubRR:
+			r[in.Rd] = m.sub(r[in.Rd], r[in.Rb])
+		case isa.OpSubRI:
+			r[in.Rd] = m.sub(r[in.Rd], uint64(in.Imm))
+		case isa.OpCmpRR:
+			m.sub(r[in.Rd], r[in.Rb])
+		case isa.OpCmpRI:
+			m.sub(r[in.Rd], uint64(in.Imm))
+		case isa.OpMulRR:
+			r[in.Rd] = m.logic(r[in.Rd] * r[in.Rb])
+		case isa.OpMulRI:
+			r[in.Rd] = m.logic(r[in.Rd] * uint64(in.Imm))
+		case isa.OpDivRR, isa.OpRemRR:
+			d := r[in.Rb]
+			if d == 0 {
+				err = &Fault{PC: in.Addr, Kind: "division by zero"}
+				break
+			}
+			if in.Op == isa.OpDivRR {
+				r[in.Rd] = m.logic(uint64(int64(r[in.Rd]) / int64(d)))
+			} else {
+				r[in.Rd] = m.logic(uint64(int64(r[in.Rd]) % int64(d)))
+			}
+		case isa.OpAndRR:
+			r[in.Rd] = m.logic(r[in.Rd] & r[in.Rb])
+		case isa.OpAndRI:
+			r[in.Rd] = m.logic(r[in.Rd] & uint64(in.Imm))
+		case isa.OpTestRR:
+			m.logic(r[in.Rd] & r[in.Rb])
+		case isa.OpOrRR:
+			r[in.Rd] = m.logic(r[in.Rd] | r[in.Rb])
+		case isa.OpOrRI:
+			r[in.Rd] = m.logic(r[in.Rd] | uint64(in.Imm))
+		case isa.OpXorRR:
+			r[in.Rd] = m.logic(r[in.Rd] ^ r[in.Rb])
+		case isa.OpXorRI:
+			r[in.Rd] = m.logic(r[in.Rd] ^ uint64(in.Imm))
+		case isa.OpShlRR:
+			r[in.Rd] = m.logic(r[in.Rd] << (r[in.Rb] & 63))
+		case isa.OpShlRI:
+			r[in.Rd] = m.logic(r[in.Rd] << (uint64(in.Imm) & 63))
+		case isa.OpShrRR:
+			r[in.Rd] = m.logic(r[in.Rd] >> (r[in.Rb] & 63))
+		case isa.OpShrRI:
+			r[in.Rd] = m.logic(r[in.Rd] >> (uint64(in.Imm) & 63))
+		case isa.OpNot:
+			r[in.Rd] = m.logic(^r[in.Rd])
+		case isa.OpNeg:
+			r[in.Rd] = m.logic(-r[in.Rd])
+
+		case isa.OpPush:
+			m.watch(in.Addr, r[isa.SP]-8, 8)
+			err = m.Push(r[in.Rd])
+		case isa.OpPop:
+			r[in.Rd], err = m.Pop()
+		case isa.OpPushF:
+			err = m.Push(uint64(m.Flags))
+		case isa.OpPopF:
+			var v uint64
+			if v, err = m.Pop(); err == nil {
+				m.Flags = isa.Flag(v) & isa.AllFlags
+			}
+
+		case isa.OpJmp:
+			next, taken = in.Target(), true
+		case isa.OpJmpI:
+			next, taken = r[in.Rd], true
+		case isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge,
+			isa.OpJb, isa.OpJae:
+			if m.condTaken(in.Op) {
+				next, taken = in.Target(), true
+			}
+		case isa.OpCall:
+			if err = m.Push(next); err == nil {
+				next, taken = in.Target(), true
+			}
+		case isa.OpCallI:
+			if err = m.Push(next); err == nil {
+				next, taken = r[in.Rd], true
+			}
+		case isa.OpRet:
+			var ra uint64
+			if ra, err = m.Pop(); err == nil {
+				next, taken = ra, true
+			}
+
+		case isa.OpSyscall:
+			// Services see the fall-through PC, and may move it.
+			m.PC = next
+			err = m.syscall()
+			next = m.PC
+		case isa.OpTrap:
+			h := m.traps[in.Imm]
+			if h == nil {
+				err = &Fault{PC: in.Addr, Kind: fmt.Sprintf("unhandled trap %d", in.Imm)}
+				break
+			}
+			m.PC = next
+			m.TrapPC = in.Addr
+			if m.TrapOrigin != nil {
+				if orig, ok := m.TrapOrigin[in.Addr]; ok {
+					m.TrapPC = orig
+				}
+			}
+			err = h(m)
+			next = m.PC
+		case isa.OpNop:
+		case isa.OpHlt:
+			m.Halted = true
+			taken = true
+		default:
+			err = &Fault{PC: in.Addr, Kind: "invalid opcode " + in.Op.String()}
+		}
+		if err != nil {
+			err = m.at(err, in)
+		} else {
+			m.PC = next
+		}
+
+	retired:
+		if prof != nil {
+			cc := telemetry.CCApp
+			if c.Meta {
+				cc = c.CC
+			}
+			prof.Charge(cc, m.Cycles-before, 1)
+		}
+		switch {
+		case err != nil:
+			return nil, err
+		case taken && c.JumpTo >= 0 && !m.Halted:
+			i = int(c.JumpTo)
+		case taken:
+			return c, nil
+		case m.Halted:
+			return nil, nil
+		default:
+			i++
+			if i == len(code) {
+				return nil, nil
+			}
+		}
+	}
+}
+
+// ea, eax8 and eax1 compute the effective address of a base+disp,
+// base+index*8+disp and base+index+disp memory operand.
+func ea(r *[isa.NumRegs]uint64, in *isa.Instr) uint64 {
+	return r[in.Rb] + uint64(int64(in.Disp))
+}
+
+func eax8(r *[isa.NumRegs]uint64, in *isa.Instr) uint64 {
+	return r[in.Rb] + r[in.Ri]*8 + uint64(int64(in.Disp))
+}
+
+func eax1(r *[isa.NumRegs]uint64, in *isa.Instr) uint64 {
+	return r[in.Rb] + r[in.Ri] + uint64(int64(in.Disp))
+}
+
+// add returns a+b and sets the flags of the addition.
+func (m *Machine) add(a, b uint64) uint64 {
+	res := a + b
+	m.setFlags(res, res < a, int64(^(a^b)&(a^res)) < 0)
+	return res
+}
+
+// sub returns a-b and sets the flags of the subtraction (and comparison).
+func (m *Machine) sub(a, b uint64) uint64 {
+	res := a - b
+	m.setFlags(res, a < b, int64((a^b)&(a^res)) < 0)
+	return res
+}
+
+// logic sets the flags of a result without carry or overflow and returns
+// it.
+func (m *Machine) logic(res uint64) uint64 {
+	m.setFlags(res, false, false)
+	return res
 }
 
 // at decorates a fault with the faulting instruction's address.
@@ -252,13 +449,11 @@ func (m *Machine) at(err error, in *isa.Instr) error {
 	return err
 }
 
-// fetchBlock decodes the straight-line run starting at addr (up to and
-// including the first CTI), caching the result. Native execution uses this;
-// the dynamic modifier has its own (instrumenting) block builder.
-func (m *Machine) fetchBlock(addr uint64) ([]isa.Instr, error) {
-	if b, ok := m.blocks[addr]; ok {
-		return b, nil
-	}
+// DecodeBlock decodes the straight-line run of application code starting
+// at addr, up to and including the first control transfer, system call or
+// trap. It is the one block decoder: native execution and the dynamic
+// modifier both build their blocks from it.
+func (m *Machine) DecodeBlock(addr uint64) ([]isa.Instr, error) {
 	var block []isa.Instr
 	var buf [isa.MaxInstrLen]byte
 	pc := addr
@@ -271,7 +466,7 @@ func (m *Machine) fetchBlock(addr uint64) ([]isa.Instr, error) {
 			if len(block) > 0 {
 				// Tolerate garbage after a decoded prefix: execution
 				// only faults if it actually falls through to it.
-				break
+				return block, nil
 			}
 			return nil, &Fault{PC: pc, Kind: "undecodable instruction: " + err.Error()}
 		}
@@ -280,16 +475,14 @@ func (m *Machine) fetchBlock(addr uint64) ([]isa.Instr, error) {
 		// Blocks end at control transfers and at system instructions,
 		// which may halt the program or transfer control via a service.
 		if in.IsCTI() || in.Op == isa.OpSyscall || in.Op == isa.OpTrap {
-			break
+			return block, nil
 		}
 	}
-	m.blocks[addr] = block
-	return block, nil
 }
 
 // InvalidateCode drops cached decodings (call after writing code bytes, e.g.
 // when JIT-compiling).
-func (m *Machine) InvalidateCode() { m.blocks = map[uint64][]isa.Instr{} }
+func (m *Machine) InvalidateCode() { m.blocks.Flush() }
 
 // Run executes natively (no dynamic modification) from entry until the
 // program exits or faults.
@@ -316,17 +509,18 @@ func (m *Machine) StepBlock() error {
 	if m.BlockHook != nil {
 		m.BlockHook(m.PC)
 	}
-	block, err := m.fetchBlock(m.PC)
-	if err != nil {
-		return err
-	}
-	for i := range block {
-		if _, err := m.Exec(&block[i]); err != nil {
+	b := m.blocks.Dispatch(m.PC)
+	if b == nil {
+		app, err := m.DecodeBlock(m.PC)
+		if err != nil {
 			return err
 		}
-		if m.Halted {
-			break
+		b = &Block{Start: m.PC, AppLen: len(app), Code: make([]CInstr, len(app))}
+		for i, in := range app {
+			b.Code[i] = CInstr{In: in, JumpTo: -1}
 		}
+		m.blocks.Add(b)
 	}
-	return nil
+	_, err := m.ExecBlock(b, nil)
+	return err
 }

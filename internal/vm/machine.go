@@ -95,7 +95,7 @@ type Machine struct {
 	MaxInstrs uint64
 
 	// blocks caches decoded straight-line runs for native execution.
-	blocks map[uint64][]isa.Instr
+	blocks BlockCache
 
 	// WatchLo/WatchHi, when WatchHi > WatchLo, define a write watchpoint:
 	// WatchHook fires on any store intersecting [WatchLo, WatchHi).
@@ -126,7 +126,6 @@ func New() *Machine {
 		brk:     isa.LayoutHeapBase,
 		jitNext: isa.LayoutJITBase,
 		Out:     io.Discard,
-		blocks:  map[uint64][]isa.Instr{},
 	}
 	m.Regs[isa.SP] = isa.LayoutStackTop
 	return m

@@ -34,22 +34,38 @@ func (f *Fault) Error() string {
 }
 
 // Memory is the flat paged address space. Pages are allocated on first
-// touch and zero-filled; accesses beyond AddrLimit fault. Like hardware, the
-// memory itself enforces no object bounds — that is the sanitizers' job.
+// write and zero-filled; reading a page never written reads zeros without
+// allocating it, so a program that only probes memory costs no host memory.
+// Accesses beyond AddrLimit fault. Like hardware, the memory itself enforces
+// no object bounds — that is the sanitizers' job.
 type Memory struct {
-	pages []*[pageSize]byte
+	pages [numPages]*[pageSize]byte
 }
+
+// zeroPage backs reads of pages never written. Nothing writes to it.
+var zeroPage [pageSize]byte
 
 // NewMemory returns an empty address space.
-func NewMemory() *Memory {
-	return &Memory{pages: make([]*[pageSize]byte, numPages)}
+func NewMemory() *Memory { return &Memory{} }
+
+// readPage returns the page holding addr for reading.
+func (m *Memory) readPage(addr uint64) (*[pageSize]byte, error) {
+	if addr >= AddrLimit {
+		return nil, outOfRange(addr)
+	}
+	if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
+		return p, nil
+	}
+	return &zeroPage, nil
 }
 
-func (m *Memory) page(addr uint64) (*[pageSize]byte, error) {
+// writePage returns the page holding addr for writing, allocating it on the
+// first write.
+func (m *Memory) writePage(addr uint64) (*[pageSize]byte, error) {
 	if addr >= AddrLimit {
-		return nil, &Fault{Addr: addr, Kind: "address out of range"}
+		return nil, outOfRange(addr)
 	}
-	idx := addr >> pageShift
+	idx := (addr >> pageShift) & (numPages - 1)
 	p := m.pages[idx]
 	if p == nil {
 		p = new([pageSize]byte)
@@ -58,9 +74,13 @@ func (m *Memory) page(addr uint64) (*[pageSize]byte, error) {
 	return p, nil
 }
 
+func outOfRange(addr uint64) error {
+	return &Fault{Addr: addr, Kind: "address out of range"}
+}
+
 // ReadB reads one byte.
 func (m *Memory) ReadB(addr uint64) (byte, error) {
-	p, err := m.page(addr)
+	p, err := m.readPage(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -69,7 +89,7 @@ func (m *Memory) ReadB(addr uint64) (byte, error) {
 
 // WriteB writes one byte.
 func (m *Memory) WriteB(addr uint64, v byte) error {
-	p, err := m.page(addr)
+	p, err := m.writePage(addr)
 	if err != nil {
 		return err
 	}
@@ -79,9 +99,20 @@ func (m *Memory) WriteB(addr uint64, v byte) error {
 
 // Read64 reads a little-endian 8-byte word.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
+	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+		if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
+			return binary.LittleEndian.Uint64(p[off : off+8]), nil
+		}
+	}
+	return m.read64(addr)
+}
+
+// read64 is Read64 for words that straddle a page, lie in a page never
+// written, or lie out of range.
+func (m *Memory) read64(addr uint64) (uint64, error) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-8 {
-		p, err := m.page(addr)
+		p, err := m.readPage(addr)
 		if err != nil {
 			return 0, err
 		}
@@ -96,9 +127,21 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 
 // Write64 writes a little-endian 8-byte word.
 func (m *Memory) Write64(addr uint64, v uint64) error {
+	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+		if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
+			binary.LittleEndian.PutUint64(p[off:off+8], v)
+			return nil
+		}
+	}
+	return m.write64(addr, v)
+}
+
+// write64 is Write64 for words that straddle a page, lie in a page never
+// written, or lie out of range.
+func (m *Memory) write64(addr uint64, v uint64) error {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-8 {
-		p, err := m.page(addr)
+		p, err := m.writePage(addr)
 		if err != nil {
 			return err
 		}
@@ -114,7 +157,7 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 func (m *Memory) Read32(addr uint64) (uint32, error) {
 	off := addr & (pageSize - 1)
 	if off <= pageSize-4 {
-		p, err := m.page(addr)
+		p, err := m.readPage(addr)
 		if err != nil {
 			return 0, err
 		}
@@ -130,7 +173,7 @@ func (m *Memory) Read32(addr uint64) (uint32, error) {
 // ReadBytes fills buf from memory starting at addr.
 func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.page(addr)
+		p, err := m.readPage(addr)
 		if err != nil {
 			return err
 		}
@@ -145,7 +188,7 @@ func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 // WriteBytes copies buf into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.page(addr)
+		p, err := m.writePage(addr)
 		if err != nil {
 			return err
 		}

@@ -432,6 +432,70 @@ func TestInstrBudget(t *testing.T) {
 	if !errors.As(err, &f) || !strings.Contains(f.Kind, "budget") {
 		t.Fatalf("err = %v, want budget fault", err)
 	}
+	// The instruction that exceeds the budget is counted and charged, then
+	// faults at its own address.
+	if m.Instrs != m.MaxInstrs+1 || f.PC != jmp.Addr || m.Cycles != 51*Costs.Branch {
+		t.Fatalf("at budget fault: Instrs=%d PC=%#x Cycles=%d, want %d %#x %d",
+			m.Instrs, f.PC, m.Cycles, m.MaxInstrs+1, jmp.Addr, 51*Costs.Branch)
+	}
+	// Block execution accounts exactly like one Exec per instruction.
+	one := New()
+	one.MaxInstrs = 50
+	for err = nil; err == nil; {
+		_, err = one.Exec(&jmp)
+	}
+	if one.Instrs != m.Instrs || one.Cycles != m.Cycles || one.PC != m.PC {
+		t.Fatalf("Exec loop: Instrs=%d Cycles=%d PC=%#x, block run %d %d %#x",
+			one.Instrs, one.Cycles, one.PC, m.Instrs, m.Cycles, m.PC)
+	}
+}
+
+// mappedPages counts the pages memory has allocated.
+func mappedPages(mem *Memory) int {
+	n := 0
+	for _, p := range mem.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+func TestUnwrittenReadsAllocateNoPages(t *testing.T) {
+	mem := NewMemory()
+	for i := uint64(0); i < 1000; i++ {
+		addr := 0x1000_0000 + i*pageSize + 8*i
+		if v, err := mem.Read64(addr); err != nil || v != 0 {
+			t.Fatalf("Read64(%#x) = %#x, %v; want 0", addr, v, err)
+		}
+		if b, err := mem.ReadB(addr + 1); err != nil || b != 0 {
+			t.Fatalf("ReadB(%#x) = %#x, %v; want 0", addr+1, b, err)
+		}
+	}
+	var buf [16]byte
+	if err := mem.ReadBytes(0x2000_0000-8, buf[:]); err != nil || buf != [16]byte{} {
+		t.Fatalf("cross-page ReadBytes = %x, %v; want zeros", buf, err)
+	}
+	if n := mappedPages(mem); n != 0 {
+		t.Fatalf("reads of 1000 unwritten pages mapped %d pages", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { mem.Read64(0x3000_0000) }); n != 0 {
+		t.Fatalf("unwritten Read64 allocates %v times", n)
+	}
+	// A later write maps exactly its page and reads back.
+	addr := uint64(0x1000_0000 + 7*pageSize + 56)
+	if err := mem.Write64(addr, 0x1122334455667788); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := mem.Read64(addr); err != nil || v != 0x1122334455667788 {
+		t.Fatalf("Read64 after write = %#x, %v", v, err)
+	}
+	if v, _ := mem.Read64(addr + 8); v != 0 {
+		t.Fatalf("neighbouring word = %#x, want 0", v)
+	}
+	if n := mappedPages(mem); n != 1 {
+		t.Fatalf("one write mapped %d pages, want 1", n)
+	}
 }
 
 func TestJITCodeGeneration(t *testing.T) {

@@ -22,6 +22,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== executor benchmarks (one iteration) =="
+# Per-layer host benchmarks of the executor: a spec program natively and
+# under the DBM (null client, jasan-hybrid), reporting ns/instr and
+# allocs/op. One iteration only proves they still run; measure with a
+# larger -benchtime.
+go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm
+
 echo "== janalyze determinism lint =="
 # Repository-wide map-iteration lint: any `range` over a map feeding an
 # emission or serialisation path is a nondeterministic-output bug (Go map
