@@ -56,7 +56,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "retrowrite"), "retrowrite-x")
 		b.ReportMetric(geomeanRow(fig, "jasan-hybrid"), "jasan-hybrid-x")
 		if i == 0 {
-			b.Log("\n" + fig.Format("slowdown"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -74,7 +74,7 @@ func BenchmarkFig8(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "jasan-hybrid-base"), "hybrid-base-x")
 		b.ReportMetric(geomeanRow(fig, "jasan-dyn"), "dyn-x")
 		if i == 0 {
-			b.Log("\n" + fig.Format("slowdown"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -93,7 +93,7 @@ func BenchmarkFig9(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "jcfi-hybrid"), "jcfi-hybrid-x")
 		b.ReportMetric(geomeanRow(fig, "bincfi"), "bincfi-x")
 		if i == 0 {
-			b.Log("\n" + fig.Format("slowdown"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -128,7 +128,7 @@ func BenchmarkFig11(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "jcfi-forward"), "forward-x")
 		b.ReportMetric(geomeanRow(fig, "jcfi-hybrid"), "full-x")
 		if i == 0 {
-			b.Log("\n" + fig.Format("slowdown"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -147,7 +147,7 @@ func BenchmarkFig12(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "jcfi-hybrid"), "jcfi-hyb-DAIR%")
 		b.ReportMetric(geomeanRow(fig, "lockdown-weak"), "lockdownW-DAIR%")
 		if i == 0 {
-			b.Log("\n" + fig.Format("% DAIR"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -163,7 +163,7 @@ func BenchmarkFig13(b *testing.B) {
 		b.ReportMetric(geomeanRow(fig, "jcfi"), "jcfi-AIR%")
 		b.ReportMetric(geomeanRow(fig, "bincfi"), "bincfi-AIR%")
 		if i == 0 {
-			b.Log("\n" + fig.Format("% AIR"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }
@@ -184,7 +184,7 @@ func BenchmarkFig14(b *testing.B) {
 		b.ReportMetric(fig.Rows[0].Values["cactusADM"], "cactusADM-%")
 		b.ReportMetric(fig.Rows[0].Values["lbm"], "lbm-%")
 		if i == 0 {
-			b.Log("\n" + fig.Format("% dynamic"))
+			b.Log("\n" + fig.Format())
 		}
 	}
 }

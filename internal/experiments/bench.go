@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
-	"sort"
 
-	"repro/internal/metrics"
+	"repro/internal/spec"
 )
 
 // BenchRow is one scheme's suite-wide cost summary: the geometric mean of
@@ -38,43 +37,28 @@ var benchSchemes = []Scheme{
 // order and each geomean is computed over name-sorted workloads, so the
 // output is byte-identical across runs and parallelism settings.
 func Bench(scale int, names ...string) ([]BenchRow, error) {
-	workloads := workloadSet(scale, names...)
-	sort.Slice(workloads, func(i, j int) bool {
-		return workloads[i].Name < workloads[j].Name
-	})
-	ns := len(benchSchemes)
-	results := make([]*Result, len(workloads)*ns)
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		results[i], errs[i] = Run(workloads[i/ns], benchSchemes[i%ns])
-	})
+	return benchRows(sortedSet(scale, names...), benchSchemes, dynamicOnly)
+}
 
+// benchRows runs the grid and folds each (scheme, backend) column into one
+// geomean row, scheme-major.
+func benchRows(workloads []*spec.Workload, schemes []Scheme, backends []Backend) ([]BenchRow, error) {
+	g, err := runGrid(workloads, schemes, backends, probeNone)
+	if err != nil {
+		return nil, err
+	}
 	var rows []BenchRow
-	for si, s := range benchSchemes {
-		var slowdowns []float64
-		for wi := range workloads {
-			res, err := results[wi*ns+si], errs[wi*ns+si]
-			if err != nil {
-				return nil, err
-			}
-			if res.Failed {
-				continue
-			}
-			slowdowns = append(slowdowns, res.Slowdown)
+	for si := range schemes {
+		for bi := range backends {
+			rows = append(rows, g.summary(si, bi))
 		}
-		rows = append(rows, BenchRow{
-			Scheme:          s,
-			Backend:         BackendDynamic,
-			GeomeanSlowdown: metrics.Geomean(slowdowns),
-			Benchmarks:      len(slowdowns),
-		})
 	}
 	return rows, nil
 }
 
-// FormatBenchJSON renders the rows as an indented JSON array — the entire
-// BENCH_JANITIZER.json artifact.
-func FormatBenchJSON(rows []BenchRow) string {
-	j, _ := json.MarshalIndent(rows, "", "  ")
+// FormatJSON renders a study's rows or report as indented JSON: the whole
+// BENCH_*.json artifact.
+func FormatJSON(v any) string {
+	j, _ := json.MarshalIndent(v, "", "  ")
 	return string(j) + "\n"
 }

@@ -1,103 +1,65 @@
 package experiments
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// ElisionRow is one benchmark's measurement of the VSA elision study: how
-// many JASan checks the static proofs removed, how many indirect branches
-// JCFI narrowed to inline target sets, and the retired-instruction counts
-// with and without the proofs applied.
-type ElisionRow struct {
-	Benchmark        string `json:"benchmark"`
-	ElidedChecks     int    `json:"elided_checks"`
-	NarrowedBranches int    `json:"narrowed_branches"`
-	JASanInstrs      uint64 `json:"jasan_instrs"`
-	JASanElideInstrs uint64 `json:"jasan_elide_instrs"`
-	JCFIInstrs       uint64 `json:"jcfi_instrs"`
-	JCFINarrowInstrs uint64 `json:"jcfi_narrow_instrs"`
-	// InstrDeltaPct is the JASan retired-instruction change from elision,
-	// in percent (negative = fewer instructions).
-	InstrDeltaPct float64 `json:"instr_delta_pct"`
-}
+import "fmt"
 
 // elisionSchemes are the four cells measured per benchmark.
 var elisionSchemes = []Scheme{JASanHybrid, JASanElide, JCFIHybrid, JCFINarrow}
 
-// Elision runs the check-elision study: every workload under JASan-hybrid
-// with and without VSA elision, and JCFI-hybrid with and without target
-// narrowing. Violations must be zero in all cells (the safe workloads are
-// benign); a violation under an elision scheme only is a soundness bug.
-func Elision(scale int, names ...string) ([]ElisionRow, error) {
-	workloads := workloadSet(scale, names...)
-	ns := len(elisionSchemes)
-	results := make([]*Result, len(workloads)*ns)
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		results[i], errs[i] = Run(workloads[i/ns], elisionSchemes[i%ns])
-	})
-
-	var rows []ElisionRow
-	for wi, w := range workloads {
-		row := ElisionRow{Benchmark: w.Name}
-		byScheme := map[Scheme]*Result{}
-		for si, s := range elisionSchemes {
-			res, err := results[wi*ns+si], errs[wi*ns+si]
-			if err != nil {
-				return nil, err
+// elisionStudy is the check-elision study: every workload under
+// JASan-hybrid with and without VSA elision, and JCFI-hybrid with and
+// without target narrowing — how many JASan checks the static proofs
+// removed, how many indirect branches JCFI narrowed to inline target sets,
+// and the retired-instruction counts with and without the proofs applied.
+var elisionStudy = rowStudy{
+	title:   "VSA proof-carrying elision study (retired instructions)",
+	tag:     "BENCH_ELISION",
+	schemes: elisionSchemes,
+	// Violations must be zero in all cells (the safe workloads are
+	// benign); a violation under an elision scheme only is a soundness bug.
+	check: func(c cells) error {
+		for _, s := range elisionSchemes {
+			if n := c(s).Violations; n > 0 {
+				return fmt.Errorf("%s: %d violations on benign run", s, n)
 			}
-			if res.Violations > 0 {
-				return nil, fmt.Errorf("%s/%s: %d violations on benign run",
-					w.Name, s, res.Violations)
+		}
+		return nil
+	},
+	cols: []column{
+		{"elided_checks", func(c cells) any { return c(JASanElide).ElidedChecks }},
+		{"narrowed_branches", func(c cells) any { return c(JCFINarrow).NarrowedBranches }},
+		{"jasan_instrs", instrsOf(JASanHybrid)},
+		{"jasan_elide_instrs", instrsOf(JASanElide)},
+		{"jcfi_instrs", instrsOf(JCFIHybrid)},
+		{"jcfi_narrow_instrs", instrsOf(JCFINarrow)},
+		// The JASan retired-instruction change from elision, in percent
+		// (negative = fewer instructions).
+		{"instr_delta_pct", func(c cells) any {
+			h, e := c(JASanHybrid).Instrs, c(JASanElide).Instrs
+			if h == 0 {
+				return 0.0
 			}
-			byScheme[s] = res
+			return 100 * (float64(e) - float64(h)) / float64(h)
+		}},
+	},
+	head:  "%-14s%8s%8s%14s%14s%9s%14s%14s\n",
+	line:  "%-14s%8d%8d%14d%14d%+9.2f%14d%14d\n",
+	heads: "benchmark elided narrow jasan jasan-elide delta% jcfi jcfi-narrow",
+	keys: "benchmark elided_checks narrowed_branches jasan_instrs jasan_elide_instrs " +
+		"instr_delta_pct jcfi_instrs jcfi_narrow_instrs",
+	summary: func(rows []row) string {
+		improved := 0
+		for _, r := range rows {
+			if r["jasan_elide_instrs"].(uint64) < r["jasan_instrs"].(uint64) {
+				improved++
+			}
 		}
-		row.JASanInstrs = byScheme[JASanHybrid].Instrs
-		row.JASanElideInstrs = byScheme[JASanElide].Instrs
-		row.JCFIInstrs = byScheme[JCFIHybrid].Instrs
-		row.JCFINarrowInstrs = byScheme[JCFINarrow].Instrs
-		row.ElidedChecks = byScheme[JASanElide].ElidedChecks
-		row.NarrowedBranches = byScheme[JCFINarrow].NarrowedBranches
-		if row.JASanInstrs > 0 {
-			row.InstrDeltaPct = 100 * (float64(row.JASanElideInstrs) -
-				float64(row.JASanInstrs)) / float64(row.JASanInstrs)
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Benchmark < rows[j].Benchmark })
-	return rows, nil
+		return fmt.Sprintf("note: JASan instruction count dropped on %d of %d benchmarks\n",
+			improved, len(rows))
+	},
 }
 
-// FormatElision renders the elision study as a table followed by one
-// machine-readable `BENCH_ELISION {json}` line per benchmark. Rows are
-// sorted by benchmark name, so output is byte-identical across runs and
-// parallelism settings.
-func FormatElision(rows []ElisionRow) string {
-	var b strings.Builder
-	b.WriteString("VSA proof-carrying elision study (retired instructions)\n")
-	fmt.Fprintf(&b, "%-14s%8s%8s%14s%14s%9s%14s%14s\n",
-		"benchmark", "elided", "narrow",
-		"jasan", "jasan-elide", "delta%", "jcfi", "jcfi-narrow")
-	improved := 0
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s%8d%8d%14d%14d%+9.2f%14d%14d\n",
-			r.Benchmark, r.ElidedChecks, r.NarrowedBranches,
-			r.JASanInstrs, r.JASanElideInstrs, r.InstrDeltaPct,
-			r.JCFIInstrs, r.JCFINarrowInstrs)
-		if r.JASanElideInstrs < r.JASanInstrs {
-			improved++
-		}
-	}
-	fmt.Fprintf(&b, "note: JASan instruction count dropped on %d of %d benchmarks\n",
-		improved, len(rows))
-	for _, r := range rows {
-		j, _ := json.Marshal(r)
-		b.WriteString("BENCH_ELISION ")
-		b.Write(j)
-		b.WriteByte('\n')
-	}
-	return b.String()
+// Elision runs the check-elision study and renders it as a table followed
+// by one `BENCH_ELISION {json}` line per benchmark.
+func Elision(scale int, names ...string) (string, error) {
+	return elisionStudy.run(scale, names)
 }

@@ -5,13 +5,11 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/anserve"
 	"repro/internal/baseline"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
 	"repro/internal/diag"
@@ -19,12 +17,9 @@ import (
 	"repro/internal/jcfi"
 	"repro/internal/jmsan"
 	"repro/internal/jtsan"
-	"repro/internal/loader"
-	"repro/internal/metrics"
 	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 // Scheme names one configuration of one tool.
@@ -107,6 +102,13 @@ type Result struct {
 	NarrowedBranches int
 	// DAIR is the dynamic average indirect-target reduction (CFI schemes).
 	DAIR float64
+	// Profile is the run's cost attribution when the grid was profiled
+	// (dynamic backend only).
+	Profile *telemetry.Profile
+
+	// elapsed is the host wall time of the run step, observability
+	// included.
+	elapsed time.Duration
 }
 
 // maxInstrs bounds each run.
@@ -123,46 +125,15 @@ var service = anserve.New(anserve.Config{})
 // (printed by jexp -stats).
 func AnalysisStats() anserve.Stats { return service.Stats() }
 
-// runNative measures the uninstrumented baseline.
-func runNative(w *spec.Workload, pic bool) (*Result, error) {
-	main, reg, err := w.Build(pic)
-	if err != nil {
-		return nil, err
-	}
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = maxInstrs
-	var out bytes.Buffer
-	m.Out = &out
-	proc := loader.NewProcess(m, reg)
-	lm, err := proc.LoadProgram(main)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Run(lm.RuntimeAddr(main.Entry)); err != nil {
-		return nil, err
-	}
-	return &Result{Benchmark: w.Name, Scheme: Native, Backend: BackendDynamic,
-		Cycles: m.Cycles, NativeCycles: m.Cycles, Slowdown: 1,
-		ExitStatus: m.ExitStatus, Instrs: m.Instrs, Output: out.Bytes()}, nil
-}
-
-// Run executes one (workload, scheme) configuration. A nil error with
-// Result.Failed set means the scheme cannot handle the benchmark — the
-// figures' x marks; hard errors are real harness problems.
+// Run executes one (workload, scheme) cell on the dynamic backend. A nil
+// error with Result.Failed set means the scheme cannot handle the
+// benchmark — the figures' x marks; hard errors are real harness problems.
 func Run(w *spec.Workload, scheme Scheme) (*Result, error) {
-	return runWith(w, scheme, nil, nil)
-}
-
-// RunProfiled is Run with per-rule cost attribution: the DBM charges every
-// executed instruction's cycles to its cost center, decomposing the
-// measured overhead into shadow-update/check/elided/dispatch components.
-// The profile never perturbs the cycle model — Run and RunProfiled measure
-// identical Cycles/Instrs.
-func RunProfiled(w *spec.Workload, scheme Scheme) (*Result, *telemetry.Profile, error) {
-	prof := &telemetry.Profile{}
-	res, err := runWith(w, scheme, prof, nil)
-	return res, prof, err
+	g, err := runGrid([]*spec.Workload{w}, []Scheme{scheme}, dynamicOnly, probeNone)
+	if err != nil {
+		return nil, err
+	}
+	return g.at(0, 0, 0), nil
 }
 
 // obsSink wires the full observability stack into a run: a span per
@@ -175,144 +146,6 @@ type obsSink struct {
 	tr   *telemetry.Tracer
 	dlog *diag.Log
 	hist *telemetry.Histogram
-}
-
-func runWith(w *spec.Workload, scheme Scheme, prof *telemetry.Profile, obs *obsSink) (*Result, error) {
-	native, err := runNative(w, scheme == Retrowrite)
-	if err != nil {
-		return nil, fmt.Errorf("%s: native: %w", w.Name, err)
-	}
-	if scheme == Native {
-		return native, nil
-	}
-
-	res := &Result{Benchmark: w.Name, Scheme: scheme, NativeCycles: native.Cycles}
-	fail := func(reason string) (*Result, error) {
-		res.Failed = true
-		res.Reason = reason
-		return res, nil
-	}
-
-	// Scheme applicability gates.
-	switch scheme {
-	case Retrowrite:
-		if !w.Retrowritable() {
-			return fail(fmt.Sprintf("retrowrite does not support %s input", w.Lang))
-		}
-	case Lockdown, LockdownWeak:
-		if w.LockdownBroken {
-			return fail("lockdown prototype fails on this benchmark (§6.2.1)")
-		}
-	}
-
-	pic := scheme == Retrowrite
-	main, reg, err := w.Build(pic)
-	if err != nil {
-		return nil, err
-	}
-
-	if scheme == BinCFI {
-		// Rewriting-feasibility check over every static module.
-		probe := baseline.NewBinCFI()
-		mods, err := loader.LddClosure(main, reg)
-		if err != nil {
-			return nil, err
-		}
-		for _, mod := range mods {
-			g, err := cfg.Build(mod)
-			if err != nil {
-				return nil, err
-			}
-			if err := probe.CheckInput(mod, g); err != nil {
-				return fail(err.Error())
-			}
-		}
-	}
-
-	// Build the tool and decide whether a static stage runs.
-	tool, static, err := newTool(scheme)
-	if err != nil {
-		return nil, err
-	}
-	if rw, ok := tool.(*baseline.RetrowriteTool); ok {
-		if err := rw.CheckInput(main); err != nil {
-			return fail(err.Error())
-		}
-	}
-
-	files := map[string]*rules.File{}
-	if static {
-		files, err = service.AnalyzeProgram(main, reg, tool)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: static analysis: %w", w.Name, scheme, err)
-		}
-	}
-
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = maxInstrs
-	var out bytes.Buffer
-	m.Out = &out
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	if prof != nil {
-		rt.DBM.Prof = prof
-	}
-	lm, err := proc.LoadProgram(main)
-	if err != nil {
-		return nil, err
-	}
-	var sp *telemetry.Span
-	var started time.Time
-	if obs != nil {
-		sp = obs.tr.Start("exp.run",
-			telemetry.String("benchmark", w.Name),
-			telemetry.String("scheme", string(scheme)))
-		started = time.Now()
-	}
-	if err := rt.Run(lm.RuntimeAddr(main.Entry)); err != nil {
-		if sp != nil {
-			sp.SetError(err.Error())
-			sp.End()
-		}
-		return nil, fmt.Errorf("%s/%s: run: %w", w.Name, scheme, err)
-	}
-	if obs != nil {
-		sp.AddEvent("run-complete",
-			telemetry.Int("instrs", int64(m.Instrs)),
-			telemetry.Int("cycles", int64(m.Cycles)))
-		sp.End()
-		diag.Collect(obs.dlog, tool, diag.NewProcessSymbolizer(proc), sp.Context())
-		obs.hist.ObserveExemplar(time.Since(started).Seconds(), sp.TraceID())
-	}
-	if m.ExitStatus != native.ExitStatus {
-		return nil, fmt.Errorf("%s/%s: semantics broken: exit %d, native %d",
-			w.Name, scheme, m.ExitStatus, native.ExitStatus)
-	}
-	if !bytes.Equal(out.Bytes(), native.Output) {
-		return nil, fmt.Errorf("%s/%s: semantics broken: output diverges from native",
-			w.Name, scheme)
-	}
-
-	res.Backend = BackendDynamic
-	res.Cycles = m.Cycles
-	res.Slowdown = metrics.Slowdown(m.Cycles, native.Cycles)
-	res.ExitStatus = m.ExitStatus
-	res.Instrs = m.Instrs
-	res.Output = out.Bytes()
-	res.Coverage = rt.Coverage
-	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)
-
-	res.Violations = toolViolations(tool)
-	switch tt := tool.(type) {
-	case *jcfi.Tool:
-		res.DAIR = tt.DynamicAIR()
-	case *baseline.LockdownTool:
-		res.DAIR = tt.DynamicAIR()
-	case *baseline.BinCFITool:
-		res.DAIR = tt.AIR()
-	}
-	return res, nil
 }
 
 // newTool builds the scheme's tool and reports whether its static analysis

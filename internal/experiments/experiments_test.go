@@ -319,7 +319,7 @@ func TestFigureFormatting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fig.Format("%")
+	s := fig.Format()
 	if !strings.Contains(s, "Figure 14") || !strings.Contains(s, "lbm") {
 		t.Errorf("format output malformed:\n%s", s)
 	}

@@ -2,66 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/spec"
 )
 
-// Parallel sets how many (workload, scheme) cells the figure loops run
-// concurrently; <= 0 selects runtime.GOMAXPROCS(0). Figure output is
-// deterministic regardless: results are collected per cell and assembled in
-// the serial iteration order. jexp routes its -parallel flag here.
-var Parallel = 1
-
-func parallelism() int {
-	if Parallel <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return Parallel
-}
-
-// runJobs executes n jobs through a worker pool of parallelism() workers.
-// Each worker pulls the next job index, so long cells (cactusADM under
-// valgrind) do not stall the queue behind them.
-func runJobs(n int, job func(int)) {
-	p := parallelism()
-	if p > n {
-		p = n
-	}
-	if p <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i >= int64(n) {
-					return
-				}
-				job(int(i))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // Figure is one regenerated table/figure: per-benchmark series plus the
 // formatted text the jexp tool prints.
 type Figure struct {
 	Title      string
+	Unit       string
 	Benchmarks []string
 	Rows       []metrics.Row
 	// Notes records failures (x marks) and commentary.
@@ -69,75 +20,42 @@ type Figure struct {
 }
 
 // Format renders the figure as text.
-func (f *Figure) Format(unit string) string {
-	out := metrics.FormatTable(f.Title, f.Benchmarks, f.Rows, unit)
+func (f *Figure) Format() string {
+	out := metrics.FormatTable(f.Title, f.Benchmarks, f.Rows, f.Unit)
 	for _, n := range f.Notes {
 		out += "note: " + n + "\n"
 	}
 	return out
 }
 
-// sweep runs the given schemes over workloads, collecting one Row per
-// scheme, with the chosen metric extractor. Cells run through the worker
-// pool (see Parallel); results are assembled in serial iteration order so
-// the rendered figure is identical at any parallelism.
-func sweep(workloads []*spec.Workload, schemes []Scheme,
+// sweep runs the given schemes over workloads on the DBM and renders one
+// Row per scheme with the chosen metric. Cells a scheme cannot run become
+// x-mark notes, in serial (workload, scheme) order.
+func sweep(title, unit string, workloads []*spec.Workload, schemes []Scheme,
 	metric func(*Result) float64) (*Figure, error) {
 
-	ns := len(schemes)
-	results := make([]*Result, len(workloads)*ns)
-	errs := make([]error, len(workloads)*ns)
-	runJobs(len(results), func(i int) {
-		results[i], errs[i] = Run(workloads[i/ns], schemes[i%ns])
-	})
-
-	fig := &Figure{}
-	rows := map[Scheme]metrics.Row{}
-	for _, s := range schemes {
-		rows[s] = metrics.Row{Label: string(s), Values: map[string]float64{}}
+	g, err := runGrid(workloads, schemes, dynamicOnly, probeNone)
+	if err != nil {
+		return nil, err
 	}
+	fig := &Figure{Title: title, Unit: unit}
 	for wi, w := range workloads {
 		fig.Benchmarks = append(fig.Benchmarks, w.Name)
 		for si, s := range schemes {
-			res, err := results[wi*ns+si], errs[wi*ns+si]
-			if err != nil {
-				return nil, err
-			}
-			if res.Failed {
+			if res := g.at(wi, si, 0); res.Failed {
 				fig.Notes = append(fig.Notes,
 					fmt.Sprintf("%s/%s: x (%s)", w.Name, s, res.Reason))
-				continue
 			}
-			rows[s].Values[w.Name] = metric(res)
 		}
 	}
-	for _, s := range schemes {
-		fig.Rows = append(fig.Rows, rows[s])
+	for si, s := range schemes {
+		row := metrics.Row{Label: string(s), Values: map[string]float64{}}
+		for _, res := range g.column(si, 0) {
+			row.Values[res.Benchmark] = metric(res)
+		}
+		fig.Rows = append(fig.Rows, row)
 	}
 	return fig, nil
-}
-
-// workloadSet returns the full suite, or a subset by name, with the given
-// scale applied.
-func workloadSet(scale int, names ...string) []*spec.Workload {
-	var out []*spec.Workload
-	for _, w := range spec.All() {
-		if len(names) > 0 {
-			found := false
-			for _, n := range names {
-				if n == w.Name {
-					found = true
-				}
-			}
-			if !found {
-				continue
-			}
-		}
-		cp := *w
-		cp.Scale = scale
-		out = append(out, &cp)
-	}
-	return out
 }
 
 // slowdown is the Figure 7/8/9/11 metric.
@@ -148,71 +66,51 @@ func slowdown(r *Result) float64 { return r.Slowdown }
 // Paper geomeans: Valgrind 9.83×, JASan-dyn 4.55×, Retrowrite 2.98× (C
 // benchmarks only), JASan-hybrid 2.98×.
 func Fig7(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...),
+	return sweep("Figure 7: JASan overhead vs native (slowdown factor)", "slowdown",
+		workloadSet(scale, names...),
 		[]Scheme{Valgrind, JASanDyn, Retrowrite, JASanHybrid}, slowdown)
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Figure 7: JASan overhead vs native (slowdown factor)"
-	return fig, nil
 }
 
 // Fig8 regenerates Figure 8: JASan's overhead breakdown — DynamoRIO null
 // client, conservative hybrid (base), liveness-optimised hybrid (full),
 // dynamic-only. Paper: full improves 27% over base.
 func Fig8(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...),
+	return sweep("Figure 8: JASan overhead breakdown (slowdown factor)", "slowdown",
+		workloadSet(scale, names...),
 		[]Scheme{NullClient, JASanHybrid, JASanHybridBase, JASanDyn}, slowdown)
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Figure 8: JASan overhead breakdown (slowdown factor)"
-	return fig, nil
 }
 
 // Fig9 regenerates Figure 9: JCFI overhead versus Lockdown and BinCFI.
 // Paper geomeans: Lockdown 1.21×, JCFI-dyn 1.37×, JCFI-hybrid 1.29×,
 // BinCFI 1.22×.
 func Fig9(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...),
+	return sweep("Figure 9: JCFI overhead vs native (slowdown factor)", "slowdown",
+		workloadSet(scale, names...),
 		[]Scheme{Lockdown, JCFIDyn, JCFIHybrid, BinCFI}, slowdown)
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Figure 9: JCFI overhead vs native (slowdown factor)"
-	return fig, nil
 }
 
 // Fig11 regenerates Figure 11: forward-only versus full (forward+shadow-
 // stack) JCFI. Paper: 1.15× forward-only, 1.29× full.
 func Fig11(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...),
+	return sweep("Figure 11: forward/backward contribution to JCFI overhead (slowdown factor)", "slowdown",
+		workloadSet(scale, names...),
 		[]Scheme{NullClient, JCFIForward, JCFIHybrid}, slowdown)
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Figure 11: forward/backward contribution to JCFI overhead (slowdown factor)"
-	return fig, nil
 }
 
 // Fig12 regenerates Figure 12: dynamic AIR for Lockdown strong, JCFI-dyn,
 // JCFI-hybrid and Lockdown weak. Paper: JCFI-hybrid 99.8% dropping to 99.6%
 // without static analysis; Lockdown(S) slightly higher but unsound.
 func Fig12(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...),
+	return sweep("Figure 12: dynamic average indirect-target reduction, DAIR (%)", "% DAIR",
+		workloadSet(scale, names...),
 		[]Scheme{Lockdown, JCFIDyn, JCFIHybrid, LockdownWeak},
 		func(r *Result) float64 { return r.DAIR })
-	if err != nil {
-		return nil, err
-	}
-	fig.Title = "Figure 12: dynamic average indirect-target reduction, DAIR (%)"
-	return fig, nil
 }
 
 // Fig13 regenerates Figure 13: static AIR of JCFI versus BinCFI.
 // Paper: JCFI >99.7%, BinCFI 98.8%.
 func Fig13(names ...string) (*Figure, error) {
-	fig := &Figure{Title: "Figure 13: static average indirect-target reduction, AIR (%)"}
+	fig := &Figure{Title: "Figure 13: static average indirect-target reduction, AIR (%)", Unit: "% AIR"}
 	jcfiRow := metrics.Row{Label: "jcfi", Values: map[string]float64{}}
 	binRow := metrics.Row{Label: "bincfi", Values: map[string]float64{}}
 	workloads := workloadSet(1, names...)
@@ -246,12 +144,12 @@ func Fig13(names ...string) (*Figure, error) {
 // Fig14 regenerates Figure 14: the fraction of executed basic blocks only
 // discovered dynamically. Paper: mean 4.4%, cactusADM 92.4%, lbm 18.7%.
 func Fig14(scale int, names ...string) (*Figure, error) {
-	fig, err := sweep(workloadSet(scale, names...), []Scheme{JASanHybrid},
+	fig, err := sweep("Figure 14: executed basic blocks only discovered dynamically (%)", "% dynamic",
+		workloadSet(scale, names...), []Scheme{JASanHybrid},
 		func(r *Result) float64 { return 100 * r.Coverage.DynamicFraction() })
 	if err != nil {
 		return nil, err
 	}
-	fig.Title = "Figure 14: executed basic blocks only discovered dynamically (%)"
 	fig.Rows[0].Label = "dynamic-blocks"
 	// The paper reports the arithmetic mean (4.44%), which keeps the many
 	// all-static benchmarks in the denominator.
@@ -279,37 +177,24 @@ type SoundnessResult struct {
 // Lockdown strong/weak and JCFI-hybrid, counting false positives on benign
 // executions. Paper: Lockdown(S) false-positives on all three; JCFI none.
 func Soundness(scale int) ([]SoundnessResult, error) {
-	names := []string{"gcc", "h264ref", "cactusADM"}
-	schemes := []Scheme{Lockdown, LockdownWeak, JCFIHybrid}
-	results := make([]*Result, len(names)*len(schemes))
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		w := *spec.ByName(names[i/len(schemes)])
-		w.Scale = scale
-		results[i], errs[i] = Run(&w, schemes[i%len(schemes)])
-	})
-
+	var workloads []*spec.Workload
+	for _, n := range []string{"gcc", "h264ref", "cactusADM"} {
+		workloads = append(workloads, workloadSet(scale, n)...)
+	}
+	g, err := runGrid(workloads, []Scheme{Lockdown, LockdownWeak, JCFIHybrid},
+		dynamicOnly, probeNone)
+	if err != nil {
+		return nil, err
+	}
 	var out []SoundnessResult
-	for ni, name := range names {
-		r := SoundnessResult{Benchmark: name}
-		for si, s := range schemes {
-			res, err := results[ni*len(schemes)+si], errs[ni*len(schemes)+si]
-			if err != nil {
-				return nil, err
-			}
-			if res.Failed {
-				continue
-			}
-			switch s {
-			case Lockdown:
-				r.LockdownStrongFPs = res.Violations
-			case LockdownWeak:
-				r.LockdownWeakFPs = res.Violations
-			case JCFIHybrid:
-				r.JCFIFPs = res.Violations
-			}
-		}
-		out = append(out, r)
+	for wi, w := range workloads {
+		// A failed cell reports no violations.
+		out = append(out, SoundnessResult{
+			Benchmark:         w.Name,
+			LockdownStrongFPs: g.cell(wi, Lockdown).Violations,
+			LockdownWeakFPs:   g.cell(wi, LockdownWeak).Violations,
+			JCFIFPs:           g.cell(wi, JCFIHybrid).Violations,
+		})
 	}
 	return out, nil
 }
@@ -324,14 +209,4 @@ func FormatSoundness(rs []SoundnessResult) string {
 			r.Benchmark, r.LockdownStrongFPs, r.LockdownWeakFPs, r.JCFIFPs)
 	}
 	return b.String()
-}
-
-// sortedNames is a test helper.
-func sortedNames(rows []metrics.Row) []string {
-	var out []string
-	for _, r := range rows {
-		out = append(out, r.Label)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,200 +1,104 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
 
-// JTSanRow is one benchmark's measurement of the JTSan temporal-safety
-// study: weighted cycle counts under the hybrid sanitizer (with and
-// without VSA no-escape elision), the dynamic-only variant, the
-// memcheck-style generation-tag baseline, and the combined
-// jasan+jmsan+jtsan+jcfi configuration, all normalised against native.
-// Cycles are the study's headline metric (the repository's performance
-// methodology: slowdown is the weighted-cycle ratio, which is where the
-// memcheck model's clean-call expense lives); raw retired-instruction
-// counts ride along as informational columns. The hybrid and elide cells
-// additionally carry the telemetry cost centers decomposing the temporal
-// overhead into generation checking, quarantine maintenance and
-// proof-elided residue.
-type JTSanRow struct {
-	Benchmark    string `json:"benchmark"`
-	NativeCycles uint64 `json:"native_cycles"`
-
-	JTSanCycles         uint64 `json:"jtsan_cycles"`
-	JTSanElideCycles    uint64 `json:"jtsan_elide_cycles"`
-	JTSanDynCycles      uint64 `json:"jtsan_dyn_cycles"`
-	ValgrindTempCycles  uint64 `json:"valgrind_temporal_cycles"`
-	ComprehensiveCycles uint64 `json:"comprehensive_cycles"`
-
-	// *Slowdown is the weighted-cycle ratio against native (the study's
-	// headline metric).
-	JTSanSlowdown        float64 `json:"jtsan_slowdown"`
-	JTSanElideSlowdown   float64 `json:"jtsan_elide_slowdown"`
-	JTSanDynSlowdown     float64 `json:"jtsan_dyn_slowdown"`
-	ValgrindTempSlowdown float64 `json:"valgrind_temporal_slowdown"`
-	CompSlowdown         float64 `json:"comprehensive_slowdown"`
-
-	// Informational retired-instruction counts. JTSan and the memcheck
-	// model instrument the same access set with a similar inline footprint,
-	// so these columns tie closely — the baseline's cost difference is in
-	// its clean-call cycle weights, not its instruction stream.
-	NativeInstrs       uint64 `json:"native_instrs"`
-	JTSanInstrs        uint64 `json:"jtsan_instrs"`
-	JTSanElideInstrs   uint64 `json:"jtsan_elide_instrs"`
-	ValgrindTempInstrs uint64 `json:"valgrind_temporal_instrs"`
-
-	// GenChecksElided counts the MEM_ACCESS_SAFE(no-escape) rules the VSA
-	// proofs emitted for the elide cell.
-	GenChecksElided int `json:"gen_checks_elided"`
-	// Violations is the hybrid cell's use-after-free/double-free report
-	// count (elide must agree — elision removes only proven-safe checks).
-	Violations int `json:"violations"`
-
-	// Hybrid-cell cost centers: model cycles charged to inline generation
-	// checks and to quarantine allocator work (generation-shadow marking,
-	// eviction).
-	GenCheckCycles   uint64 `json:"gen_check_cycles"`
-	QuarantineCycles uint64 `json:"quarantine_cycles"`
-	// Elide-cell cost centers: what generation checking costs after
-	// no-escape elision, plus residue at elided sites (expected zero —
-	// elided rules must emit no code).
-	ElideGenCheckCycles uint64 `json:"elide_gen_check_cycles"`
-	ElidedCycles        uint64 `json:"elided_cycles"`
-}
-
-// jtsanSchemes are the cells measured per benchmark, the native baseline
-// first.
-var jtsanSchemes = []Scheme{Native, JTSanHybrid, JTSanElide, JTSanDyn,
-	ValgrindTemp, Comprehensive}
-
-// JTSan runs the temporal memory-safety study: every workload under
+// jtsanStudy is the temporal memory-safety study: every workload under
 // JTSan-hybrid, JTSan-hybrid+elision, JTSan-dyn, the memcheck-style
 // generation-tag baseline and the combined jasan+jmsan+jtsan+jcfi
-// configuration, comparing weighted-cycle slowdown against native.
-// Every cell runs profiled, so the hybrid and elide rows carry the
-// gen-check/quarantine/elided cost-center decomposition. Elision is checked
-// for soundness in the report dimension: the elide cell must report exactly
-// the violations the hybrid cell reports.
-func JTSan(scale int, names ...string) ([]JTSanRow, error) {
-	workloads := workloadSet(scale, names...)
-	ns := len(jtsanSchemes)
-	results := make([]*Result, len(workloads)*ns)
-	profs := make([]*telemetry.Profile, len(results))
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		results[i], profs[i], errs[i] = RunProfiled(workloads[i/ns], jtsanSchemes[i%ns])
-	})
-
-	var rows []JTSanRow
-	for wi, w := range workloads {
-		byScheme := map[Scheme]*Result{}
-		profByScheme := map[Scheme]*telemetry.Profile{}
-		for si, s := range jtsanSchemes {
-			res, err := results[wi*ns+si], errs[wi*ns+si]
-			if err != nil {
-				return nil, err
-			}
-			byScheme[s] = res
-			profByScheme[s] = profs[wi*ns+si]
+// configuration. Cycles are the study's headline metric (the repository's
+// performance methodology: slowdown is the weighted-cycle ratio, which is
+// where the memcheck model's clean-call expense lives); raw
+// retired-instruction counts ride along as informational columns. Every
+// cell runs profiled, so the hybrid and elide cells also carry the
+// telemetry cost centers decomposing the temporal overhead into generation
+// checking, quarantine maintenance and proof-elided residue.
+var jtsanStudy = rowStudy{
+	title: "JTSan temporal memory-safety study (weighted cycle slowdown vs native)",
+	tag:   "BENCH_JTSAN",
+	schemes: []Scheme{Native, JTSanHybrid, JTSanElide, JTSanDyn,
+		ValgrindTemp, Comprehensive},
+	probe: probeProfile,
+	// Elision removes only proven-safe checks, so the elide cell must
+	// report exactly the violations the hybrid cell reports.
+	check: func(c cells) error {
+		if h, e := c(JTSanHybrid).Violations, c(JTSanElide).Violations; h != e {
+			return fmt.Errorf("elision changed the report count: hybrid %d, elide %d", h, e)
 		}
-		if h, e := byScheme[JTSanHybrid].Violations, byScheme[JTSanElide].Violations; h != e {
-			return nil, fmt.Errorf("%s: elision changed the report count: hybrid %d, elide %d",
-				w.Name, h, e)
+		return nil
+	},
+	cols: []column{
+		{"native_cycles", cyclesOf(Native)},
+		{"jtsan_cycles", cyclesOf(JTSanHybrid)},
+		{"jtsan_elide_cycles", cyclesOf(JTSanElide)},
+		{"jtsan_dyn_cycles", cyclesOf(JTSanDyn)},
+		{"valgrind_temporal_cycles", cyclesOf(ValgrindTemp)},
+		{"comprehensive_cycles", cyclesOf(Comprehensive)},
+		{"jtsan_slowdown", slowdownOf(JTSanHybrid)},
+		{"jtsan_elide_slowdown", slowdownOf(JTSanElide)},
+		{"jtsan_dyn_slowdown", slowdownOf(JTSanDyn)},
+		{"valgrind_temporal_slowdown", slowdownOf(ValgrindTemp)},
+		{"comprehensive_slowdown", slowdownOf(Comprehensive)},
+		// Informational retired-instruction counts. JTSan and the memcheck
+		// model instrument the same access set with a similar inline
+		// footprint, so these columns tie closely — the baseline's cost
+		// difference is in its clean-call cycle weights.
+		{"native_instrs", instrsOf(Native)},
+		{"jtsan_instrs", instrsOf(JTSanHybrid)},
+		{"jtsan_elide_instrs", instrsOf(JTSanElide)},
+		{"valgrind_temporal_instrs", instrsOf(ValgrindTemp)},
+		// The MEM_ACCESS_SAFE(no-escape) rules the VSA proofs emitted for
+		// the elide cell, and the hybrid cell's use-after-free/double-free
+		// reports.
+		{"gen_checks_elided", func(c cells) any { return c(JTSanElide).ElidedChecks }},
+		{"violations", func(c cells) any { return c(JTSanHybrid).Violations }},
+		// Cost centers: the hybrid cell's inline generation checks and
+		// quarantine allocator work; the elide cell's generation checks
+		// after elision, plus residue at elided sites (expected zero —
+		// elided rules must emit no code).
+		{"gen_check_cycles", centerOf(JTSanHybrid, telemetry.CCGenCheck)},
+		{"quarantine_cycles", centerOf(JTSanHybrid, telemetry.CCQuarantine)},
+		{"elide_gen_check_cycles", centerOf(JTSanElide, telemetry.CCGenCheck)},
+		{"elided_cycles", centerOf(JTSanElide, telemetry.CCElided)},
+	},
+	head:  "%-14s%10s%10s%10s%15s%10s%8s%6s\n",
+	line:  "%-14s%10.3f%10.3f%10.3f%15.3f%10.3f%8d%6d\n",
+	heads: "benchmark jtsan elide dyn valgrind-temp comp elided viol",
+	keys: "benchmark jtsan_slowdown jtsan_elide_slowdown jtsan_dyn_slowdown " +
+		"valgrind_temporal_slowdown comprehensive_slowdown gen_checks_elided violations",
+	summary: func(rows []row) string {
+		hybrid, elide := geomeanCol(rows, "jtsan_slowdown"), geomeanCol(rows, "jtsan_elide_slowdown")
+		vtemp := geomeanCol(rows, "valgrind_temporal_slowdown")
+		out := fmt.Sprintf("geomean: jtsan %.3fx, jtsan-elide %.3fx, jtsan-dyn %.3fx, valgrind-temporal %.3fx, comprehensive %.3fx\n",
+			hybrid, elide, geomeanCol(rows, "jtsan_dyn_slowdown"), vtemp,
+			geomeanCol(rows, "comprehensive_slowdown"))
+		if hybrid < vtemp {
+			out += fmt.Sprintf("note: JTSan geomean slowdown beats the generation-tag memcheck model (%.3fx < %.3fx)\n",
+				hybrid, vtemp)
+		} else {
+			out += fmt.Sprintf("note: WARNING: JTSan geomean does not beat the memcheck model (%.3fx >= %.3fx)\n",
+				hybrid, vtemp)
 		}
-		hp, ep := profByScheme[JTSanHybrid], profByScheme[JTSanElide]
-		row := JTSanRow{
-			Benchmark:           w.Name,
-			NativeCycles:        byScheme[Native].Cycles,
-			JTSanCycles:         byScheme[JTSanHybrid].Cycles,
-			JTSanElideCycles:    byScheme[JTSanElide].Cycles,
-			JTSanDynCycles:      byScheme[JTSanDyn].Cycles,
-			ValgrindTempCycles:  byScheme[ValgrindTemp].Cycles,
-			ComprehensiveCycles: byScheme[Comprehensive].Cycles,
-
-			JTSanSlowdown:        byScheme[JTSanHybrid].Slowdown,
-			JTSanElideSlowdown:   byScheme[JTSanElide].Slowdown,
-			JTSanDynSlowdown:     byScheme[JTSanDyn].Slowdown,
-			ValgrindTempSlowdown: byScheme[ValgrindTemp].Slowdown,
-			CompSlowdown:         byScheme[Comprehensive].Slowdown,
-
-			NativeInstrs:       byScheme[Native].Instrs,
-			JTSanInstrs:        byScheme[JTSanHybrid].Instrs,
-			JTSanElideInstrs:   byScheme[JTSanElide].Instrs,
-			ValgrindTempInstrs: byScheme[ValgrindTemp].Instrs,
-
-			GenChecksElided:     byScheme[JTSanElide].ElidedChecks,
-			Violations:          byScheme[JTSanHybrid].Violations,
-			GenCheckCycles:      hp.Cycles[telemetry.CCGenCheck],
-			QuarantineCycles:    hp.Cycles[telemetry.CCQuarantine],
-			ElideGenCheckCycles: ep.Cycles[telemetry.CCGenCheck],
-			ElidedCycles:        ep.Cycles[telemetry.CCElided],
+		if elide <= hybrid {
+			return out + fmt.Sprintf("note: no-escape elision never costs cycles (%.3fx <= %.3fx)\n",
+				elide, hybrid)
 		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Benchmark < rows[j].Benchmark })
-	return rows, nil
+		return out + fmt.Sprintf("note: WARNING: elide geomean exceeds hybrid (%.3fx > %.3fx)\n",
+			elide, hybrid)
+	},
 }
 
-// JTSanGeomeans returns the per-scheme geometric means of the rows' cycle
-// slowdowns: jtsan-hybrid, jtsan-elide, jtsan-dyn, valgrind-temporal,
-// comprehensive.
-func JTSanGeomeans(rows []JTSanRow) (hybrid, elide, dyn, vtemp, comp float64) {
-	var hs, es, ds, vs, cs []float64
-	for _, r := range rows {
-		hs = append(hs, r.JTSanSlowdown)
-		es = append(es, r.JTSanElideSlowdown)
-		ds = append(ds, r.JTSanDynSlowdown)
-		vs = append(vs, r.ValgrindTempSlowdown)
-		cs = append(cs, r.CompSlowdown)
-	}
-	return metrics.Geomean(hs), metrics.Geomean(es), metrics.Geomean(ds),
-		metrics.Geomean(vs), metrics.Geomean(cs)
+// centerOf reads the cycles a scheme's profiled run charged to one cost
+// center.
+func centerOf(s Scheme, cc telemetry.CostCenter) func(cells) any {
+	return func(c cells) any { return c(s).Profile.Cycles[cc] }
 }
 
-// FormatJTSan renders the study as a table, the per-scheme geomeans, and one
-// machine-readable `BENCH_JTSAN {json}` line per benchmark. Rows are sorted
-// by benchmark name, so output is byte-identical across runs and parallelism
-// settings.
-func FormatJTSan(rows []JTSanRow) string {
-	var b strings.Builder
-	b.WriteString("JTSan temporal memory-safety study (weighted cycle slowdown vs native)\n")
-	fmt.Fprintf(&b, "%-14s%10s%10s%10s%15s%10s%8s%6s\n",
-		"benchmark", "jtsan", "elide", "dyn", "valgrind-temp", "comp",
-		"elided", "viol")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s%10.3f%10.3f%10.3f%15.3f%10.3f%8d%6d\n",
-			r.Benchmark, r.JTSanSlowdown, r.JTSanElideSlowdown,
-			r.JTSanDynSlowdown, r.ValgrindTempSlowdown, r.CompSlowdown,
-			r.GenChecksElided, r.Violations)
-	}
-	hybrid, elide, dyn, vtemp, comp := JTSanGeomeans(rows)
-	fmt.Fprintf(&b, "geomean: jtsan %.3fx, jtsan-elide %.3fx, jtsan-dyn %.3fx, valgrind-temporal %.3fx, comprehensive %.3fx\n",
-		hybrid, elide, dyn, vtemp, comp)
-	if hybrid < vtemp {
-		fmt.Fprintf(&b, "note: JTSan geomean slowdown beats the generation-tag memcheck model (%.3fx < %.3fx)\n",
-			hybrid, vtemp)
-	} else {
-		fmt.Fprintf(&b, "note: WARNING: JTSan geomean does not beat the memcheck model (%.3fx >= %.3fx)\n",
-			hybrid, vtemp)
-	}
-	if elide <= hybrid {
-		fmt.Fprintf(&b, "note: no-escape elision never costs cycles (%.3fx <= %.3fx)\n",
-			elide, hybrid)
-	} else {
-		fmt.Fprintf(&b, "note: WARNING: elide geomean exceeds hybrid (%.3fx > %.3fx)\n",
-			elide, hybrid)
-	}
-	for _, r := range rows {
-		j, _ := json.Marshal(r)
-		b.WriteString("BENCH_JTSAN ")
-		b.Write(j)
-		b.WriteByte('\n')
-	}
-	return b.String()
+// JTSan runs the temporal memory-safety study and renders it as a table,
+// the per-scheme geomeans, and one `BENCH_JTSAN {json}` line per benchmark.
+func JTSan(scale int, names ...string) (string, error) {
+	return jtsanStudy.run(scale, names)
 }

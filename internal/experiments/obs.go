@@ -2,15 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
-	"time"
-
-	"repro/internal/diag"
-	"repro/internal/metrics"
-	"repro/internal/telemetry"
 )
 
 // ObsRow is one scheme's observability-overhead summary, written by
@@ -53,106 +46,61 @@ var obsSchemes = []Scheme{
 }
 
 // Obs measures the observability stack's cost over the workload suite and
-// gates the disabled-path invariant. Every (workload, scheme) cell runs
-// three times: once to warm the shared analysis cache, once plain (timed),
-// once with an obsSink attached (timed). The plain and observed runs must
-// agree on Cycles, Instrs, exit status and output bytes — any divergence
-// is a hard error, because it would mean tracing or diagnostics leaked
-// into the measured execution.
+// gates the disabled-path invariant. The grid runs three times: once to
+// warm the shared analysis cache, so the timed passes measure execution
+// rather than analysis; once plain; once with every scheme's obsSink
+// attached. Each cell's plain and observed runs must agree on Cycles,
+// Instrs, exit status and output bytes — any divergence is a hard error,
+// because it would mean tracing or diagnostics leaked into the measured
+// execution.
 func Obs(scale int, names ...string) ([]ObsRow, error) {
-	workloads := workloadSet(scale, names...)
-	sort.Slice(workloads, func(i, j int) bool {
-		return workloads[i].Name < workloads[j].Name
-	})
-	ns := len(obsSchemes)
-
-	sinks := make([]*obsSink, ns)
-	for i := range sinks {
-		reg := telemetry.NewRegistry()
-		sinks[i] = &obsSink{
-			tr:   telemetry.NewTracer(2 * len(workloads)),
-			dlog: diag.NewLog(),
-			hist: reg.Histogram("janitizer_exp_run_duration_seconds",
-				"Observed experiment run wall time.",
-				[]float64{0.01, 0.05, 0.25, 1, 5, 25}),
-		}
+	workloads := sortedSet(scale, names...)
+	if _, err := runGrid(workloads, obsSchemes, dynamicOnly, probeNone); err != nil {
+		return nil, err
 	}
-
-	type cell struct {
-		plain, observed   *Result
-		plainS, observedS float64
-		err               error
+	plain, err := runGrid(workloads, obsSchemes, dynamicOnly, probeNone)
+	if err != nil {
+		return nil, err
 	}
-	cells := make([]cell, len(workloads)*ns)
-	runJobs(len(cells), func(i int) {
-		w, si := workloads[i/ns], i%ns
-		scheme := obsSchemes[si]
-		c := &cells[i]
-		// Warm-up run: pays the static-analysis cost into the shared cache
-		// so both timed runs below measure execution, not analysis.
-		if _, err := Run(w, scheme); err != nil {
-			c.err = err
-			return
-		}
-		start := time.Now()
-		c.plain, c.err = Run(w, scheme)
-		c.plainS = time.Since(start).Seconds()
-		if c.err != nil {
-			return
-		}
-		start = time.Now()
-		c.observed, c.err = runWith(w, scheme, nil, sinks[si])
-		c.observedS = time.Since(start).Seconds()
-	})
+	observed, err := runGrid(workloads, obsSchemes, dynamicOnly, probeTrace)
+	if err != nil {
+		return nil, err
+	}
 
 	var rows []ObsRow
 	for si, s := range obsSchemes {
-		var slowdowns, overheads []float64
+		var sum float64
+		n := 0
 		for wi, w := range workloads {
-			c := cells[wi*ns+si]
-			if c.err != nil {
-				return nil, c.err
-			}
-			if c.plain.Failed || c.observed.Failed {
+			p, o := plain.at(wi, si, 0), observed.at(wi, si, 0)
+			if p.Failed || o.Failed {
 				continue
 			}
-			if c.plain.Cycles != c.observed.Cycles ||
-				c.plain.Instrs != c.observed.Instrs ||
-				c.plain.ExitStatus != c.observed.ExitStatus ||
-				!bytes.Equal(c.plain.Output, c.observed.Output) {
+			if p.Cycles != o.Cycles || p.Instrs != o.Instrs ||
+				p.ExitStatus != o.ExitStatus || !bytes.Equal(p.Output, o.Output) {
 				return nil, fmt.Errorf(
 					"%s/%s: observability perturbed the run: plain %d cycles %d instrs, observed %d cycles %d instrs",
-					w.Name, s, c.plain.Cycles, c.plain.Instrs,
-					c.observed.Cycles, c.observed.Instrs)
+					w.Name, s, p.Cycles, p.Instrs, o.Cycles, o.Instrs)
 			}
-			slowdowns = append(slowdowns, c.observed.Slowdown)
-			if c.plainS > 0 {
-				overheads = append(overheads, (c.observedS-c.plainS)/c.plainS*100)
+			if p.elapsed > 0 {
+				sum += float64(o.elapsed-p.elapsed) / float64(p.elapsed) * 100
+				n++
 			}
 		}
 		var mean float64
-		for _, o := range overheads {
-			mean += o
+		if n > 0 {
+			mean = math.Round(sum/float64(n)*100) / 100
 		}
-		if len(overheads) > 0 {
-			mean = math.Round(mean/float64(len(overheads))*100) / 100
-		}
+		sr := observed.summary(si, 0)
 		rows = append(rows, ObsRow{
 			Scheme:           s,
-			Benchmarks:       len(slowdowns),
-			GeomeanSlowdown:  metrics.Geomean(slowdowns),
+			Benchmarks:       sr.Benchmarks,
+			GeomeanSlowdown:  sr.GeomeanSlowdown,
 			CyclesIdentical:  true,
-			Spans:            len(sinks[si].tr.Snapshot(0)),
-			ViolationRecords: sinks[si].dlog.Len(),
+			Spans:            len(observed.sinks[si].tr.Snapshot(0)),
+			ViolationRecords: observed.sinks[si].dlog.Len(),
 			MeanOverheadPct:  mean,
 		})
 	}
 	return rows, nil
-}
-
-// FormatObsJSON renders the rows as an indented JSON array — the entire
-// BENCH_OBS.json artifact.
-func FormatObsJSON(rows []ObsRow) string {
-	j, _ := json.MarshalIndent(rows, "", "  ")
-	return string(j) + "\n"
 }

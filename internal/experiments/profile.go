@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/metrics"
-	"repro/internal/telemetry"
 )
 
 // Components is the per-rule overhead decomposition of one instrumented
@@ -52,10 +48,7 @@ type ProfileRow struct {
 // Fig. 8/9/11 decomposed into overhead-component fractions (each component's
 // share of the total attributed overhead cycles across the suite).
 type ProfileScheme struct {
-	Scheme          Scheme  `json:"scheme"`
-	Backend         Backend `json:"backend"`
-	GeomeanSlowdown float64 `json:"geomean_slowdown"`
-	Benchmarks      int     `json:"benchmarks"`
+	BenchRow
 	// OverheadCycles is the summed Cycles−NativeCycles across the suite.
 	OverheadCycles uint64 `json:"overhead_cycles"`
 	// Fractions of OverheadCycles; they sum to 1 (up to rounding) when
@@ -73,10 +66,10 @@ type ProfileReport struct {
 	Schemes []ProfileScheme `json:"schemes"`
 }
 
-// profileRow runs one profiled cell and folds the telemetry profile into
-// the attributed row, enforcing the attribution identity.
-func profileRow(res *Result, prof *telemetry.Profile) (ProfileRow, error) {
-	b := prof.Breakdown()
+// profileRow folds one profiled cell's telemetry profile into the
+// attributed row, enforcing the attribution identity.
+func profileRow(res *Result) (ProfileRow, error) {
+	b := res.Profile.Breakdown()
 	row := ProfileRow{
 		Benchmark:    res.Benchmark,
 		Scheme:       res.Scheme,
@@ -112,44 +105,28 @@ func profileRow(res *Result, prof *telemetry.Profile) (ProfileRow, error) {
 // shadow-update/check/elided/dispatch components. Deterministic at any
 // parallelism: fixed scheme order, name-sorted workloads.
 func Profile(scale int, names ...string) (*ProfileReport, error) {
-	workloads := workloadSet(scale, names...)
-	sort.Slice(workloads, func(i, j int) bool {
-		return workloads[i].Name < workloads[j].Name
-	})
-	ns := len(benchSchemes)
-	results := make([]*Result, len(workloads)*ns)
-	profs := make([]*telemetry.Profile, len(results))
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		results[i], profs[i], errs[i] = RunProfiled(workloads[i/ns], benchSchemes[i%ns])
-	})
-
+	g, err := runGrid(sortedSet(scale, names...), benchSchemes, dynamicOnly, probeProfile)
+	if err != nil {
+		return nil, err
+	}
 	rep := &ProfileReport{}
-	for si, s := range benchSchemes {
-		var slowdowns []float64
-		var overhead uint64
+	for si := range benchSchemes {
 		var total Components
-		for wi := range workloads {
-			res, err := results[wi*ns+si], errs[wi*ns+si]
-			if err != nil {
-				return nil, err
-			}
-			if res.Failed {
-				continue
-			}
-			row, err := profileRow(res, profs[wi*ns+si])
+		for _, res := range g.column(si, 0) {
+			row, err := profileRow(res)
 			if err != nil {
 				return nil, err
 			}
 			rep.Rows = append(rep.Rows, row)
-			slowdowns = append(slowdowns, res.Slowdown)
-			overhead += res.Cycles - res.NativeCycles
 			total.ShadowUpdate += row.Components.ShadowUpdate
 			total.Check += row.Components.Check
 			total.Elided += row.Components.Elided
 			total.Dispatch += row.Components.Dispatch
 			total.Other += row.Components.Other
 		}
+		// Every row's components sum to its overhead, so the totals sum to
+		// the scheme's overhead across the suite.
+		overhead := total.Sum()
 		frac := func(v uint64) float64 {
 			if overhead == 0 {
 				return 0
@@ -157,10 +134,7 @@ func Profile(scale int, names ...string) (*ProfileReport, error) {
 			return float64(v) / float64(overhead)
 		}
 		rep.Schemes = append(rep.Schemes, ProfileScheme{
-			Scheme:           s,
-			Backend:          BackendDynamic,
-			GeomeanSlowdown:  metrics.Geomean(slowdowns),
-			Benchmarks:       len(slowdowns),
+			BenchRow:         g.summary(si, 0),
 			OverheadCycles:   overhead,
 			ShadowUpdateFrac: frac(total.ShadowUpdate),
 			CheckFrac:        frac(total.Check),
@@ -178,12 +152,6 @@ func Profile(scale int, names ...string) (*ProfileReport, error) {
 		return string(rep.Rows[i].Scheme) < string(rep.Rows[j].Scheme)
 	})
 	return rep, nil
-}
-
-// FormatProfileJSON renders the report as the BENCH_PROFILE.json artifact.
-func FormatProfileJSON(rep *ProfileReport) string {
-	j, _ := json.MarshalIndent(rep, "", "  ")
-	return string(j) + "\n"
 }
 
 // FormatProfile renders the per-scheme decomposition as a human-readable

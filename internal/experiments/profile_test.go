@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // TestProfileAttributionSumsExactly is the acceptance criterion on a CI-fast
@@ -47,7 +49,7 @@ func TestProfileAttributionSumsExactly(t *testing.T) {
 	}
 	// The artifact round-trips as JSON.
 	var back ProfileReport
-	if err := json.Unmarshal([]byte(FormatProfileJSON(rep)), &back); err != nil {
+	if err := json.Unmarshal([]byte(FormatJSON(rep)), &back); err != nil {
 		t.Fatalf("BENCH_PROFILE.json not parseable: %v", err)
 	}
 	if len(back.Rows) != len(rep.Rows) || len(back.Schemes) != len(rep.Schemes) {
@@ -65,10 +67,11 @@ func TestTelemetryDisabledParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, prof, err := RunProfiled(w, JASanHybrid)
+	g, err := runGrid([]*spec.Workload{w}, []Scheme{JASanHybrid}, dynamicOnly, probeProfile)
 	if err != nil {
 		t.Fatal(err)
 	}
+	profiled, prof := g.at(0, 0, 0), g.at(0, 0, 0).Profile
 	if plain.Cycles != profiled.Cycles || plain.Instrs != profiled.Instrs {
 		t.Fatalf("profiling changed the measurement: cycles %d vs %d, instrs %d vs %d",
 			plain.Cycles, profiled.Cycles, plain.Instrs, profiled.Instrs)

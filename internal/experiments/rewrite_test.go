@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -19,42 +18,8 @@ func TestRewriteBackendParityAllWorkloads(t *testing.T) {
 	if testing.Short() {
 		workloads = workloadSet(1, quickSet...)
 	}
-	backends := []Backend{BackendDynamic, BackendStatic, BackendHybrid}
-	nb := len(backends)
-	results := make([]*Result, len(workloads)*nb)
-	errs := make([]error, len(results))
-	runJobs(len(results), func(i int) {
-		results[i], errs[i] = RunBackend(workloads[i/nb], Comprehensive, backends[i%nb])
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("%s/%s: %v", workloads[i/nb].Name, backends[i%nb], err)
-		}
-	}
-	for wi, w := range workloads {
-		dyn := results[wi*nb]
-		if dyn.Failed {
-			t.Fatalf("%s: dynamic backend failed: %s", w.Name, dyn.Reason)
-		}
-		for bi := 1; bi < nb; bi++ {
-			res := results[wi*nb+bi]
-			if res.Failed {
-				t.Errorf("%s/%s: failed: %s", w.Name, res.Backend, res.Reason)
-				continue
-			}
-			if res.ExitStatus != dyn.ExitStatus {
-				t.Errorf("%s/%s: exit %d, dynamic %d",
-					w.Name, res.Backend, res.ExitStatus, dyn.ExitStatus)
-			}
-			if !bytes.Equal(res.Output, dyn.Output) {
-				t.Errorf("%s/%s: output diverges from dynamic (%d vs %d bytes)",
-					w.Name, res.Backend, len(res.Output), len(dyn.Output))
-			}
-			if res.Violations != dyn.Violations {
-				t.Errorf("%s/%s: %d violations, dynamic %d",
-					w.Name, res.Backend, res.Violations, dyn.Violations)
-			}
-		}
+	if err := CheckParity(Comprehensive, workloads...); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -287,15 +286,6 @@ func Static(scale int) (*StaticReport, error) {
 		return rep.Rows[i].Suite < rep.Rows[j].Suite
 	})
 	return rep, nil
-}
-
-// FormatStaticJSON renders the BENCH_STATIC.json artifact.
-func FormatStaticJSON(rep *StaticReport) string {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "{}\n"
-	}
-	return string(b) + "\n"
 }
 
 // FormatStatic renders the human-readable summary table.

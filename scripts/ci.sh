@@ -29,6 +29,12 @@ echo "== executor benchmarks (one iteration) =="
 # larger -benchtime.
 go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm
 
+echo "== study golden at 1 and 4 CPUs =="
+# Every study's rendered output must be byte-identical at any parallelism:
+# the grid runs GOMAXPROCS cells at once, so -cpu 1,4 runs the study golden
+# serially and with four workers against the same checked-in file.
+go test -count=1 -cpu 1,4 -run TestStudyGolden ./internal/experiments
+
 echo "== janalyze determinism lint =="
 # Repository-wide map-iteration lint: any `range` over a map feeding an
 # emission or serialisation path is a nondeterministic-output bug (Go map
@@ -185,7 +191,7 @@ echo "== bench + profile + rewrite bake-off =="
 # In short mode (CI_SHORT=1) the full 28-workload sweeps are replaced by
 # two-workload smokes that still enforce the exact component-sum identity
 # (Profile errors on any mismatch) and the bake-off's native-parity checks
-# (RunBackend hard-errors on any exit/output divergence).
+# (every grid cell hard-errors on any exit/output divergence from native).
 if [ "${CI_SHORT:-0}" = "1" ]; then
 	echo "bench: full sweep skipped (CI_SHORT=1); running profile + rewrite + static + jtsan + obs smokes"
 	go run ./cmd/jexp -parallel 4 -o /tmp/profile-smoke.json profile mcf lbm
