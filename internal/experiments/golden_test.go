@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/loader"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -172,4 +175,68 @@ func checkGolden(t *testing.T, path, got string) {
 			t.Errorf("%s line %d differs:\n got  %s\n want %s", path, i+1, gotLines[i], wantLines[i])
 		}
 	}
+}
+
+// staticGoldenPath holds the static side of the evaluation: the digest of
+// every rule file and proof set, the Fig. 10 table and the static-vs-dynamic
+// detection matrices.
+var staticGoldenPath = filepath.Join("testdata", "static.golden")
+
+// staticGoldenSchemes are the schemes whose static stage runs, except the
+// PIC-only retrowrite.
+var staticGoldenSchemes = []Scheme{
+	JASanHybrid, JASanHybridBase, JASanSCEV, JASanElide,
+	JCFIHybrid, JCFIForward, JCFINarrow, BinCFI,
+	JMSanHybrid, JMSanElide, JTSanHybrid, JTSanElide, Comprehensive,
+}
+
+// TestStaticGolden pins every rule file and proof set the static analyzer
+// writes for every module of every workload under every static scheme, by
+// SHA-256, plus the Fig. 10 table and the Static study's confusion
+// matrices (its two wall-clock columns blanked). A refactor of a tool's
+// static pass or its emitters must leave the file byte-identical.
+func TestStaticGolden(t *testing.T) {
+	var b strings.Builder
+	for _, w := range workloadSet(1) {
+		main, reg, err := w.Build(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mods, err := loader.LddClosure(main, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range staticGoldenSchemes {
+			for _, mod := range mods {
+				tool, static, err := newTool(s)
+				if err != nil || !static {
+					t.Fatalf("%s: static=%t err=%v", s, static, err)
+				}
+				f, proofs, err := core.AnalyzeModuleProofs(mod, tool)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", w.Name, s, mod.Name, err)
+				}
+				pb, err := proofs.Marshal()
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", w.Name, s, mod.Name, err)
+				}
+				fmt.Fprintf(&b, "%s/%s/%s rules=%x proofs=%x\n",
+					w.Name, s, mod.Name, sha256.Sum256(f.Marshal()), sha256.Sum256(pb))
+			}
+		}
+	}
+	fig10, err := Fig10()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("== fig10 ==\n" + fig10.Format())
+	st, err := Static(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.Rows {
+		st.Rows[i].StaticMS, st.Rows[i].DynMS = 0, 0
+	}
+	b.WriteString("== static ==\n" + FormatJSON(st))
+	checkGolden(t, staticGoldenPath, b.String())
 }
