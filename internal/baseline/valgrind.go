@@ -13,6 +13,7 @@ import (
 	"repro/internal/jmsan"
 	"repro/internal/jtsan"
 	"repro/internal/rules"
+	"repro/internal/shadow"
 	"repro/internal/vm"
 )
 
@@ -20,21 +21,11 @@ import (
 // round-trip costs far more than DynamoRIO's copy-and-annotate).
 var ValgrindCosts = dbm.Costs{BlockBuild: 1500, PerInstr: 100, IndirectDispatch: 30}
 
-// Valgrind trap family: the memory check itself happens inside the handler
-// — the clean-call model, as opposed to JASan's inlined checks. Codes encode
-// the register holding the address and the width.
-const (
-	valgrindTrapBase = 300
-	valgrindWidthBit = 16
-)
-
-func valgrindTrapCode(reg isa.Register, width int) int64 {
-	c := int64(valgrindTrapBase) + int64(reg)
-	if width == 8 {
-		c += valgrindWidthBit
-	}
-	return c
-}
+// valgrindTraps is the Valgrind trap family: the memory check itself
+// happens inside the handler — the clean-call model, as opposed to JASan's
+// inlined checks. Codes encode the register holding the address and the
+// width.
+const valgrindTraps shadow.Family = 300
 
 // ValgrindTool is the memcheck-style dynamic-only sanitizer: no static
 // analysis, every block goes through the dynamic path, every access is
@@ -133,41 +124,13 @@ func (t *ValgrindTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
 		}
 		e.App(*in)
 		if t.trackDef {
-			if size := frameAllocAt(ins, i); size > 0 {
+			if size := jmsan.FrameAllocAt(ins, i); size > 0 {
 				t.frameSizes[in.Addr] = size
 				jmsan.EmitFrameUndef(e, in.Addr)
 			}
 		}
 	}
 	return e.Out
-}
-
-// frameAllocAt recognises a prologue stack allocation at index i (`mov fp,
-// sp` directly followed by `sub sp, N`) and returns the frame bytes to mark
-// undefined, excluding an installed canary slot — the same block-local
-// pattern JMSan's dynamic fallback uses, keeping the two tools' stack
-// definedness identical.
-func frameAllocAt(ins []isa.Instr, i int) uint64 {
-	if i < 1 {
-		return 0
-	}
-	in := &ins[i]
-	prev := &ins[i-1]
-	if in.Op != isa.OpSubRI || in.Rd != isa.SP || in.Imm <= 0 ||
-		prev.Op != isa.OpMovRR || prev.Rd != isa.FP || prev.Rb != isa.SP {
-		return 0
-	}
-	size := in.Imm
-	for j := i + 1; j < len(ins); j++ {
-		if ins[j].Op == isa.OpLdG {
-			size -= 8
-			break
-		}
-	}
-	if size <= 0 {
-		return 0
-	}
-	return uint64(size)
 }
 
 // emitCleanCheck saves the flags and its scratch register, computes the
@@ -180,19 +143,18 @@ func (t *ValgrindTool) emitCleanCheck(e *dbm.Emitter, in *isa.Instr) {
 	s1 := scratch[0]
 	e.Meta(mk(isa.OpPushF, nil))
 	e.Meta(mk(isa.OpPush, func(ins *isa.Instr) { ins.Rd = s1 }))
-	addrOf := jasan.AddrOf(in)
-	addrOf(e, s1)
+	shadow.AddrOf(in)(e, s1)
 	e.Meta(mk(isa.OpTrap, func(ins *isa.Instr) {
-		ins.Imm = valgrindTrapCode(s1, in.AccessWidth())
+		ins.Imm = valgrindTraps.Code(s1, in.AccessWidth())
 		ins.Addr = in.Addr
 	}))
 	if t.trackDef {
 		// Validity bits, still in the clean-call model: one more trap in the
 		// same spill bracket. Stores define their bytes, loads go through
 		// the precise per-byte check (the handler reports undefined reads).
-		code := jmsan.DefLoadTrapCode(s1, in.AccessWidth())
+		code := jmsan.DefLoadTraps.Code(s1, in.AccessWidth())
 		if in.IsStore() {
-			code = jmsan.DefStoreTrapCode(s1, in.AccessWidth())
+			code = jmsan.DefStoreTraps.Code(s1, in.AccessWidth())
 		}
 		e.Meta(mk(isa.OpTrap, func(ins *isa.Instr) {
 			ins.Imm = code
@@ -203,7 +165,7 @@ func (t *ValgrindTool) emitCleanCheck(e *dbm.Emitter, in *isa.Instr) {
 		// Generation tags, still in the clean-call model: every access goes
 		// through JTSan's precise freed-bitmap check (the handler reports
 		// dangling accesses), with no inline fast path.
-		code := jtsan.GenCheckTrapCode(s1, in.AccessWidth())
+		code := jtsan.GenCheckTraps.Code(s1, in.AccessWidth())
 		e.Meta(mk(isa.OpTrap, func(ins *isa.Instr) {
 			ins.Imm = code
 			ins.Addr = in.Addr
@@ -231,15 +193,10 @@ func (t *ValgrindTool) RuntimeInit(rt *core.Runtime) error {
 		jtsan.InstallRuntimeOn(rt.M, t.TemporalReport)
 	}
 	rt.DBM.Costs = ValgrindCosts
-	for reg := isa.Register(0); reg < isa.NumRegs; reg++ {
-		for _, width := range []int{1, 8} {
-			reg, width := reg, width
-			rt.M.HandleTrap(valgrindTrapCode(reg, width), func(m *vm.Machine) error {
-				t.check(m, m.Regs[reg], width)
-				return nil
-			})
-		}
-	}
+	valgrindTraps.Install(rt.M, func(m *vm.Machine, addr uint64, width int) error {
+		t.check(m, addr, width)
+		return nil
+	})
 	return nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/dbm"
+	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/obj"
 	"repro/internal/rules"
@@ -53,6 +54,32 @@ func (sc *StaticContext) EnsureVSA() *vsa.Result {
 		sc.vsaRes = vsa.Analyze(sc.Module, sc.Graph, sc.Canaries)
 	}
 	return sc.vsaRes
+}
+
+// LiveWord packs the rule liveness word at addr: the registers and flags
+// live on entry, plus up to three dead registers usable as scratch.
+func (sc *StaticContext) LiveWord(addr uint64) uint64 {
+	lp := sc.Live.LiveIn(addr)
+	var free []uint8
+	for _, r := range sc.Live.FreeRegs(addr, 3) {
+		free = append(free, uint8(r))
+	}
+	return rules.PackLiveness(uint16(lp.Regs), lp.Flags, free)
+}
+
+// LiveSaves decodes a LiveWord into the dead registers instrumentation may
+// use as scratch and whether it must save the flags. With use false — the
+// tool runs without liveness, or the code has no rule — it gives the
+// conservative answer: no dead register, flags saved.
+func LiveSaves(word uint64, use bool) (dead []isa.Register, saveFlags bool) {
+	if !use {
+		return nil, true
+	}
+	_, flagsLive, free := rules.UnpackLiveness(word)
+	for _, f := range free {
+		dead = append(dead, isa.Register(f))
+	}
+	return dead, flagsLive
 }
 
 // Tool is one security technique plugged into Janitizer.

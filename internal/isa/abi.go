@@ -99,11 +99,3 @@ const (
 // ShadowAddr returns the shadow-memory byte address covering application
 // address a (8 application bytes per shadow byte).
 func ShadowAddr(a uint64) uint64 { return LayoutShadowBase + a/8 }
-
-// DefShadowAddr returns the definedness-shadow byte address covering
-// application address a; bit a%8 of that byte is a's undefined flag.
-func DefShadowAddr(a uint64) uint64 { return LayoutDefShadowBase + a/8 }
-
-// GenShadowAddr returns the generation-shadow byte address covering
-// application address a; bit a%8 of that byte is a's freed flag.
-func GenShadowAddr(a uint64) uint64 { return LayoutGenShadowBase + a/8 }

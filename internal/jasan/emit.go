@@ -3,53 +3,11 @@ package jasan
 import (
 	"repro/internal/dbm"
 	"repro/internal/isa"
+	"repro/internal/shadow"
 )
 
 // mk is shorthand for constructing meta instructions.
 func mk(op isa.Op, f func(*isa.Instr)) isa.Instr { return dbm.MkInstr(op, f) }
-
-// CheckPlan describes one inline shadow check.
-type CheckPlan struct {
-	// AppAddr is the application address of the instrumented access; the
-	// report trap carries it so diagnostics name real code.
-	AppAddr uint64
-	// Width is the access width (1 or 8).
-	Width int
-	// S1 and S2 are the scratch registers. S1 ends up holding the
-	// application address, S2 the shadow byte.
-	S1, S2 isa.Register
-	// SaveRegs lists scratch registers that are live and must be saved
-	// around the check (empty when liveness found dead registers).
-	SaveRegs []isa.Register
-	// SaveFlags saves/restores the arithmetic flags (required when
-	// liveness says they are live — the check's shr/add/test clobber
-	// them).
-	SaveFlags bool
-	// Addr emits the address computation into S1.
-	Addr func(e *dbm.Emitter, s1 isa.Register)
-}
-
-// AddrOf returns an address-computation closure for a memory-access
-// instruction's operand.
-func AddrOf(in *isa.Instr) func(e *dbm.Emitter, s1 isa.Register) {
-	op := *in // copy: the closure outlives the caller's loop variable
-	return func(e *dbm.Emitter, s1 isa.Register) {
-		switch op.Op {
-		case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-			e.Meta(mk(isa.OpLea, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Disp = s1, op.Rb, op.Disp
-			}))
-		case isa.OpLdXQ, isa.OpStXQ:
-			e.Meta(mk(isa.OpLeaX, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		case isa.OpLdXB, isa.OpStXB:
-			e.Meta(mk(isa.OpLeaXB, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		}
-	}
-}
 
 // AddrLea returns an address-computation closure for a fixed base+disp
 // (hoisted range checks).
@@ -76,7 +34,7 @@ func AddrLea(base isa.Register, disp int32) func(e *dbm.Emitter, s1 isa.Register
 //	             push s1 / and s1,7 / cmp s1,s2 / pop s1 / jb done
 //	             report: trap
 //	done: [pops]  [popf]
-func EmitCheck(e *dbm.Emitter, p *CheckPlan) {
+func EmitCheck(e *dbm.Emitter, p *shadow.CheckPlan) {
 	e.SaveProlog(p.SaveFlags, p.SaveRegs)
 	p.Addr(e, p.S1)
 	e.Meta(mk(isa.OpMovRR, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S1 }))
@@ -90,7 +48,7 @@ func EmitCheck(e *dbm.Emitter, p *CheckPlan) {
 
 	emitTrap := func() {
 		e.Meta(mk(isa.OpTrap, func(i *isa.Instr) {
-			i.Imm = reportTrapCode(p.S1, p.Width)
+			i.Imm = reportTraps.Code(p.S1, p.Width)
 			i.Addr = p.AppAddr
 		}))
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dbm"
 	"repro/internal/isa"
 	"repro/internal/rules"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/vsa"
 )
@@ -82,12 +83,11 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 		safe[site.StoreAddr] = rules.SafeCanary
 		poisonBlk := g.BlockAt(site.PoisonAt)
 		if poisonBlk != nil {
-			lp := sc.Live.LiveIn(site.PoisonAt)
 			out = append(out, rules.Rule{
 				ID: rules.PoisonCanary, BBAddr: poisonBlk.Start,
 				Instr: site.PoisonAt,
 				Data: [4]uint64{
-					packLive(lp, sc.Live, site.PoisonAt),
+					sc.LiveWord(site.PoisonAt),
 					uint64(site.SlotBase),
 					uint64(uint32(site.SlotDisp)),
 				},
@@ -99,11 +99,10 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 			if blk == nil {
 				continue
 			}
-			lp := sc.Live.LiveIn(chk)
 			out = append(out, rules.Rule{
 				ID: rules.UnpoisonCanary, BBAddr: blk.Start, Instr: chk,
 				Data: [4]uint64{
-					packLive(lp, sc.Live, chk),
+					sc.LiveWord(chk),
 					uint64(site.SlotBase),
 					uint64(uint32(site.SlotDisp)),
 				},
@@ -160,11 +159,10 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 				})
 				continue
 			}
-			lp := sc.Live.LiveIn(in.Addr)
 			out = append(out, rules.Rule{
 				ID: rules.MemAccess, BBAddr: blk.Start, Instr: in.Addr,
 				Data: [4]uint64{
-					packLive(lp, sc.Live, in.Addr),
+					sc.LiveWord(in.Addr),
 					uint64(sc.Loops.ClassOf(in.Addr)),
 				},
 			})
@@ -182,7 +180,8 @@ type elision struct {
 // elisionPlan decides which unprotected accesses in blk get their CHECK
 // elided, recording one replayable claim per decision. Frame and global
 // elisions come from the abstract state before each access; dedup elisions
-// from a syntactic same-address scan backed by reaching definitions.
+// re-check an address already checked earlier in the block, with no canary
+// (un)poisoning in between (the anchor keeps its full MEM_ACCESS check).
 func (t *Tool) elisionPlan(sc *core.StaticContext, vres *vsa.Result,
 	blk *cfg.BasicBlock, safe map[uint64]uint64,
 	canaryActivity map[uint64]bool) map[uint64]elision {
@@ -213,134 +212,20 @@ func (t *Tool) elisionPlan(sc *core.StaticContext, vres *vsa.Result,
 			})
 		}
 	})
-	t.dedupPlan(sc, blk, safe, canaryActivity, plan)
+	dedup := shadow.Dedup{
+		Kind: vsa.ClaimDedup,
+		// A poison or unpoison rewrites the shadow here: what the anchors
+		// checked no longer holds.
+		Barrier: func(in *isa.Instr) bool { return canaryActivity[in.Addr] },
+		Skip: func(in *isa.Instr) bool {
+			_, elided := plan[in.Addr]
+			return safe[in.Addr] != 0 || elided
+		},
+	}
+	dedup.Plan(sc, blk, func(instr, anchor uint64) {
+		plan[instr] = elision{prov: rules.SafeDedup, aux: anchor}
+	})
 	return plan
-}
-
-// dedupPlan elides re-checks of an address already checked earlier in the
-// same block: same addressing form, no redefinition of the address
-// registers in between, no canary (un)poisoning in between, and equal or
-// smaller width. The anchor keeps its full MEM_ACCESS check.
-func (t *Tool) dedupPlan(sc *core.StaticContext, blk *cfg.BasicBlock,
-	safe map[uint64]uint64, canaryActivity map[uint64]bool,
-	plan map[uint64]elision) {
-	type anchorKey struct {
-		shape  int
-		rb, ri isa.Register
-		disp   int32
-	}
-	type anchorInfo struct {
-		idx   int
-		addr  uint64
-		width int
-	}
-	anchors := map[anchorKey]anchorInfo{}
-	for i := range blk.Instrs {
-		in := &blk.Instrs[i]
-		if canaryActivity[in.Addr] {
-			// A poison or unpoison rewrites the shadow here: what the
-			// anchors checked no longer holds.
-			anchors = map[anchorKey]anchorInfo{}
-			continue
-		}
-		if !in.IsMemAccess() || safe[in.Addr] != 0 {
-			continue
-		}
-		if _, elided := plan[in.Addr]; elided {
-			continue
-		}
-		shape, ok := accessShape(in)
-		if !ok {
-			continue
-		}
-		k := anchorKey{shape: shape, rb: in.Rb, disp: in.Disp}
-		if shape != shapePlain {
-			k.ri = in.Ri
-		}
-		if a, have := anchors[k]; have && in.AccessWidth() <= a.width &&
-			t.dedupClean(sc, blk, a.idx, i, shape, in) {
-			plan[in.Addr] = elision{prov: rules.SafeDedup, aux: a.addr}
-			sc.Proofs.Record(blk.Fn.Entry, vsa.Claim{
-				Kind: vsa.ClaimDedup, Block: blk.Start, Instr: in.Addr,
-				Width: in.AccessWidth(), Prev: a.addr,
-			})
-			continue
-		}
-		anchors[k] = anchorInfo{idx: i, addr: in.Addr, width: in.AccessWidth()}
-	}
-}
-
-// dedupClean checks the dedup side conditions between anchor and access:
-// the address registers are not redefined in between, and (belt and braces,
-// via the reaching-definition analysis) the same definitions reach both
-// uses.
-func (t *Tool) dedupClean(sc *core.StaticContext, blk *cfg.BasicBlock,
-	anchorIdx, curIdx, shape int, in *isa.Instr) bool {
-	for j := anchorIdx + 1; j < curIdx; j++ {
-		for _, d := range blk.Instrs[j].RegDefs(nil) {
-			if d == in.Rb || (shape != shapePlain && d == in.Ri) {
-				return false
-			}
-		}
-	}
-	anchor := &blk.Instrs[anchorIdx]
-	if !sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Rb),
-		sc.DefUse.DefsOf(in.Addr, in.Rb)) {
-		return false
-	}
-	if shape != shapePlain &&
-		!sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Ri),
-			sc.DefUse.DefsOf(in.Addr, in.Ri)) {
-		return false
-	}
-	return true
-}
-
-// sameDefs compares two reaching-definition sets.
-func sameDefs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[uint64]bool, len(a))
-	for _, v := range a {
-		seen[v] = true
-	}
-	for _, v := range b {
-		if !seen[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// Address-shape classes for dedup matching (mirrors the verifier's own
-// classification in internal/vsa).
-const (
-	shapePlain = iota // [rb+disp]
-	shapeX8           // [rb+ri*8+disp]
-	shapeX1           // [rb+ri+disp]
-)
-
-func accessShape(in *isa.Instr) (int, bool) {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-		return shapePlain, true
-	case isa.OpLdXQ, isa.OpStXQ:
-		return shapeX8, true
-	case isa.OpLdXB, isa.OpStXB:
-		return shapeX1, true
-	}
-	return 0, false
-}
-
-// packLive builds the rule liveness word from a live point, including up to
-// three dead registers usable as scratch.
-func packLive(lp analysis.LivePoint, live *analysis.Liveness, addr uint64) uint64 {
-	var free []uint8
-	for _, r := range live.FreeRegs(addr, 3) {
-		free = append(free, uint8(r))
-	}
-	return rules.PackLiveness(uint16(lp.Regs), lp.Flags, free)
 }
 
 // hoistChecks finds loop accesses whose address range is statically known
@@ -399,11 +284,10 @@ func (t *Tool) hoistChecks(sc *core.StaticContext, safe map[uint64]uint64) []rul
 				if !ok || first != int64(int32(first)) || last != int64(int32(last)) {
 					continue
 				}
-				lp := sc.Live.LiveIn(hoistAt)
 				out = append(out, rules.Rule{
 					ID: rules.HoistedCheck, BBAddr: pre.Start, Instr: hoistAt,
 					Data: [4]uint64{
-						packLive(lp, sc.Live, hoistAt),
+						sc.LiveWord(hoistAt),
 						uint64(in.Rb) | uint64(in.AccessWidth())<<8,
 						uint64(uint32(int32(first))),
 						uint64(uint32(int32(last))),
@@ -524,37 +408,15 @@ func orderRules(rs []rules.Rule) []rules.Rule {
 // liveness word (or fully conservative save/restore when liveness use is
 // disabled — the Fig. 8 "base" configuration).
 func (t *Tool) emitAccessCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64) {
-	_, flagsLive, freeRaw := rules.UnpackLiveness(livePacked)
-	var dead []isa.Register
-	saveFlags := true
-	if t.cfg.UseLiveness {
-		saveFlags = flagsLive
-		for _, f := range freeRaw {
-			dead = append(dead, isa.Register(f))
-		}
-	}
-	scratch, toSave := dbm.PickScratch(2, dead, dbm.ExcludeOperands(in))
-	EmitCheck(e, &CheckPlan{
-		AppAddr: in.Addr, Width: in.AccessWidth(),
-		S1: scratch[0], S2: scratch[1],
-		SaveRegs: toSave, SaveFlags: saveFlags,
-		Addr: AddrOf(in),
-	})
+	dead, saveFlags := core.LiveSaves(livePacked, t.cfg.UseLiveness)
+	EmitCheck(e, shadow.AccessPlan(in, dead, saveFlags))
 }
 
 // emitCanary emits the poison/unpoison of a canary slot from a rule.
 func (t *Tool) emitCanary(e *dbm.Emitter, r rules.Rule, value byte) {
-	_, flagsLive, freeRaw := rules.UnpackLiveness(r.Data[0])
 	base := isa.Register(r.Data[1])
 	disp := int32(uint32(r.Data[2]))
-	var dead []isa.Register
-	saveFlags := true
-	if t.cfg.UseLiveness {
-		saveFlags = flagsLive
-		for _, f := range freeRaw {
-			dead = append(dead, isa.Register(f))
-		}
-	}
+	dead, saveFlags := core.LiveSaves(r.Data[0], t.cfg.UseLiveness)
 	exclude := func(rg isa.Register) bool {
 		return rg == base || rg == isa.SP || rg == isa.FP
 	}
@@ -565,36 +427,25 @@ func (t *Tool) emitCanary(e *dbm.Emitter, r rules.Rule, value byte) {
 // emitHoisted emits the preheader range check: first and last covered
 // addresses.
 func (t *Tool) emitHoisted(e *dbm.Emitter, r rules.Rule, appAddr uint64) {
-	_, flagsLive, freeRaw := rules.UnpackLiveness(r.Data[0])
 	base := isa.Register(r.Data[1] & 0xff)
 	width := int(r.Data[1] >> 8)
 	first := int32(uint32(r.Data[2]))
 	last := int32(uint32(r.Data[3]))
-	var dead []isa.Register
-	saveFlags := true
-	if t.cfg.UseLiveness {
-		saveFlags = flagsLive
-		for _, f := range freeRaw {
-			dead = append(dead, isa.Register(f))
-		}
-	}
+	dead, saveFlags := core.LiveSaves(r.Data[0], t.cfg.UseLiveness)
 	exclude := func(rg isa.Register) bool {
 		return rg == base || rg == isa.SP || rg == isa.FP
 	}
 	scratch, toSave := dbm.PickScratch(2, dead, exclude)
-	EmitCheck(e, &CheckPlan{
+	p := &shadow.CheckPlan{
 		AppAddr: appAddr, Width: width,
 		S1: scratch[0], S2: scratch[1],
 		SaveRegs: toSave, SaveFlags: saveFlags,
 		Addr: AddrLea(base, first),
-	})
+	}
+	EmitCheck(e, p)
 	if last != first {
-		EmitCheck(e, &CheckPlan{
-			AppAddr: appAddr, Width: width,
-			S1: scratch[0], S2: scratch[1],
-			SaveRegs: toSave, SaveFlags: saveFlags,
-			Addr: AddrLea(base, last),
-		})
+		p.Addr = AddrLea(base, last)
+		EmitCheck(e, p)
 	}
 }
 
@@ -674,13 +525,7 @@ func (p *dynPlan) Before(e *dbm.Emitter, i int) {
 	}
 	if in.IsMemAccess() && !p.skipCheck[i] {
 		e.SetCC(telemetry.CCMemCheck)
-		scratch, toSave := dbm.PickScratch(2, nil, dbm.ExcludeOperands(in))
-		EmitCheck(e, &CheckPlan{
-			AppAddr: in.Addr, Width: in.AccessWidth(),
-			S1: scratch[0], S2: scratch[1],
-			SaveRegs: toSave, SaveFlags: true,
-			Addr: AddrOf(in),
-		})
+		EmitCheck(e, shadow.AccessPlan(in, nil, true))
 	}
 	e.SetCC(telemetry.CCOther)
 }

@@ -577,9 +577,11 @@ func TestViolationStringAndReport(t *testing.T) {
 	if !strings.Contains(v.String(), "heap-buffer-overflow") {
 		t.Error("violation string missing kind")
 	}
-	r := &Report{Violations: []Violation{v, v, {PC: 0x500}}}
-	if r.DistinctSites() != 2 {
-		t.Errorf("DistinctSites = %d", r.DistinctSites())
+	r := &Report{HaltOnError: true}
+	err := r.Add(v)
+	f, ok := err.(*vm.Fault)
+	if !ok || f.PC != v.PC || f.Addr != v.Addr || f.Kind != "jasan: heap-buffer-overflow" {
+		t.Errorf("halting report returned %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/shadow"
 	"repro/internal/vm"
 )
 
@@ -53,30 +54,13 @@ func (v Violation) String() string {
 		v.Kind, v.Width, v.Addr, v.PC, v.Shadow)
 }
 
-// maxStoredViolations bounds the report log; further violations are counted
-// but not stored.
-const maxStoredViolations = 16384
+// Fault is the error that stops a run halting on v.
+func (v Violation) Fault() *vm.Fault {
+	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jasan: " + v.Kind}
+}
 
 // Report accumulates violations during a run.
-type Report struct {
-	Violations []Violation
-	// Total counts every report, including ones dropped past the storage
-	// cap.
-	Total uint64
-	// HaltOnError aborts execution at the first violation when set
-	// (AddressSanitizer's default; the evaluation harness runs in
-	// recover mode to count all violations).
-	HaltOnError bool
-}
-
-// DistinctSites returns the number of distinct reporting PCs.
-func (r *Report) DistinctSites() int {
-	seen := map[uint64]bool{}
-	for _, v := range r.Violations {
-		seen[v.PC] = true
-	}
-	return len(seen)
-}
+type Report = shadow.Log[Violation]
 
 func classifyShadow(s byte) string {
 	switch s {
@@ -198,27 +182,9 @@ func (a *asanAllocator) free(user uint64) {
 	}
 }
 
-// Trap code packing for the inline report trap: the code encodes which
-// register holds the faulting address and the access width, so one handler
-// family serves every liveness-dependent scratch choice.
-const (
-	trapReportBase = isa.TrapToolBase // 100
-	trapWidthBit   = 16
-)
-
-// ReportTrapCode returns the trap code for "report violation; address in
-// reg; given width" — exported for baseline tools sharing the runtime.
-func ReportTrapCode(reg isa.Register, width int) int64 { return reportTrapCode(reg, width) }
-
-// reportTrapCode returns the trap code for "report violation; address in
-// reg; given width".
-func reportTrapCode(reg isa.Register, width int) int64 {
-	code := int64(trapReportBase) + int64(reg)
-	if width == 8 {
-		code += trapWidthBit
-	}
-	return code
-}
+// reportTraps is the inline report trap family: the code encodes which
+// register holds the faulting address and the access width.
+const reportTraps shadow.Family = isa.TrapToolBase // 100
 
 // HeapObjects locates heap objects for report attribution.
 type HeapObjects interface {
@@ -239,29 +205,15 @@ func InstallRuntimeOn(m *vm.Machine, rep *Report) HeapObjects {
 // family and the interposed allocator.
 func installRuntime(m *vm.Machine, rep *Report) *asanAllocator {
 	alloc := newASanAllocator(m)
-	for reg := isa.Register(0); reg < isa.NumRegs; reg++ {
-		for _, width := range []int{1, 8} {
-			reg, width := reg, width
-			m.HandleTrap(reportTrapCode(reg, width), func(m *vm.Machine) error {
-				addr := m.Regs[reg]
-				sb, _ := m.Mem.ReadB(isa.ShadowAddr(addr))
-				v := Violation{
-					PC: m.TrapPC, Addr: addr, Width: width,
-					Shadow: sb, Kind: classifyShadow(sb),
-				}
-				v.Object, _ = alloc.ObjectFor(addr)
-				rep.Total++
-				if len(rep.Violations) < maxStoredViolations {
-					rep.Violations = append(rep.Violations, v)
-				}
-				if rep.HaltOnError {
-					return &vm.Fault{PC: m.TrapPC, Addr: addr,
-						Kind: "jasan: " + v.Kind}
-				}
-				return nil
-			})
+	reportTraps.Install(m, func(m *vm.Machine, addr uint64, width int) error {
+		sb, _ := m.Mem.ReadB(isa.ShadowAddr(addr))
+		v := Violation{
+			PC: m.TrapPC, Addr: addr, Width: width,
+			Shadow: sb, Kind: classifyShadow(sb),
 		}
-	}
+		v.Object, _ = alloc.ObjectFor(addr)
+		return rep.Add(v)
+	})
 	m.HandleTrap(isa.TrapMalloc, func(m *vm.Machine) error {
 		m.Regs[isa.R0] = alloc.malloc(m.Regs[isa.R1])
 		return nil

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
@@ -155,8 +154,7 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	}
 	for _, blk := range g.Blocks {
 		term := blk.Terminator()
-		lp := sc.Live.LiveIn(term.Addr)
-		lw := packLive(lp, sc.Live, term.Addr)
+		lw := sc.LiveWord(term.Addr)
 		inPLT := false
 		if sec := mod.SectionAt(blk.Start); sec != nil && sec.Name == ".plt" {
 			inPLT = true
@@ -246,14 +244,6 @@ func isResolverRet(blk *cfg.BasicBlock) bool {
 	n := len(blk.Instrs)
 	return n >= 2 && blk.Instrs[n-1].Op == isa.OpRet &&
 		blk.Instrs[n-2].Op == isa.OpPush
-}
-
-func packLive(lp analysis.LivePoint, live *analysis.Liveness, addr uint64) uint64 {
-	var free []uint8
-	for _, r := range live.FreeRegs(addr, 3) {
-		free = append(free, uint8(r))
-	}
-	return rules.PackLiveness(uint16(lp.Regs), lp.Flags, free)
 }
 
 // RuntimeInit implements core.Tool: shadow stack, violation traps, and
@@ -403,7 +393,7 @@ func (p *staticPlan) Before(e *dbm.Emitter, idx int) {
 	t, bc, id, base := p.t, p.bc, p.id, p.base
 	in := &bc.AppInstrs[idx]
 	for _, r := range p.rules[in.Addr] {
-		saveFlags, dead := t.unpackLive(r.Data[0])
+		dead, saveFlags := core.LiveSaves(r.Data[0], true)
 		switch r.ID {
 		case rules.ShadowPush:
 			e.SetCC(telemetry.CCShadowStack)
@@ -503,14 +493,6 @@ func narrowTargets(bc *dbm.BlockContext, r *rules.Rule, base uint64) []uint64 {
 		return nil
 	}
 	return out
-}
-
-func (t *Tool) unpackLive(packed uint64) (saveFlags bool, dead []isa.Register) {
-	_, flagsLive, freeRaw := rules.UnpackLiveness(packed)
-	for _, f := range freeRaw {
-		dead = append(dead, isa.Register(f))
-	}
-	return flagsLive, dead
 }
 
 // DynFallback implements core.Tool (§4.2.2): block-local identification of

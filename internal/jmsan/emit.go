@@ -8,89 +8,6 @@ import (
 // mk is shorthand for constructing meta instructions.
 func mk(op isa.Op, f func(*isa.Instr)) isa.Instr { return dbm.MkInstr(op, f) }
 
-// CheckPlan describes one inline definedness check on a load.
-type CheckPlan struct {
-	// AppAddr is the application address of the instrumented load; the
-	// report trap carries it so diagnostics name real code.
-	AppAddr uint64
-	// Width is the access width (1 or 8).
-	Width int
-	// S1 and S2 are the scratch registers. S1 ends up holding the
-	// application address, S2 the shadow word.
-	S1, S2 isa.Register
-	// SaveRegs lists scratch registers that are live and must be saved
-	// around the check.
-	SaveRegs []isa.Register
-	// SaveFlags saves/restores the arithmetic flags (the check's
-	// shr/add/test clobber them).
-	SaveFlags bool
-	// Addr emits the address computation into S1.
-	Addr func(e *dbm.Emitter, s1 isa.Register)
-}
-
-// addrOf returns an address-computation closure for a memory-access
-// instruction's operand.
-func addrOf(in *isa.Instr) func(e *dbm.Emitter, s1 isa.Register) {
-	op := *in // copy: the closure outlives the caller's loop variable
-	return func(e *dbm.Emitter, s1 isa.Register) {
-		switch op.Op {
-		case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-			e.Meta(mk(isa.OpLea, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Disp = s1, op.Rb, op.Disp
-			}))
-		case isa.OpLdXQ, isa.OpStXQ:
-			e.Meta(mk(isa.OpLeaX, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		case isa.OpLdXB, isa.OpStXB:
-			e.Meta(mk(isa.OpLeaXB, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		}
-	}
-}
-
-// EmitDefCheck emits one inline definedness check:
-//
-//	[pushf]  [push saves]
-//	<addr into s1>
-//	mov  s2, s1
-//	shr  s2, 3
-//	add  s2, DEF_SHADOW_BASE
-//	ldb/ldq s2, [s2]             ; width 1: granule byte, width 8: window
-//	test s2, s2
-//	je   done                    ; fast path: window fully defined
-//	trap report                  ; handler does the precise per-byte test
-//	done: [pops]  [popf]
-//
-// The fast path inspects whole shadow bytes — an 8-byte granule for byte
-// loads, a 64-byte window for quad loads (sound for unaligned quads, which
-// may straddle two granules). A set bit anywhere in the window routes to the
-// trap handler, which re-tests exactly the accessed bytes and stays silent
-// when only neighbours are undefined.
-func EmitDefCheck(e *dbm.Emitter, p *CheckPlan) {
-	e.SaveProlog(p.SaveFlags, p.SaveRegs)
-	p.Addr(e, p.S1)
-	e.Meta(mk(isa.OpMovRR, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S1 }))
-	e.Meta(mk(isa.OpShrRI, func(i *isa.Instr) { i.Rd, i.Imm = p.S2, 3 }))
-	e.Meta(mk(isa.OpAddRI, func(i *isa.Instr) {
-		i.Rd, i.Imm = p.S2, int64(isa.LayoutDefShadowBase)
-	}))
-	if p.Width == 8 {
-		e.Meta(mk(isa.OpLdQ, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	} else {
-		e.Meta(mk(isa.OpLdB, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	}
-	e.Meta(mk(isa.OpTestRR, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	jeDone := e.Placeholder()
-	e.Meta(mk(isa.OpTrap, func(i *isa.Instr) {
-		i.Imm = defLoadTrapCode(p.S1, p.Width)
-		i.Addr = p.AppAddr
-	}))
-	e.PatchJump(jeDone, isa.OpJe)
-	e.RestoreEpilog(p.SaveFlags, p.SaveRegs)
-}
-
 // EmitDefStore emits the shadow update for one store:
 //
 //	[push saves]
@@ -107,7 +24,7 @@ func EmitDefStore(e *dbm.Emitter, appAddr uint64, width int, s1 isa.Register,
 	e.SaveProlog(false, saveRegs)
 	addr(e, s1)
 	e.Meta(mk(isa.OpTrap, func(i *isa.Instr) {
-		i.Imm = defStoreTrapCode(s1, width)
+		i.Imm = DefStoreTraps.Code(s1, width)
 		i.Addr = appAddr
 	}))
 	e.RestoreEpilog(false, saveRegs)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
 	"repro/internal/isa"
 	"repro/internal/rules"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/vsa"
 )
@@ -109,25 +109,24 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	for _, blk := range g.Blocks {
 		var plan map[uint64]uint64
 		if t.cfg.Elide {
-			plan = t.defInitPlan(sc, blk)
+			plan = map[uint64]uint64{}
+			defInit.Plan(sc, blk, func(instr, anchor uint64) { plan[instr] = anchor })
 		}
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
-			if fs := frameAllocAt(blk, i); fs > 0 {
-				lp := sc.Live.LiveIn(in.Addr)
+			if fs := FrameAllocAt(blk.Instrs, i); fs > 0 {
 				out = append(out, rules.Rule{
 					ID: rules.FrameUndef, BBAddr: blk.Start, Instr: in.Addr,
-					Data: [4]uint64{packLive(lp, sc.Live, in.Addr), fs},
+					Data: [4]uint64{sc.LiveWord(in.Addr), fs},
 				})
 			}
 			if !in.IsMemAccess() {
 				continue
 			}
 			if in.IsStore() {
-				lp := sc.Live.LiveIn(in.Addr)
 				out = append(out, rules.Rule{
 					ID: rules.MemDefStore, BBAddr: blk.Start, Instr: in.Addr,
-					Data: [4]uint64{packLive(lp, sc.Live, in.Addr)},
+					Data: [4]uint64{sc.LiveWord(in.Addr)},
 				})
 				continue
 			}
@@ -145,34 +144,35 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 				})
 				continue
 			}
-			lp := sc.Live.LiveIn(in.Addr)
 			out = append(out, rules.Rule{
 				ID: rules.MemDefLoad, BBAddr: blk.Start, Instr: in.Addr,
-				Data: [4]uint64{packLive(lp, sc.Live, in.Addr)},
+				Data: [4]uint64{sc.LiveWord(in.Addr)},
 			})
 		}
 	}
 	return out
 }
 
-// frameAllocAt recognises a prologue stack allocation at instruction index i
-// of blk (`mov fp, sp` directly followed by `sub sp, N`) and returns the
-// number of frame bytes to mark undefined: N, minus the canary slot when the
-// prologue installs one (the canary is defined by its own install store and
-// must not count as an application local).
-func frameAllocAt(blk *cfg.BasicBlock, i int) uint64 {
+// FrameAllocAt recognises a prologue stack allocation at index i of ins
+// (`mov fp, sp` directly followed by `sub sp, N`) and returns the number of
+// frame bytes to mark undefined: N, minus the canary slot when the prologue
+// installs one (the canary is defined by its own install store and must not
+// count as an application local). The static pass, the dynamic fallback
+// and the Valgrind-style checker all match frames with it, so their stack
+// definedness agrees.
+func FrameAllocAt(ins []isa.Instr, i int) uint64 {
 	if i < 1 {
 		return 0
 	}
-	in := &blk.Instrs[i]
-	prev := &blk.Instrs[i-1]
+	in := &ins[i]
+	prev := &ins[i-1]
 	if in.Op != isa.OpSubRI || in.Rd != isa.SP || in.Imm <= 0 ||
 		prev.Op != isa.OpMovRR || prev.Rd != isa.FP || prev.Rb != isa.SP {
 		return 0
 	}
 	size := in.Imm
-	for j := i + 1; j < len(blk.Instrs); j++ {
-		if blk.Instrs[j].Op == isa.OpLdG {
+	for j := i + 1; j < len(ins); j++ {
+		if ins[j].Op == isa.OpLdG {
 			size -= 8
 			break
 		}
@@ -183,58 +183,13 @@ func frameAllocAt(blk *cfg.BasicBlock, i int) uint64 {
 	return uint64(size)
 }
 
-// defInitPlan finds loads in blk whose bytes a dominating same-address store
-// definitely initialized: same addressing form, equal or smaller width, no
-// redefinition of the address registers in between, and no intervening frame
-// adjustment, call or service trap (any of which could re-undefine the
-// stored bytes). Each planned elision records a replayable claim.
-func (t *Tool) defInitPlan(sc *core.StaticContext, blk *cfg.BasicBlock) map[uint64]uint64 {
-	plan := map[uint64]uint64{}
-	if blk.Fn == nil {
-		return plan
-	}
-	type anchorKey struct {
-		shape  int
-		rb, ri isa.Register
-		disp   int32
-	}
-	type anchorInfo struct {
-		idx   int
-		addr  uint64
-		width int
-	}
-	anchors := map[anchorKey]anchorInfo{}
-	for i := range blk.Instrs {
-		in := &blk.Instrs[i]
-		if defInitBarrier(in) {
-			anchors = map[anchorKey]anchorInfo{}
-			continue
-		}
-		if !in.IsMemAccess() {
-			continue
-		}
-		shape, ok := accessShape(in)
-		if !ok {
-			continue
-		}
-		k := anchorKey{shape: shape, rb: in.Rb, disp: in.Disp}
-		if shape != shapePlain {
-			k.ri = in.Ri
-		}
-		if in.IsStore() {
-			anchors[k] = anchorInfo{idx: i, addr: in.Addr, width: in.AccessWidth()}
-			continue
-		}
-		if a, have := anchors[k]; have && in.AccessWidth() <= a.width &&
-			t.defInitClean(sc, blk, a.idx, i, shape, in) {
-			plan[in.Addr] = a.addr
-			sc.Proofs.Record(blk.Fn.Entry, vsa.Claim{
-				Kind: vsa.ClaimDefInit, Block: blk.Start, Instr: in.Addr,
-				Width: in.AccessWidth(), Prev: a.addr,
-			})
-		}
-	}
-	return plan
+// defInit finds loads whose bytes a dominating same-address store in the
+// block definitely initialized, with no intervening frame adjustment, call
+// or service trap (any of which could re-undefine the stored bytes).
+var defInit = shadow.Dedup{
+	Kind:         vsa.ClaimDefInit,
+	Barrier:      defInitBarrier,
+	StoresAnchor: true,
 }
 
 // defInitBarrier reports whether in invalidates every pending store anchor:
@@ -249,78 +204,6 @@ func defInitBarrier(in *isa.Instr) bool {
 		return true
 	}
 	return false
-}
-
-// defInitClean checks the remaining side conditions between anchor and load:
-// the address registers are not redefined in between, and the same
-// definitions reach both uses.
-func (t *Tool) defInitClean(sc *core.StaticContext, blk *cfg.BasicBlock,
-	anchorIdx, curIdx, shape int, in *isa.Instr) bool {
-	for j := anchorIdx + 1; j < curIdx; j++ {
-		for _, d := range blk.Instrs[j].RegDefs(nil) {
-			if d == in.Rb || (shape != shapePlain && d == in.Ri) {
-				return false
-			}
-		}
-	}
-	anchor := &blk.Instrs[anchorIdx]
-	if !sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Rb),
-		sc.DefUse.DefsOf(in.Addr, in.Rb)) {
-		return false
-	}
-	if shape != shapePlain &&
-		!sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Ri),
-			sc.DefUse.DefsOf(in.Addr, in.Ri)) {
-		return false
-	}
-	return true
-}
-
-// sameDefs compares two reaching-definition sets.
-func sameDefs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[uint64]bool, len(a))
-	for _, v := range a {
-		seen[v] = true
-	}
-	for _, v := range b {
-		if !seen[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// Address-shape classes for def-init matching (mirrors the verifier's own
-// classification in internal/vsa).
-const (
-	shapePlain = iota // [rb+disp]
-	shapeX8           // [rb+ri*8+disp]
-	shapeX1           // [rb+ri+disp]
-)
-
-func accessShape(in *isa.Instr) (int, bool) {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-		return shapePlain, true
-	case isa.OpLdXQ, isa.OpStXQ:
-		return shapeX8, true
-	case isa.OpLdXB, isa.OpStXB:
-		return shapeX1, true
-	}
-	return 0, false
-}
-
-// packLive builds the rule liveness word from a live point, including up to
-// three dead registers usable as scratch.
-func packLive(lp analysis.LivePoint, live *analysis.Liveness, addr uint64) uint64 {
-	var free []uint8
-	for _, r := range live.FreeRegs(addr, 3) {
-		free = append(free, uint8(r))
-	}
-	return rules.PackLiveness(uint16(lp.Regs), lp.Flags, free)
 }
 
 // Instrument implements core.Tool: rewrites a statically-seen block using
@@ -377,24 +260,10 @@ func (p *staticPlan) After(e *dbm.Emitter, idx int) {
 
 // PlanDyn implements core.PlannedTool.
 func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
-	ins := bc.AppInstrs
 	frameAt := map[int]uint64{}
-	for i := 1; i < len(ins); i++ {
-		in := &ins[i]
-		prev := &ins[i-1]
-		if in.Op != isa.OpSubRI || in.Rd != isa.SP || in.Imm <= 0 ||
-			prev.Op != isa.OpMovRR || prev.Rd != isa.FP || prev.Rb != isa.SP {
-			continue
-		}
-		size := in.Imm
-		for j := i + 1; j < len(ins); j++ {
-			if ins[j].Op == isa.OpLdG {
-				size -= 8
-				break
-			}
-		}
-		if size > 0 {
-			frameAt[i] = uint64(size)
+	for i := range bc.AppInstrs {
+		if size := FrameAllocAt(bc.AppInstrs, i); size > 0 {
+			frameAt[i] = size
 		}
 	}
 	return &dynPlan{t: t, bc: bc, frameAt: frameAt}
@@ -435,32 +304,15 @@ func (p *dynPlan) After(e *dbm.Emitter, idx int) {
 // packed liveness word (conservative save/restore when liveness use is
 // disabled or the block came through the dynamic fallback).
 func (t *Tool) emitLoadCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, saveFlags := t.unpackSaves(livePacked, haveLive)
-	scratch, toSave := dbm.PickScratch(2, dead, dbm.ExcludeOperands(in))
-	EmitDefCheck(e, &CheckPlan{
-		AppAddr: in.Addr, Width: in.AccessWidth(),
-		S1: scratch[0], S2: scratch[1],
-		SaveRegs: toSave, SaveFlags: saveFlags,
-		Addr: addrOf(in),
-	})
+	dead, saveFlags := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
+	shadow.EmitBitmapCheck(e, shadow.AccessPlan(in, dead, saveFlags),
+		isa.LayoutDefShadowBase, DefLoadTraps)
 }
 
 // emitStoreUpdate emits the shadow define for one store. Flags are never
 // touched, so only the scratch register may need saving.
 func (t *Tool) emitStoreUpdate(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, _ := t.unpackSaves(livePacked, haveLive)
+	dead, _ := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
 	scratch, toSave := dbm.PickScratch(1, dead, dbm.ExcludeOperands(in))
-	EmitDefStore(e, in.Addr, in.AccessWidth(), scratch[0], toSave, addrOf(in))
-}
-
-func (t *Tool) unpackSaves(livePacked uint64, haveLive bool) ([]isa.Register, bool) {
-	if !haveLive || !t.cfg.UseLiveness {
-		return nil, true
-	}
-	_, flagsLive, freeRaw := rules.UnpackLiveness(livePacked)
-	var dead []isa.Register
-	for _, f := range freeRaw {
-		dead = append(dead, isa.Register(f))
-	}
-	return dead, flagsLive
+	EmitDefStore(e, in.Addr, in.AccessWidth(), scratch[0], toSave, shadow.AddrOf(in))
 }

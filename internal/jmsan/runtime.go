@@ -12,14 +12,16 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/shadow"
 	"repro/internal/vm"
 )
 
-// Definedness shadow encoding: application address a maps to shadow byte
-// isa.DefShadowAddr(a) = LayoutDefShadowBase + a/8, bit a%8. A SET bit means
-// the byte is UNDEFINED, so the zero-filled initial shadow marks everything
-// (globals, the startup stack) defined and only explicit events — heap
-// allocation, frame setup — introduce undefined bytes.
+// Definedness shadow encoding: a shadow.Bitmap at LayoutDefShadowBase, so
+// application address a maps to shadow byte LayoutDefShadowBase + a/8, bit
+// a%8. A SET bit means the byte is UNDEFINED, so the zero-filled initial
+// shadow marks everything (globals, the startup stack) defined and only
+// explicit events — heap allocation, frame setup — introduce undefined
+// bytes.
 
 // Violation is one detected read of undefined memory.
 type Violation struct {
@@ -36,131 +38,27 @@ func (v Violation) String() string {
 		v.Width, v.Addr, v.PC)
 }
 
-// maxStoredViolations bounds the report log; further violations are counted
-// but not stored.
-const maxStoredViolations = 16384
+// Fault is the error that stops a run halting on v.
+func (v Violation) Fault() *vm.Fault {
+	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jmsan: uninitialized-read"}
+}
 
 // Report accumulates violations during a run.
-type Report struct {
-	Violations []Violation
-	// Total counts every report, including ones dropped past the storage
-	// cap.
-	Total uint64
-	// HaltOnError aborts execution at the first violation when set.
-	HaltOnError bool
-}
+type Report = shadow.Log[Violation]
 
-// DistinctSites returns the number of distinct reporting PCs.
-func (r *Report) DistinctSites() int {
-	seen := map[uint64]bool{}
-	for _, v := range r.Violations {
-		seen[v.PC] = true
-	}
-	return len(seen)
-}
-
-// DefShadow provides definedness-bitmap operations over a machine's shadow
-// region — exported so baseline tools modelling validity bits (the
-// Valgrind-style checker's definedness mode) share one encoding with JMSan.
-type DefShadow struct{ M *vm.Machine }
-
-// MarkUndefined sets the undefined bit for every byte of [addr, addr+n).
-func (s DefShadow) MarkUndefined(addr, n uint64) { s.set(addr, n, true) }
-
-// MarkDefined clears the undefined bit for every byte of [addr, addr+n).
-func (s DefShadow) MarkDefined(addr, n uint64) { s.set(addr, n, false) }
-
-func (s DefShadow) set(addr, n uint64, undef bool) {
-	// The bitmap covers application addresses below the tool regions.
-	if addr >= isa.LayoutShadowBase {
-		return
-	}
-	end := addr + n
-	if end > isa.LayoutShadowBase || end < addr {
-		end = isa.LayoutShadowBase
-	}
-	for a := addr; a < end; {
-		sa := isa.DefShadowAddr(a)
-		if a%8 == 0 && a+8 <= end {
-			if undef {
-				s.M.Mem.WriteB(sa, 0xff)
-			} else {
-				s.M.Mem.WriteB(sa, 0)
-			}
-			a += 8
-			continue
-		}
-		b, _ := s.M.Mem.ReadB(sa)
-		if undef {
-			b |= 1 << (a % 8)
-		} else {
-			b &^= 1 << (a % 8)
-		}
-		s.M.Mem.WriteB(sa, b)
-		a++
-	}
-}
-
-// FirstUndefined returns the address of the first undefined byte in
-// [addr, addr+n) and whether one exists. This is the precise per-byte test
-// the trap handlers run: the inline fast path only inspects whole shadow
-// bytes (an 8- or 64-byte window), so a trap is a *suspicion*, confirmed or
-// dismissed here.
-func (s DefShadow) FirstUndefined(addr, n uint64) (uint64, bool) {
-	if addr >= isa.LayoutShadowBase {
-		return 0, false
-	}
-	for a := addr; a < addr+n; a++ {
-		b, _ := s.M.Mem.ReadB(isa.DefShadowAddr(a))
-		if b&(1<<(a%8)) != 0 {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-// Trap code packing, mirroring JASan's scheme: the code encodes the event,
-// the register holding the application address, and the access width, so one
-// handler family serves every liveness-dependent scratch choice. The bases
-// live above JASan's report family (100..131) and JCFI's transfer families
-// (200..231).
+// Trap families. A store or load family code encodes the register holding
+// the application address and the access width; the bases live above
+// JASan's report family (100..131) and JCFI's transfer families (200..231).
+// Both families are exported for the Valgrind-style checker, which shares
+// this runtime.
 const (
-	trapDefStoreBase = 400 // store executed: mark [addr, addr+width) defined
-	trapDefLoadBase  = 440 // suspicious load: precise check + report
-	trapFrameUndef   = 480 // frame allocated: mark new frame undefined
-	trapWidthBit     = 16
+	// DefStoreTraps: store executed, mark [addr, addr+width) defined.
+	DefStoreTraps shadow.Family = 400
+	// DefLoadTraps: suspicious load, precise per-byte check and report.
+	DefLoadTraps shadow.Family = 440
+	// trapFrameUndef: frame allocated, mark the new frame undefined.
+	trapFrameUndef = 480
 )
-
-// DefStoreTrapCode returns the trap code for "mark [addr, addr+width)
-// defined; address in reg" — exported for baseline tools sharing the
-// definedness runtime.
-func DefStoreTrapCode(reg isa.Register, width int) int64 {
-	return defStoreTrapCode(reg, width)
-}
-
-// DefLoadTrapCode returns the trap code for "precise definedness check of
-// [addr, addr+width); address in reg" — exported for baseline tools sharing
-// the definedness runtime (their clean-call model traps unconditionally and
-// lets the handler decide).
-func DefLoadTrapCode(reg isa.Register, width int) int64 {
-	return defLoadTrapCode(reg, width)
-}
-
-func defStoreTrapCode(reg isa.Register, width int) int64 {
-	code := trapDefStoreBase + int64(reg)
-	if width == 8 {
-		code += trapWidthBit
-	}
-	return code
-}
-
-func defLoadTrapCode(reg isa.Register, width int) int64 {
-	code := trapDefLoadBase + int64(reg)
-	if width == 8 {
-		code += trapWidthBit
-	}
-	return code
-}
 
 // InstallRuntimeOn wires the JMSan definedness runtime into a machine
 // outside the Janitizer core — used by baseline tools sharing the shadow
@@ -175,36 +73,21 @@ func InstallRuntimeOn(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) 
 // chains whatever TrapMalloc handler is already installed (the VM default
 // allocator, or JASan's redzone allocator in combined configurations).
 func installRuntime(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) {
-	shadow := DefShadow{M: m}
-	for reg := isa.Register(0); reg < isa.NumRegs; reg++ {
-		for _, width := range []int{1, 8} {
-			reg, width := reg, width
-			m.HandleTrap(defStoreTrapCode(reg, width), func(m *vm.Machine) error {
-				shadow.MarkDefined(m.Regs[reg], uint64(width))
-				return nil
-			})
-			m.HandleTrap(defLoadTrapCode(reg, width), func(m *vm.Machine) error {
-				addr := m.Regs[reg]
-				bad, undef := shadow.FirstUndefined(addr, uint64(width))
-				if !undef {
-					return nil // window false positive: neighbour bytes only
-				}
-				v := Violation{PC: m.TrapPC, Addr: bad, Width: width}
-				rep.Total++
-				if len(rep.Violations) < maxStoredViolations {
-					rep.Violations = append(rep.Violations, v)
-				}
-				if rep.HaltOnError {
-					return &vm.Fault{PC: m.TrapPC, Addr: bad,
-						Kind: "jmsan: uninitialized-read"}
-				}
-				return nil
-			})
+	undef := shadow.Bitmap{M: m, Base: isa.LayoutDefShadowBase}
+	DefStoreTraps.Install(m, func(_ *vm.Machine, addr uint64, width int) error {
+		undef.Set(addr, uint64(width), false)
+		return nil
+	})
+	DefLoadTraps.Install(m, func(m *vm.Machine, addr uint64, width int) error {
+		bad, ok := undef.FirstSet(addr, uint64(width))
+		if !ok {
+			return nil // window false positive: neighbour bytes only
 		}
-	}
+		return rep.Add(Violation{PC: m.TrapPC, Addr: bad, Width: width})
+	})
 	m.HandleTrap(trapFrameUndef, func(m *vm.Machine) error {
 		if size := frameSizes[m.TrapPC]; size > 0 {
-			shadow.MarkUndefined(m.Regs[isa.SP], size)
+			undef.Set(m.Regs[isa.SP], size, true)
 		}
 		return nil
 	})
@@ -217,7 +100,7 @@ func installRuntime(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) {
 			}
 		}
 		if base := m.Regs[isa.R0]; base != 0 && size > 0 {
-			shadow.MarkUndefined(base, size)
+			undef.Set(base, size, true)
 		}
 		return nil
 	})

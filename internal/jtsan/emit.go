@@ -5,94 +5,6 @@ import (
 	"repro/internal/isa"
 )
 
-// mk is shorthand for constructing meta instructions.
-func mk(op isa.Op, f func(*isa.Instr)) isa.Instr { return dbm.MkInstr(op, f) }
-
-// CheckPlan describes one inline generation check on a memory access.
-type CheckPlan struct {
-	// AppAddr is the application address of the instrumented access; the
-	// report trap carries it so diagnostics name real code.
-	AppAddr uint64
-	// Width is the access width (1 or 8).
-	Width int
-	// S1 and S2 are the scratch registers. S1 ends up holding the
-	// application address, S2 the shadow word.
-	S1, S2 isa.Register
-	// SaveRegs lists scratch registers that are live and must be saved
-	// around the check.
-	SaveRegs []isa.Register
-	// SaveFlags saves/restores the arithmetic flags (the check's
-	// shr/add/test clobber them).
-	SaveFlags bool
-	// Addr emits the address computation into S1.
-	Addr func(e *dbm.Emitter, s1 isa.Register)
-}
-
-// addrOf returns an address-computation closure for a memory-access
-// instruction's operand.
-func addrOf(in *isa.Instr) func(e *dbm.Emitter, s1 isa.Register) {
-	op := *in // copy: the closure outlives the caller's loop variable
-	return func(e *dbm.Emitter, s1 isa.Register) {
-		switch op.Op {
-		case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-			e.Meta(mk(isa.OpLea, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Disp = s1, op.Rb, op.Disp
-			}))
-		case isa.OpLdXQ, isa.OpStXQ:
-			e.Meta(mk(isa.OpLeaX, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		case isa.OpLdXB, isa.OpStXB:
-			e.Meta(mk(isa.OpLeaXB, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		}
-	}
-}
-
-// EmitGenCheck emits one inline generation check:
-//
-//	[pushf]  [push saves]
-//	<addr into s1>
-//	mov  s2, s1
-//	shr  s2, 3
-//	add  s2, GEN_SHADOW_BASE
-//	ldb/ldq s2, [s2]             ; width 1: granule byte, width 8: window
-//	test s2, s2
-//	je   done                    ; fast path: window fully live
-//	trap report                  ; handler does the precise per-byte test
-//	done: [pops]  [popf]
-//
-// The fast path inspects whole shadow bytes — an 8-byte granule for byte
-// accesses, a 64-byte window for quad accesses (sound for unaligned quads,
-// which may straddle two granules). A set bit anywhere in the window routes
-// to the trap handler, which re-tests exactly the accessed bytes and stays
-// silent when only neighbour bytes are freed. Because the bitmap is zero
-// everywhere except quarantined heap spans, stack, global and live-heap
-// accesses all take the five-instruction fast path with no heap-range test.
-func EmitGenCheck(e *dbm.Emitter, p *CheckPlan) {
-	e.SaveProlog(p.SaveFlags, p.SaveRegs)
-	p.Addr(e, p.S1)
-	e.Meta(mk(isa.OpMovRR, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S1 }))
-	e.Meta(mk(isa.OpShrRI, func(i *isa.Instr) { i.Rd, i.Imm = p.S2, 3 }))
-	e.Meta(mk(isa.OpAddRI, func(i *isa.Instr) {
-		i.Rd, i.Imm = p.S2, int64(isa.LayoutGenShadowBase)
-	}))
-	if p.Width == 8 {
-		e.Meta(mk(isa.OpLdQ, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	} else {
-		e.Meta(mk(isa.OpLdB, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	}
-	e.Meta(mk(isa.OpTestRR, func(i *isa.Instr) { i.Rd, i.Rb = p.S2, p.S2 }))
-	jeDone := e.Placeholder()
-	e.Meta(mk(isa.OpTrap, func(i *isa.Instr) {
-		i.Imm = genCheckTrapCode(p.S1, p.Width)
-		i.Addr = p.AppAddr
-	}))
-	e.PatchJump(jeDone, isa.OpJe)
-	e.RestoreEpilog(p.SaveFlags, p.SaveRegs)
-}
-
 // EmitQuarTick emits the quarantine cost tick placed before an allocator
 // service trap (malloc or free). The handler drains the allocator wrapper's
 // accumulated generation-shadow maintenance cost into the machine's cycle
@@ -100,7 +12,7 @@ func EmitGenCheck(e *dbm.Emitter, p *CheckPlan) {
 // of this meta instruction instead of inflating the application's own
 // center — no registers or flags are touched.
 func EmitQuarTick(e *dbm.Emitter, appAddr uint64) {
-	e.Meta(mk(isa.OpTrap, func(i *isa.Instr) {
+	e.Meta(dbm.MkInstr(isa.OpTrap, func(i *isa.Instr) {
 		i.Imm = trapQuarTick
 		i.Addr = appAddr
 	}))

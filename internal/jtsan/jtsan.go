@@ -3,12 +3,12 @@ package jtsan
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
 	"repro/internal/isa"
 	"repro/internal/rules"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/vsa"
 )
@@ -109,11 +109,10 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 				})
 				continue
 			}
-			lp := sc.Live.LiveIn(in.Addr)
 			out = append(out, rules.Rule{
 				ID: rules.MemGenCheck, BBAddr: blk.Start, Instr: in.Addr,
 				Data: [4]uint64{
-					packLive(lp, sc.Live, in.Addr),
+					sc.LiveWord(in.Addr),
 					uint64(sc.Loops.ClassOf(in.Addr)),
 				},
 			})
@@ -164,63 +163,18 @@ func (t *Tool) noEscapePlan(sc *core.StaticContext, vres *vsa.Result,
 			})
 		}
 	})
-	t.dedupPlan(sc, blk, plan)
+	dedup := shadow.Dedup{
+		Kind:    vsa.ClaimNoEscape,
+		Barrier: freeBarrier,
+		// Frame/global-proven accesses are not anchors: the verifier
+		// requires every dedup anchor to carry an executed check.
+		Skip: func(in *isa.Instr) bool {
+			_, elided := plan[in.Addr]
+			return elided
+		},
+	}
+	dedup.Plan(sc, blk, func(instr, anchor uint64) { plan[instr] = anchor })
 	return plan
-}
-
-// dedupPlan elides re-checks of an address already generation-checked
-// earlier in the same block: same addressing form, equal or smaller width,
-// no redefinition of the address registers in between, and no call or
-// service trap in between (a free can only execute through one of those).
-// The anchor keeps its full MEM_GEN_CHECK.
-func (t *Tool) dedupPlan(sc *core.StaticContext, blk *cfg.BasicBlock,
-	plan map[uint64]uint64) {
-	type anchorKey struct {
-		shape  int
-		rb, ri isa.Register
-		disp   int32
-	}
-	type anchorInfo struct {
-		idx   int
-		addr  uint64
-		width int
-	}
-	anchors := map[anchorKey]anchorInfo{}
-	for i := range blk.Instrs {
-		in := &blk.Instrs[i]
-		if freeBarrier(in) {
-			// A call or service trap may execute a free: every pending
-			// anchor's "still live" fact dies here.
-			anchors = map[anchorKey]anchorInfo{}
-			continue
-		}
-		if !in.IsMemAccess() {
-			continue
-		}
-		shape, ok := accessShape(in)
-		if !ok {
-			continue
-		}
-		if _, elided := plan[in.Addr]; elided {
-			// Frame/global-proven accesses are not anchors: the verifier
-			// requires every dedup anchor to carry an executed check.
-			continue
-		}
-		k := anchorKey{shape: shape, rb: in.Rb, disp: in.Disp}
-		if shape != shapePlain {
-			k.ri = in.Ri
-		}
-		if a, have := anchors[k]; have && in.AccessWidth() <= a.width &&
-			t.dedupClean(sc, blk, a.idx, i, shape, in) {
-			plan[in.Addr] = a.addr
-			sc.Proofs.Record(blk.Fn.Entry, vsa.Claim{
-				Kind: vsa.ClaimNoEscape, Block: blk.Start, Instr: in.Addr,
-				Width: in.AccessWidth(), Prev: a.addr,
-			})
-			continue
-		}
-		anchors[k] = anchorInfo{idx: i, addr: in.Addr, width: in.AccessWidth()}
-	}
 }
 
 // freeBarrier reports whether in could transitively execute a heap free:
@@ -232,78 +186,6 @@ func freeBarrier(in *isa.Instr) bool {
 		return true
 	}
 	return false
-}
-
-// dedupClean checks the remaining side conditions between anchor and
-// access: the address registers are not redefined in between, and the same
-// definitions reach both uses.
-func (t *Tool) dedupClean(sc *core.StaticContext, blk *cfg.BasicBlock,
-	anchorIdx, curIdx, shape int, in *isa.Instr) bool {
-	for j := anchorIdx + 1; j < curIdx; j++ {
-		for _, d := range blk.Instrs[j].RegDefs(nil) {
-			if d == in.Rb || (shape != shapePlain && d == in.Ri) {
-				return false
-			}
-		}
-	}
-	anchor := &blk.Instrs[anchorIdx]
-	if !sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Rb),
-		sc.DefUse.DefsOf(in.Addr, in.Rb)) {
-		return false
-	}
-	if shape != shapePlain &&
-		!sameDefs(sc.DefUse.DefsOf(anchor.Addr, in.Ri),
-			sc.DefUse.DefsOf(in.Addr, in.Ri)) {
-		return false
-	}
-	return true
-}
-
-// sameDefs compares two reaching-definition sets.
-func sameDefs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[uint64]bool, len(a))
-	for _, v := range a {
-		seen[v] = true
-	}
-	for _, v := range b {
-		if !seen[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// Address-shape classes for dedup matching (mirrors the verifier's own
-// classification in internal/vsa).
-const (
-	shapePlain = iota // [rb+disp]
-	shapeX8           // [rb+ri*8+disp]
-	shapeX1           // [rb+ri+disp]
-)
-
-func accessShape(in *isa.Instr) (int, bool) {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-		return shapePlain, true
-	case isa.OpLdXQ, isa.OpStXQ:
-		return shapeX8, true
-	case isa.OpLdXB, isa.OpStXB:
-		return shapeX1, true
-	}
-	return 0, false
-}
-
-// packLive builds the rule liveness word from a live point, including up to
-// three dead registers usable as scratch.
-func packLive(lp analysis.LivePoint, live *analysis.Liveness, addr uint64) uint64 {
-	var free []uint8
-	for _, r := range live.FreeRegs(addr, 3) {
-		free = append(free, uint8(r))
-	}
-	return rules.PackLiveness(uint16(lp.Regs), lp.Flags, free)
 }
 
 // allocTrap reports whether in is an allocator service trap (malloc or
@@ -389,24 +271,7 @@ func (p *dynPlan) After(*dbm.Emitter, int) {}
 // packed liveness word (conservative save/restore when liveness use is
 // disabled or the block came through the dynamic fallback).
 func (t *Tool) emitGenCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, saveFlags := t.unpackSaves(livePacked, haveLive)
-	scratch, toSave := dbm.PickScratch(2, dead, dbm.ExcludeOperands(in))
-	EmitGenCheck(e, &CheckPlan{
-		AppAddr: in.Addr, Width: in.AccessWidth(),
-		S1: scratch[0], S2: scratch[1],
-		SaveRegs: toSave, SaveFlags: saveFlags,
-		Addr: addrOf(in),
-	})
-}
-
-func (t *Tool) unpackSaves(livePacked uint64, haveLive bool) ([]isa.Register, bool) {
-	if !haveLive || !t.cfg.UseLiveness {
-		return nil, true
-	}
-	_, flagsLive, freeRaw := rules.UnpackLiveness(livePacked)
-	var dead []isa.Register
-	for _, f := range freeRaw {
-		dead = append(dead, isa.Register(f))
-	}
-	return dead, flagsLive
+	dead, saveFlags := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
+	shadow.EmitBitmapCheck(e, shadow.AccessPlan(in, dead, saveFlags),
+		isa.LayoutGenShadowBase, GenCheckTraps)
 }

@@ -14,17 +14,19 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/shadow"
 	"repro/internal/vm"
 )
 
-// Generation-shadow encoding: application address a maps to shadow byte
-// isa.GenShadowAddr(a) = LayoutGenShadowBase + a/8, bit a%8. A SET bit means
-// the byte belongs to a freed (quarantined) heap chunk, so the zero-filled
-// initial shadow marks everything — stack, globals, live heap — temporally
-// live and the inline fast path needs no heap-range test at all. The
-// generation numbers themselves live in a host-side table keyed by chunk
-// base: the bitmap answers "is this byte freed right now", the table
-// answers "which incarnation" for diagnostics and double-free detection.
+// Generation-shadow encoding: a shadow.Bitmap at LayoutGenShadowBase, so
+// application address a maps to shadow byte LayoutGenShadowBase + a/8, bit
+// a%8. A SET bit means the byte belongs to a freed (quarantined) heap
+// chunk, so the zero-filled initial shadow marks everything — stack,
+// globals, live heap — temporally live and the inline fast path needs no
+// heap-range test at all. The generation numbers themselves live in a
+// host-side table keyed by chunk base: the bitmap answers "is this byte
+// freed right now", the table answers "which incarnation" for diagnostics
+// and double-free detection.
 
 // Violation is one detected temporal-safety violation.
 type Violation struct {
@@ -55,124 +57,25 @@ func (v Violation) String() string {
 		v.Kind, v.Width, v.Addr, v.PC, v.Object, v.Gen)
 }
 
-// maxStoredViolations bounds the report log; further violations are counted
-// but not stored.
-const maxStoredViolations = 16384
+// Fault is the error that stops a run halting on v.
+func (v Violation) Fault() *vm.Fault {
+	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jtsan: " + v.Kind}
+}
 
 // Report accumulates violations during a run.
-type Report struct {
-	Violations []Violation
-	// Total counts every report, including ones dropped past the storage
-	// cap.
-	Total uint64
-	// HaltOnError aborts execution at the first violation when set.
-	HaltOnError bool
-}
+type Report = shadow.Log[Violation]
 
-// DistinctSites returns the number of distinct reporting PCs.
-func (r *Report) DistinctSites() int {
-	seen := map[uint64]bool{}
-	for _, v := range r.Violations {
-		seen[v.PC] = true
-	}
-	return len(seen)
-}
-
-func (r *Report) add(v Violation) error {
-	r.Total++
-	if len(r.Violations) < maxStoredViolations {
-		r.Violations = append(r.Violations, v)
-	}
-	if r.HaltOnError {
-		return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jtsan: " + v.Kind}
-	}
-	return nil
-}
-
-// GenShadow provides freed-bitmap operations over a machine's generation
-// shadow region — exported so baseline tools modelling temporal checks (the
-// Valgrind-style checker's temporal mode) share one encoding with JTSan.
-type GenShadow struct{ M *vm.Machine }
-
-// MarkFreed sets the freed bit for every byte of [addr, addr+n).
-func (s GenShadow) MarkFreed(addr, n uint64) { s.set(addr, n, true) }
-
-// MarkLive clears the freed bit for every byte of [addr, addr+n).
-func (s GenShadow) MarkLive(addr, n uint64) { s.set(addr, n, false) }
-
-func (s GenShadow) set(addr, n uint64, freed bool) {
-	// The bitmap covers application addresses below the tool regions.
-	if addr >= isa.LayoutShadowBase {
-		return
-	}
-	end := addr + n
-	if end > isa.LayoutShadowBase || end < addr {
-		end = isa.LayoutShadowBase
-	}
-	for a := addr; a < end; {
-		sa := isa.GenShadowAddr(a)
-		if a%8 == 0 && a+8 <= end {
-			if freed {
-				s.M.Mem.WriteB(sa, 0xff)
-			} else {
-				s.M.Mem.WriteB(sa, 0)
-			}
-			a += 8
-			continue
-		}
-		b, _ := s.M.Mem.ReadB(sa)
-		if freed {
-			b |= 1 << (a % 8)
-		} else {
-			b &^= 1 << (a % 8)
-		}
-		s.M.Mem.WriteB(sa, b)
-		a++
-	}
-}
-
-// FirstFreed returns the address of the first freed byte in [addr, addr+n)
-// and whether one exists. This is the precise per-byte test the trap handler
-// runs: the inline fast path only inspects whole shadow bytes (an 8- or
-// 64-byte window), so a trap is a *suspicion*, confirmed or dismissed here.
-func (s GenShadow) FirstFreed(addr, n uint64) (uint64, bool) {
-	if addr >= isa.LayoutShadowBase {
-		return 0, false
-	}
-	for a := addr; a < addr+n; a++ {
-		b, _ := s.M.Mem.ReadB(isa.GenShadowAddr(a))
-		if b&(1<<(a%8)) != 0 {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
-// Trap code packing, mirroring JASan's and JMSan's scheme: the code encodes
-// the event, the register holding the application address, and the access
-// width, so one handler family serves every liveness-dependent scratch
-// choice. The bases live above JMSan's definedness families (400..487).
+// Trap families. A generation-check code encodes the register holding the
+// application address and the access width; the bases live above JMSan's
+// definedness families (400..487).
 const (
-	trapGenCheckBase = 500 // suspicious access: precise freed test + report
-	trapQuarTick     = 540 // allocator event: charge quarantine model cost
-	trapWidthBit     = 16
+	// GenCheckTraps: suspicious access, precise freed test and report —
+	// exported for the Valgrind-style checker, whose clean-call model traps
+	// unconditionally and lets the handler decide.
+	GenCheckTraps shadow.Family = 500
+	// trapQuarTick: allocator event, charge quarantine model cost.
+	trapQuarTick = 540
 )
-
-// GenCheckTrapCode returns the trap code for "precise freed-bitmap check of
-// [addr, addr+width); address in reg" — exported for baseline tools sharing
-// the temporal runtime (their clean-call model traps unconditionally and
-// lets the handler decide).
-func GenCheckTrapCode(reg isa.Register, width int) int64 {
-	return genCheckTrapCode(reg, width)
-}
-
-func genCheckTrapCode(reg isa.Register, width int) int64 {
-	code := trapGenCheckBase + int64(reg)
-	if width == 8 {
-		code += trapWidthBit
-	}
-	return code
-}
 
 // defaultQuarantineChunks is the bounded FIFO quarantine capacity: how many
 // freed chunks are parked (still trapping) before the oldest becomes
@@ -184,7 +87,7 @@ const defaultQuarantineChunks = 128
 // JASan's redzone allocator in combined configurations — MultiTool runs
 // RuntimeInit in tool order, so JTSan's wrapper nests outermost).
 type tsanAllocator struct {
-	shadow               GenShadow
+	freed                shadow.Bitmap
 	prevMalloc, prevFree vm.TrapHandler
 	rep                  *Report
 	// live maps a live chunk's user base to its user size.
@@ -234,7 +137,7 @@ func (a *tsanAllocator) onMalloc(m *vm.Machine) error {
 		size = 1
 	}
 	a.live[base] = size
-	a.shadow.MarkLive(base, size)
+	a.freed.Set(base, size, false)
 	a.pendingCost += 4 + size/8
 	return nil
 }
@@ -257,14 +160,14 @@ func (a *tsanAllocator) onFree(m *vm.Machine) error {
 		if _, freedBefore := a.gens[ptr]; freedBefore {
 			kind = "double-free"
 		}
-		return a.rep.add(Violation{
+		return a.rep.Add(Violation{
 			PC: m.TrapPC, Addr: ptr, Kind: kind,
 			Object: ptr, Gen: a.gens[ptr],
 		})
 	}
 	delete(a.live, ptr)
 	a.gens[ptr]++ // uint16: wraps past 1<<16 by design
-	a.shadow.MarkFreed(ptr, size)
+	a.freed.Set(ptr, size, true)
 	a.quarantine = append(a.quarantine, quarChunk{ptr, size})
 	a.pendingCost += 8 + size/8
 	if len(a.quarantine) > a.maxQuar {
@@ -273,7 +176,7 @@ func (a *tsanAllocator) onFree(m *vm.Machine) error {
 		// The evicted chunk becomes reusable: its freed bits are cleared
 		// (it stops trapping) and the deferred free finally reaches the
 		// underlying allocator.
-		a.shadow.MarkLive(old.base, old.size)
+		a.freed.Set(old.base, old.size, false)
 		a.pendingCost += old.size / 8
 		if a.prevFree != nil {
 			saved := m.Regs[isa.R1]
@@ -308,7 +211,7 @@ func InstallRuntimeOn(m *vm.Machine, rep *Report) Chunks {
 // TrapMalloc/TrapFree handlers are already installed.
 func installRuntime(m *vm.Machine, rep *Report) *tsanAllocator {
 	alloc := &tsanAllocator{
-		shadow:     GenShadow{M: m},
+		freed:      shadow.Bitmap{M: m, Base: isa.LayoutGenShadowBase},
 		prevMalloc: m.TrapHandlerFor(isa.TrapMalloc),
 		prevFree:   m.TrapHandlerFor(isa.TrapFree),
 		rep:        rep,
@@ -316,22 +219,16 @@ func installRuntime(m *vm.Machine, rep *Report) *tsanAllocator {
 		gens:       map[uint64]uint16{},
 		maxQuar:    defaultQuarantineChunks,
 	}
-	for reg := isa.Register(0); reg < isa.NumRegs; reg++ {
-		for _, width := range []int{1, 8} {
-			reg, width := reg, width
-			m.HandleTrap(genCheckTrapCode(reg, width), func(m *vm.Machine) error {
-				addr := m.Regs[reg]
-				bad, freed := alloc.shadow.FirstFreed(addr, uint64(width))
-				if !freed {
-					return nil // window false positive: neighbour bytes only
-				}
-				v := Violation{PC: m.TrapPC, Addr: bad, Width: width,
-					Kind: "use-after-free"}
-				v.Object, v.Gen, _ = alloc.ChunkFor(bad)
-				return rep.add(v)
-			})
+	GenCheckTraps.Install(m, func(m *vm.Machine, addr uint64, width int) error {
+		bad, freed := alloc.freed.FirstSet(addr, uint64(width))
+		if !freed {
+			return nil // window false positive: neighbour bytes only
 		}
-	}
+		v := Violation{PC: m.TrapPC, Addr: bad, Width: width,
+			Kind: "use-after-free"}
+		v.Object, v.Gen, _ = alloc.ChunkFor(bad)
+		return rep.Add(v)
+	})
 	m.HandleTrap(trapQuarTick, func(m *vm.Machine) error {
 		m.AddCycles(alloc.pendingCost)
 		alloc.pendingCost = 0

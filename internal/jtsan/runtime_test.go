@@ -47,14 +47,14 @@ func newRuntime(t *testing.T) (allocDriver, *tsanAllocator, *Report) {
 func TestFreeParksChunkAndMarksShadow(t *testing.T) {
 	d, alloc, rep := newRuntime(t)
 	base := d.malloc(24)
-	if bad, freed := alloc.shadow.FirstFreed(base, 24); freed {
+	if bad, freed := alloc.freed.FirstSet(base, 24); freed {
 		t.Fatalf("live chunk has freed byte at %#x", bad)
 	}
 	d.free(base)
 	if rep.Total != 0 {
 		t.Fatalf("legitimate free reported: %v", rep.Violations)
 	}
-	bad, freed := alloc.shadow.FirstFreed(base, 24)
+	bad, freed := alloc.freed.FirstSet(base, 24)
 	if !freed || bad != base {
 		t.Fatalf("freed chunk bitmap: first freed = %#x, %v; want %#x, true",
 			bad, freed, base)
@@ -127,7 +127,7 @@ func TestGenerationWraparound(t *testing.T) {
 	if got := alloc.gens[base]; got != 0 {
 		t.Fatalf("generation after wrap = %d, want 0", got)
 	}
-	if _, freed := alloc.shadow.FirstFreed(base, 16); !freed {
+	if _, freed := alloc.freed.FirstSet(base, 16); !freed {
 		t.Fatal("freed bitmap lost across generation wraparound")
 	}
 	d.free(base)
@@ -178,16 +178,16 @@ func TestQuarantineCapacityEviction(t *testing.T) {
 		t.Fatalf("forwarded frees = %#x, want [%#x]", forwarded, bases[0])
 	}
 	// The evicted chunk stopped trapping; the youngest still traps.
-	if _, freed := alloc.shadow.FirstFreed(bases[0], 16); freed {
+	if _, freed := alloc.freed.FirstSet(bases[0], 16); freed {
 		t.Error("evicted chunk still marked freed")
 	}
-	if _, freed := alloc.shadow.FirstFreed(bases[n-1], 16); !freed {
+	if _, freed := alloc.freed.FirstSet(bases[n-1], 16); !freed {
 		t.Error("quarantined chunk lost its freed marking")
 	}
 	// After eviction the base is genuinely reusable: the R1 swap in the
 	// eviction path must not have corrupted the allocator's view.
 	again := d.malloc(16)
-	if _, freed := alloc.shadow.FirstFreed(again, 16); freed {
+	if _, freed := alloc.freed.FirstSet(again, 16); freed {
 		t.Errorf("fresh chunk %#x carries stale freed bits", again)
 	}
 }
@@ -205,7 +205,7 @@ func TestGenCheckHandlerPrecision(t *testing.T) {
 	check := func(addr uint64, width int) {
 		d.t.Helper()
 		d.m.Regs[isa.R6] = addr
-		if err := d.m.TrapHandlerFor(genCheckTrapCode(isa.R6, width))(d.m); err != nil {
+		if err := d.m.TrapHandlerFor(GenCheckTraps.Code(isa.R6, width))(d.m); err != nil {
 			t.Fatalf("gen-check trap: %v", err)
 		}
 	}

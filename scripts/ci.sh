@@ -42,18 +42,22 @@ echo "== janalyze determinism lint =="
 # nonzero on any finding.
 go run ./cmd/janalyze ./...
 
-echo "== focused vet + race: anserve, cluster, fuzz, jtsan, rewrite, telemetry =="
+echo "== focused vet + race: anserve, cluster, fuzz, jasan, jmsan, jtsan, rewrite, shadow, telemetry =="
 # The analysis service, the sharded fleet, and the fuzzing campaigns are the
 # heaviest concurrent subsystems; the telemetry layer is scraped concurrently
-# by daemon handlers, the rewrite backends share plan caches across worker
-# goroutines, and jtsan's quarantine/generation runtime must stay strictly
-# per-machine (its parallel test runs detection on concurrent machines).
+# by daemon handlers, and the rewrite backends share plan caches across
+# worker goroutines. The sanitizers' run-time state must stay strictly
+# per-machine: jtsan's quarantine/generation runtime (its parallel test
+# runs detection on concurrent machines), and the bitmap, trap families and
+# violation logs of internal/shadow that jasan, jmsan and jtsan all install.
 # Vet and race-check them explicitly (count=1 defeats the test cache so the
 # race detector actually re-executes them).
 go vet ./internal/anserve ./internal/cluster ./internal/fuzz \
-	./internal/jtsan ./internal/rewrite ./internal/telemetry
+	./internal/jasan ./internal/jmsan ./internal/jtsan ./internal/rewrite \
+	./internal/shadow ./internal/telemetry
 go test -race -count=1 ./internal/anserve ./internal/cluster ./internal/fuzz \
-	./internal/jtsan ./internal/rewrite ./internal/telemetry
+	./internal/jasan ./internal/jmsan ./internal/jtsan ./internal/rewrite \
+	./internal/shadow ./internal/telemetry
 
 echo "== jfuzz smoke =="
 # Deterministic fuzz smoke: fixed seed, both domains, fails the build on any
