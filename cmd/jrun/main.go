@@ -29,17 +29,14 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/diag"
 	"repro/internal/jasan"
 	"repro/internal/jcfi"
 	"repro/internal/jefdir"
 	"repro/internal/jmsan"
 	"repro/internal/jtsan"
-	"repro/internal/loader"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -113,7 +110,7 @@ func main() {
 			return out
 		}
 	case "none":
-		tool = nullTool{}
+		tool = core.NullTool{}
 		report = func() []string { return nil }
 	default:
 		fatal(fmt.Errorf("unknown tool %q", *toolName))
@@ -141,27 +138,22 @@ func main() {
 		}
 	}
 
-	m := vm.New()
-	m.Out = os.Stdout
-	m.InstallDefaultServices()
-	m.MaxInstrs = *maxInstrs
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
+	s, err := core.Load(main, reg, tool, files, core.Options{MaxInstrs: *maxInstrs, Out: os.Stdout})
+	if err != nil {
+		fatal(err)
+	}
+	m, rt := s.M, s.RT
 	var prof *telemetry.Profile
 	if *profile {
 		prof = &telemetry.Profile{}
 		rt.DBM.Prof = prof
 	}
-	lm, err := proc.LoadProgram(main)
-	if err != nil {
-		fatal(err)
-	}
-	runErr := rt.Run(lm.RuntimeAddr(main.Entry))
+	runErr := s.Run()
 	if *reportFlag {
 		// Structured path: dedupe, symbolize against the loaded image, and
 		// render ASan-style blocks instead of the raw per-trap lines.
 		dlog := diag.NewLog()
-		diag.Collect(dlog, tool, diag.NewProcessSymbolizer(proc), telemetry.SpanContext{})
+		diag.Collect(dlog, tool, diag.NewProcessSymbolizer(s.Proc), telemetry.SpanContext{})
 		fmt.Fprint(os.Stderr, diag.Render(dlog))
 	} else {
 		for _, line := range report() {
@@ -181,18 +173,6 @@ func main() {
 		fatal(runErr)
 	}
 	os.Exit(int(m.ExitStatus & 0xff))
-}
-
-type nullTool struct{}
-
-func (nullTool) Name() string                                { return "none" }
-func (nullTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
-func (nullTool) RuntimeInit(*core.Runtime) error             { return nil }
-func (nullTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
-func (nullTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
 }
 
 func fatal(err error) {

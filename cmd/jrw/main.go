@@ -23,9 +23,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
 	"repro/internal/rewrite"
 	"repro/internal/spec"
 )
@@ -66,11 +63,11 @@ func main() {
 		if err != nil {
 			fatal(name, err)
 		}
-		files, err := core.AnalyzeProgram(main, reg, sch.newTool())
+		files, err := core.AnalyzeProgram(main, reg, newTool(sch))
 		if err != nil {
 			fatal(name, err)
 		}
-		plans, err := rewrite.CapturePlans(main, reg, files, sch.newTool())
+		plans, err := rewrite.CapturePlans(main, reg, files, newTool(sch))
 		if err != nil {
 			fatal(name, err)
 		}
@@ -114,7 +111,7 @@ func main() {
 			}
 		}
 		if *parity {
-			if err := experiments.CheckParity(sch.exp, w); err != nil {
+			if err := experiments.CheckParity(sch, w); err != nil {
 				violations++
 				fmt.Fprintf(os.Stderr, "jrw: VIOLATION: %v\n", err)
 			}
@@ -128,25 +125,21 @@ func main() {
 	}
 }
 
-// schemes maps the rewrite-capable tool configurations to a constructor
-// (fresh instance per call: capture and runs must not share tool state)
-// and to the evaluation harness's scheme that -parity runs.
-var schemes = map[string]struct {
-	newTool func() core.Tool
-	exp     experiments.Scheme
-}{
-	"jasan": {func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) },
-		experiments.JASanHybrid},
-	"jcfi": {func() core.Tool { return jcfi.New(jcfi.DefaultConfig) },
-		experiments.JCFIHybrid},
-	"jmsan": {func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true}) },
-		experiments.JMSanHybrid},
-	"comprehensive": {func() core.Tool {
-		return core.NewMultiTool(
-			jasan.New(jasan.Config{UseLiveness: true}),
-			jmsan.New(jmsan.Config{UseLiveness: true}),
-			jcfi.New(jcfi.DefaultConfig))
-	}, experiments.Comprehensive},
+// schemes maps each rewrite-capable tool configuration to the evaluation
+// harness's scheme: capture, rewriting and -parity all build their tools
+// from it, so they check one and the same composition.
+var schemes = map[string]experiments.Scheme{
+	"jasan":         experiments.JASanHybrid,
+	"jcfi":          experiments.JCFIHybrid,
+	"jmsan":         experiments.JMSanHybrid,
+	"comprehensive": experiments.Comprehensive,
+}
+
+// newTool returns a fresh instance of the scheme's tool: capture and runs
+// must not share tool state.
+func newTool(sch experiments.Scheme) core.Tool {
+	t, _, _ := experiments.NewTool(sch) // every schemes entry is a known scheme
+	return t
 }
 
 func fatal(workload string, err error) {

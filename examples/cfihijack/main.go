@@ -13,7 +13,6 @@ import (
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/rules"
-	"repro/internal/vm"
 )
 
 // The victim dispatches through a writable function-pointer table; the
@@ -64,30 +63,21 @@ func run(protected bool) (int64, []jcfi.Violation, error) {
 		return 0, nil, err
 	}
 	reg := loader.Registry{libj.Name: lj}
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = 1_000_000
-	proc := loader.NewProcess(m, reg)
-	if !protected {
-		lm, err := proc.LoadProgram(mod)
-		if err != nil {
+	jt := jcfi.New(jcfi.Config{Forward: true, Backward: true, HaltOnViolation: true})
+	var tool core.Tool // stays nil (a native run) when unprotected
+	var files map[string]*rules.File
+	if protected {
+		tool = jt
+		if files, err = core.AnalyzeProgram(mod, reg, jt); err != nil {
 			return 0, nil, err
 		}
-		err = m.Run(lm.RuntimeAddr(mod.Entry))
-		return m.ExitStatus, nil, err
 	}
-	tool := jcfi.New(jcfi.Config{Forward: true, Backward: true, HaltOnViolation: true})
-	files, err := core.AnalyzeProgram(mod, reg, tool)
+	s, err := core.Load(mod, reg, tool, files, core.Options{MaxInstrs: 1_000_000})
 	if err != nil {
 		return 0, nil, err
 	}
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(mod)
-	if err != nil {
-		return 0, nil, err
-	}
-	err = rt.Run(lm.RuntimeAddr(mod.Entry))
-	return m.ExitStatus, tool.Report.Violations, err
+	err = s.Run()
+	return s.M.ExitStatus, jt.Report.Violations, err
 }
 
 func main() {

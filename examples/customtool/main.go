@@ -19,7 +19,6 @@ import (
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/rules"
-	"repro/internal/vm"
 )
 
 // ruleCallSite is our tool-private rule ID; Data1 is the counter slot index.
@@ -139,18 +138,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = 10_000_000
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(mod)
+	s, err := core.Load(mod, reg, tool, files, core.Options{MaxInstrs: 10_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rt.Run(lm.RuntimeAddr(mod.Entry)); err != nil {
+	if err := s.Run(); err != nil {
 		log.Fatal(err)
 	}
+	m := s.M
 
 	type row struct {
 		label string

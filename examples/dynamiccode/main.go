@@ -16,7 +16,6 @@ import (
 	"repro/internal/jasan"
 	"repro/internal/libj"
 	"repro/internal/loader"
-	"repro/internal/vm"
 	"strings"
 )
 
@@ -123,18 +122,14 @@ func main() {
 		log.Fatal("plugin should be invisible to the static analyzer")
 	}
 
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = 10_000_000
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(host)
+	s, err := core.Load(host, reg, tool, files, core.Options{MaxInstrs: 10_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rt.Run(lm.RuntimeAddr(host.Entry)); err != nil {
+	if err := s.Run(); err != nil {
 		log.Fatal(err)
 	}
+	m, rt := s.M, s.RT
 
 	fmt.Printf("exit status (JIT double(21)): %d\n", m.ExitStatus)
 	fmt.Printf("blocks: %d statically seen, %d only discovered dynamically (%.1f%%)\n",

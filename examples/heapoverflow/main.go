@@ -14,6 +14,7 @@ import (
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/obj"
+	"repro/internal/rules"
 	"repro/internal/vm"
 )
 
@@ -45,28 +46,21 @@ func run(withSanitizer bool) (*vm.Machine, *jasan.Tool, error) {
 		return nil, nil, err
 	}
 	reg := loader.Registry{libj.Name: lj}
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = 10_000_000
-	proc := loader.NewProcess(m, reg)
-	if !withSanitizer {
-		lm, err := proc.LoadProgram(mod)
-		if err != nil {
+	var jt *jasan.Tool
+	var tool core.Tool // stays nil (a native run) without the sanitizer
+	var files map[string]*rules.File
+	if withSanitizer {
+		jt = jasan.New(jasan.Config{UseLiveness: true})
+		tool = jt
+		if files, err = core.AnalyzeProgram(mod, reg, jt); err != nil {
 			return nil, nil, err
 		}
-		return m, nil, m.Run(lm.RuntimeAddr(mod.Entry))
 	}
-	tool := jasan.New(jasan.Config{UseLiveness: true})
-	files, err := core.AnalyzeProgram(mod, reg, tool)
+	s, err := core.Load(mod, reg, tool, files, core.Options{MaxInstrs: 10_000_000})
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(mod)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, tool, rt.Run(lm.RuntimeAddr(mod.Entry))
+	return s.M, jt, s.Run()
 }
 
 func main() {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/jasan"
 	"repro/internal/libj"
 	"repro/internal/loader"
-	"repro/internal/vm"
 )
 
 const program = `
@@ -59,19 +58,14 @@ func main() {
 	}
 
 	// 3. Execute under the hybrid dynamic modifier.
-	m := vm.New()
-	m.Out = os.Stdout
-	m.InstallDefaultServices()
-	m.MaxInstrs = 10_000_000
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(mod)
+	s, err := core.Load(mod, reg, tool, files, core.Options{MaxInstrs: 10_000_000, Out: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := rt.Run(lm.RuntimeAddr(mod.Entry)); err != nil {
+	if err := s.Run(); err != nil {
 		log.Fatal(err)
 	}
+	m, rt := s.M, s.RT
 
 	fmt.Printf("exit status: %d\n", m.ExitStatus)
 	fmt.Printf("violations:  %d\n", tool.Report.Total)

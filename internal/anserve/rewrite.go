@@ -117,17 +117,17 @@ func (s *Service) RewritePlans(main *obj.Module, reg loader.Registry,
 }
 
 // plannedPlacement computes the load base and module ID the deterministic
-// loader will assign each closure module, by dry-loading the program into
-// a scratch process. Bases feed the rewrite cache key, so a cache probe
-// agrees with what a capture run would record.
+// loader will assign each closure module, by loading the program into a
+// scratch native session that never runs. Bases feed the rewrite cache key,
+// so a cache probe agrees with what a capture run would record.
 func plannedPlacement(main *obj.Module, reg loader.Registry) (map[string]uint64, map[string]int32, error) {
-	proc, err := loader.DryLoad(main, reg)
+	sess, err := core.Load(main, reg, nil, nil, core.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("anserve: placement: %w", err)
 	}
 	bases := map[string]uint64{}
 	ids := map[string]int32{}
-	for _, lm := range proc.Modules {
+	for _, lm := range sess.Proc.Modules {
 		base := uint64(0)
 		if lm.PIC {
 			base = lm.LoadBase

@@ -15,7 +15,6 @@ import (
 	"repro/internal/obj"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 // DefaultRunMaxInstrs bounds POST /run executions when HandlerOpts leaves
@@ -155,20 +154,16 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 		maxInstrs = DefaultRunMaxInstrs
 	}
 	var out bytes.Buffer
-	m := vm.New()
-	m.Out = &out
-	m.InstallDefaultServices()
-	m.MaxInstrs = maxInstrs
-	proc := loader.NewProcess(m, loader.Registry{libj.Name: lj})
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(mod)
+	sess, err := core.Load(mod, loader.Registry{libj.Name: lj}, tool, files,
+		core.Options{MaxInstrs: maxInstrs, Out: &out})
 	if err != nil {
 		s.Finish(1)
 		fail(http.StatusInternalServerError, ErrCodeRunFailed,
 			"load: "+err.Error(), 0)
 		return
 	}
-	runErr := rt.Run(lm.RuntimeAddr(mod.Entry))
+	runErr := sess.Run()
+	m := sess.M
 	s.Finish(1)
 	sp.AddEvent("run-complete",
 		telemetry.Int("instrs", int64(m.Instrs)))
@@ -184,7 +179,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 	// this run's findings, then merge into the daemon-wide log behind
 	// GET /violations.
 	runLog := diag.NewLog()
-	diag.Collect(runLog, tool, diag.NewProcessSymbolizer(proc), sp.Context())
+	diag.Collect(runLog, tool, diag.NewProcessSymbolizer(sess.Proc), sp.Context())
 	found := runLog.Entries()
 	if found == nil {
 		found = []diag.Violation{}

@@ -45,6 +45,9 @@ func NewBinCFI() *BinCFITool {
 // Name implements core.Tool.
 func (t *BinCFITool) Name() string { return "bincfi-sim" }
 
+// Violations returns the number of CFI violations reported.
+func (t *BinCFITool) Violations() int { return len(t.Report.Violations) }
+
 // CheckInput rejects modules whose .text contains bytes that linear
 // disassembly misclassifies relative to sound recovery — static rewriting of
 // such modules produces broken binaries.

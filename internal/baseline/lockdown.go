@@ -72,6 +72,9 @@ func (t *LockdownTool) Name() string {
 	return "lockdown-sim"
 }
 
+// Violations returns the number of CFI violations reported.
+func (t *LockdownTool) Violations() int { return len(t.Report.Violations) }
+
 // StaticPass implements core.Tool: Lockdown has no static stage.
 func (t *LockdownTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 

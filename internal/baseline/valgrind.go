@@ -103,6 +103,18 @@ func (t *ValgrindTool) Name() string {
 	return "valgrind-sim"
 }
 
+// Violations sums the addressability, definedness and temporal reports.
+func (t *ValgrindTool) Violations() int {
+	n := int(t.Report.Total)
+	if t.DefReport != nil {
+		n += int(t.DefReport.Total)
+	}
+	if t.TemporalReport != nil {
+		n += int(t.TemporalReport.Total)
+	}
+	return n
+}
+
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 

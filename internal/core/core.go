@@ -100,6 +100,31 @@ type Tool interface {
 	RuntimeInit(rt *Runtime) error
 }
 
+// Violations returns the number of violations tool reported in its run; a
+// tool without a report counts 0. Reporting tools expose Violations() int.
+func Violations(tool Tool) int {
+	if r, ok := tool.(interface{ Violations() int }); ok {
+		return r.Violations()
+	}
+	return 0
+}
+
+// NullTool is the null client as a Tool (Fig. 8's DynamoRIO baseline): no
+// rules, every block placed unmodified.
+type NullTool struct{}
+
+func (NullTool) Name() string                           { return "null-client" }
+func (NullTool) StaticPass(*StaticContext) []rules.Rule { return nil }
+func (NullTool) RuntimeInit(*Runtime) error             { return nil }
+
+func (NullTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
+	return dbm.NullClient{}.OnBlock(bc)
+}
+
+func (NullTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
+	return dbm.NullClient{}.OnBlock(bc)
+}
+
 // ArtifactTool is a Tool whose analysis product is a custom artifact (for
 // example internal/jlint's bug report) rather than a rewrite-rule file. The
 // service layer routes such tools through AnalyzeArtifact and validates

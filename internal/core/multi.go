@@ -89,6 +89,15 @@ func (m *MultiTool) ConfigKey() string {
 	return strings.Join(parts, "+")
 }
 
+// Violations sums every sub-tool's violations.
+func (m *MultiTool) Violations() int {
+	n := 0
+	for _, t := range m.Tools {
+		n += Violations(t)
+	}
+	return n
+}
+
 // StaticPass implements Tool: the concatenation of every sub-tool's rules.
 func (m *MultiTool) StaticPass(sc *StaticContext) []rules.Rule {
 	var out []rules.Rule

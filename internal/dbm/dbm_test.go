@@ -2,7 +2,6 @@ package dbm
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -455,7 +454,7 @@ func TestInstrBudgetInMetaLoop(t *testing.T) {
 	d.Prof = prof
 	err := d.Run(entry)
 	var f *vm.Fault
-	if !errors.As(err, &f) || !strings.Contains(f.Kind, "budget") {
+	if !vm.IsBudget(err) || !errors.As(err, &f) {
 		t.Fatalf("err = %v, want budget fault", err)
 	}
 	// One mov, then (sub, jne) pairs: instruction 101 is the 50th jne, a

@@ -11,7 +11,6 @@ import (
 	"repro/internal/anserve"
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/diag"
 	"repro/internal/jasan"
 	"repro/internal/jcfi"
@@ -148,13 +147,13 @@ type obsSink struct {
 	hist *telemetry.Histogram
 }
 
-// newTool builds the scheme's tool and reports whether its static analysis
+// NewTool builds the scheme's tool and reports whether its static analysis
 // stage runs. Each call returns a fresh instance — plan capture and the
 // measured run must not share tool state.
-func newTool(scheme Scheme) (core.Tool, bool, error) {
+func NewTool(scheme Scheme) (core.Tool, bool, error) {
 	switch scheme {
 	case NullClient:
-		return &passthroughTool{}, false, nil
+		return core.NullTool{}, false, nil
 	case JASanHybrid:
 		return jasan.New(jasan.Config{UseLiveness: true}), true, nil
 	case JASanSCEV:
@@ -209,43 +208,6 @@ func newTool(scheme Scheme) (core.Tool, bool, error) {
 	return nil, false, fmt.Errorf("unknown scheme %q", scheme)
 }
 
-// toolViolations extracts a tool's violation count; combined tools sum
-// their parts.
-func toolViolations(tool core.Tool) int {
-	switch tt := tool.(type) {
-	case *jasan.Tool:
-		return int(tt.Report.Total)
-	case *jmsan.Tool:
-		return int(tt.Report.Total)
-	case *jtsan.Tool:
-		return int(tt.Report.Total)
-	case *baseline.ValgrindTool:
-		n := int(tt.Report.Total)
-		if tt.DefReport != nil {
-			n += int(tt.DefReport.Total)
-		}
-		if tt.TemporalReport != nil {
-			n += int(tt.TemporalReport.Total)
-		}
-		return n
-	case *baseline.RetrowriteTool:
-		return int(tt.Report.Total)
-	case *jcfi.Tool:
-		return len(tt.Report.Violations)
-	case *baseline.LockdownTool:
-		return len(tt.Report.Violations)
-	case *baseline.BinCFITool:
-		return len(tt.Report.Violations)
-	case *core.MultiTool:
-		n := 0
-		for _, sub := range tt.Tools {
-			n += toolViolations(sub)
-		}
-		return n
-	}
-	return 0
-}
-
 // countProofRules tallies the VSA-backed decisions across a program's
 // static rule files: MEM_ACCESS_SAFE rules whose provenance word marks a
 // frame/global/dedup proof, and CFI_JUMP_NARROW rules.
@@ -265,20 +227,4 @@ func countProofRules(files map[string]*rules.File) (elided, narrowed int) {
 		}
 	}
 	return elided, narrowed
-}
-
-// passthroughTool is the null client as a core.Tool (Fig. 8's DynamoRIO
-// baseline).
-type passthroughTool struct{}
-
-func (passthroughTool) Name() string                                { return "null-client" }
-func (passthroughTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
-func (passthroughTool) RuntimeInit(*core.Runtime) error             { return nil }
-
-func (passthroughTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
-
-func (passthroughTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
 }

@@ -208,7 +208,7 @@ func TestStaticGolden(t *testing.T) {
 		}
 		for _, s := range staticGoldenSchemes {
 			for _, mod := range mods {
-				tool, static, err := newTool(s)
+				tool, static, err := NewTool(s)
 				if err != nil || !static {
 					t.Fatalf("%s: static=%t err=%v", s, static, err)
 				}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 // Parallel sets how many grid cells run concurrently; the zero value (or
@@ -175,17 +174,6 @@ type program struct {
 	native *Result
 }
 
-// newMachine returns a bounded machine with the default services, capturing
-// program output.
-func newMachine() (*vm.Machine, *bytes.Buffer) {
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = maxInstrs
-	out := &bytes.Buffer{}
-	m.Out = out
-	return m, out
-}
-
 // buildProgram compiles the workload and measures its uninstrumented
 // baseline.
 func buildProgram(w *spec.Workload, pic bool) (*program, error) {
@@ -193,15 +181,15 @@ func buildProgram(w *spec.Workload, pic bool) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, out := newMachine()
-	proc := loader.NewProcess(m, reg)
-	lm, err := proc.LoadProgram(main)
+	out := &bytes.Buffer{}
+	s, err := core.Load(main, reg, nil, nil, core.Options{MaxInstrs: maxInstrs, Out: out})
 	if err == nil {
-		err = m.Run(lm.RuntimeAddr(main.Entry))
+		err = s.Run()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: native: %w", w.Name, err)
 	}
+	m := s.M
 	return &program{main: main, reg: reg, native: &Result{
 		Benchmark: w.Name, Scheme: Native, Backend: BackendDynamic,
 		Cycles: m.Cycles, NativeCycles: m.Cycles, Slowdown: 1,
@@ -329,7 +317,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 	}
 
 	// Build the tool and decide whether a static stage runs.
-	tool, static, err := newTool(scheme)
+	tool, static, err := NewTool(scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +383,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 	res.Coverage = rt.Coverage
 	res.Profile = prof
 	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)
-	res.Violations = toolViolations(tool)
+	res.Violations = core.Violations(tool)
 	switch tt := tool.(type) {
 	case *jcfi.Tool:
 		res.DAIR = tt.DynamicAIR()
@@ -414,31 +402,29 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 func execute(p *program, scheme Scheme, backend Backend, tool core.Tool,
 	files map[string]*rules.File, prof *telemetry.Profile) (*core.Runtime, *bytes.Buffer, error) {
 
+	out := &bytes.Buffer{}
+	opts := core.Options{MaxInstrs: maxInstrs, Out: out}
 	if backend == BackendDynamic {
-		m, out := newMachine()
-		proc := loader.NewProcess(m, p.reg)
-		rt := core.NewRuntime(m, proc, tool, files)
-		rt.DBM.Prof = prof
-		lm, err := proc.LoadProgram(p.main)
-		if err == nil {
-			err = rt.Run(lm.RuntimeAddr(p.main.Entry))
+		s, err := core.Load(p.main, p.reg, tool, files, opts)
+		if err != nil {
+			return nil, nil, err
 		}
-		return rt, out, err
+		s.RT.DBM.Prof = prof
+		return s.RT, out, s.Run()
 	}
 	freshTool := func() core.Tool {
-		t, _, _ := newTool(scheme)
+		t, _, _ := NewTool(scheme)
 		return t
 	}
 	plans, err := service.RewritePlans(p.main, p.reg, files, freshTool, string(backend))
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan capture: %w", err)
 	}
-	out := &bytes.Buffer{}
 	run := rewrite.RunHybrid
 	if backend == BackendStatic {
 		run = rewrite.RunStatic
 	}
-	rr, err := run(p.main, p.reg, tool, files, plans, rewrite.Options{MaxInstrs: maxInstrs, Out: out})
+	rr, err := run(p.main, p.reg, tool, files, plans, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
-	"repro/internal/vm"
 )
 
 // Domain B: robustness fuzzing of the module pipeline. A mutated byte
@@ -139,21 +138,17 @@ func CheckModule(data []byte, reg loader.Registry, budget uint64) *ModResult {
 		return res
 	}
 	if err, crash = guard("load+run", func() error {
-		m := vm.New()
-		m.InstallDefaultServices()
-		m.MaxInstrs = budget
 		fullReg := loader.Registry{mod.Name: mod}
 		for k, v := range reg {
 			fullReg[k] = v
 		}
-		pr := loader.NewProcess(m, fullReg)
-		lm, e := pr.LoadProgram(mod)
+		s, e := core.Load(mod, fullReg, nil, nil, core.Options{MaxInstrs: budget})
 		if e != nil {
 			return e
 		}
-		d := dbm.New(m, pr, dbm.NullClient{})
+		d := dbm.New(s.M, s.Proc, dbm.NullClient{})
 		d.TraceHook = func(pc uint64) { res.Cov.Add(feature(featDBMBlock, pc)) }
-		return d.Run(lm.RuntimeAddr(mod.Entry))
+		return d.Run(s.Entry)
 	}); crash != nil {
 		res.Crash = crash
 		return res

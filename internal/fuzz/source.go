@@ -40,6 +40,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
+	"repro/internal/rules"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
@@ -81,76 +82,36 @@ type runOutcome struct {
 	overBudget bool
 }
 
-func newMachine(budget uint64, out *bytes.Buffer) *vm.Machine {
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = budget
-	m.Out = out
-	return m
-}
-
-func isBudgetFault(err error) bool {
-	f, ok := err.(*vm.Fault)
-	return ok && f.Kind == "instruction budget exhausted"
-}
-
-// runNative executes mod natively. cov, when non-nil, accumulates
-// executed-block coverage through the machine's block hook.
-func runNative(mod *obj.Module, reg loader.Registry, budget uint64,
-	cov *metrics.Bitmap) runOutcome {
-
-	var buf bytes.Buffer
-	m := newMachine(budget, &buf)
-	if cov != nil {
-		m.BlockHook = func(pc uint64) { cov.Add(feature(featNativeBlock, pc)) }
-	}
-	proc := loader.NewProcess(m, reg)
-	lm, err := proc.LoadProgram(mod)
-	if err != nil {
-		return runOutcome{err: err}
-	}
-	err = m.Run(lm.RuntimeAddr(mod.Entry))
-	return runOutcome{exit: m.ExitStatus, out: buf.String(), err: err,
-		overBudget: isBudgetFault(err)}
-}
-
-// runTool executes mod under a security tool through the hybrid runtime,
-// returning the outcome and the tool's violation count. cov, when non-nil,
-// accumulates the dynamic modifier's block-discovery coverage.
-func runTool(mod *obj.Module, reg loader.Registry, tool core.Tool,
+// run executes mod natively when tool is nil, else under tool through the
+// hybrid runtime after its static analysis, returning the outcome and the
+// tool's violation count. cov, when non-nil, accumulates executed-block
+// coverage: the machine's block hook natively, the dynamic modifier's
+// block discovery under a tool.
+func run(mod *obj.Module, reg loader.Registry, tool core.Tool,
 	budget uint64, cov *metrics.Bitmap) (runOutcome, int) {
 
+	var files map[string]*rules.File
+	if tool != nil {
+		var err error
+		if files, err = core.AnalyzeProgram(mod, reg, tool); err != nil {
+			return runOutcome{err: err}, 0
+		}
+	}
 	var buf bytes.Buffer
-	m := newMachine(budget, &buf)
-	files, err := core.AnalyzeProgram(mod, reg, tool)
+	s, err := core.Load(mod, reg, tool, files, core.Options{MaxInstrs: budget, Out: &buf})
 	if err != nil {
 		return runOutcome{err: err}, 0
 	}
-	pr := loader.NewProcess(m, reg)
-	// The runtime must exist before LoadProgram so its module-load hook
-	// can build the rule tables.
-	rt := core.NewRuntime(m, pr, tool, files)
-	lm, err := pr.LoadProgram(mod)
-	if err != nil {
-		return runOutcome{err: err}, 0
+	switch {
+	case cov == nil:
+	case s.RT == nil:
+		s.M.BlockHook = func(pc uint64) { cov.Add(feature(featNativeBlock, pc)) }
+	default:
+		s.RT.DBM.TraceHook = func(pc uint64) { cov.Add(feature(featDBMBlock, pc)) }
 	}
-	if cov != nil {
-		rt.DBM.TraceHook = func(pc uint64) { cov.Add(feature(featDBMBlock, pc)) }
-	}
-	err = rt.Run(lm.RuntimeAddr(mod.Entry))
-	violations := 0
-	switch tt := tool.(type) {
-	case *jasan.Tool:
-		violations = int(tt.Report.Total)
-	case *jcfi.Tool:
-		violations = len(tt.Report.Violations)
-	case *jmsan.Tool:
-		violations = int(tt.Report.Total)
-	case *jtsan.Tool:
-		violations = int(tt.Report.Total)
-	}
-	return runOutcome{exit: m.ExitStatus, out: buf.String(), err: err,
-		overBudget: isBudgetFault(err)}, violations
+	err = s.Run()
+	return runOutcome{exit: s.M.ExitStatus, out: buf.String(), err: err,
+		overBudget: vm.IsBudget(err)}, core.Violations(tool)
 }
 
 // Libj returns the shared runtime library registry every generated program
@@ -218,7 +179,7 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 			plain = jasan.New(jasan.Config{UseLiveness: true})
 			elide = jasan.New(jasan.Config{UseLiveness: true, Elide: true})
 		}
-		out, n := runTool(o2, reg, plain, budget, res.Cov)
+		out, n := run(o2, reg, plain, budget, res.Cov)
 		// A planted store corrupts real memory (allocator metadata
 		// included), so the run may spin to budget exhaustion *after* the
 		// detection — the verdict only needs the report.
@@ -248,7 +209,7 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 		// Oracle 3 under elision: the VSA proofs must never remove the
 		// check that catches the planted bug. Catching with elision off
 		// but missing with it on is a soundness regression.
-		outE, nE := runTool(o2, reg, elide, budget, res.Cov)
+		outE, nE := run(o2, reg, elide, budget, res.Cov)
 		if res.PlantedCaught && nE == 0 {
 			if outE.overBudget {
 				res.OverBudget = true
@@ -268,7 +229,7 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 		return res
 	}
 
-	want := runNative(o0, reg, budget, res.Cov)
+	want, _ := run(o0, reg, nil, budget, res.Cov)
 	if want.overBudget {
 		res.OverBudget = true
 		return res
@@ -282,7 +243,7 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 		name string
 		mod  *obj.Module
 	}{{"O2", o2}, {"O2-noipa", o2noipa}, {"O2-pic", pic}} {
-		got := runNative(alt.mod, reg, budget, nil)
+		got, _ := run(alt.mod, reg, nil, budget, nil)
 		if got.overBudget {
 			res.OverBudget = true
 			return res
@@ -318,7 +279,7 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 		{"jtsan", o2, jtsan.New(jtsan.Config{UseLiveness: true})},
 		{"jtsan-elide", o2, jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})},
 	} {
-		got, n := runTool(tc.mod, reg, tc.tool, budget, res.Cov)
+		got, n := run(tc.mod, reg, tc.tool, budget, res.Cov)
 		if got.overBudget {
 			res.OverBudget = true
 			return res

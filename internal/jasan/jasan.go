@@ -51,6 +51,9 @@ func New(cfg Config) *Tool {
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jasan" }
 
+// Violations returns the number of violations reported, dropped ones included.
+func (t *Tool) Violations() int { return int(t.Report.Total) }
+
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key
 // (internal/anserve): two tools with equal keys produce identical rule

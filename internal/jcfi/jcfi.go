@@ -73,6 +73,9 @@ func New(cfg Config) *Tool {
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jcfi" }
 
+// Violations returns the number of CFI violations reported.
+func (t *Tool) Violations() int { return len(t.Report.Violations) }
+
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key
 // (internal/anserve). HaltOnViolation only affects run-time behaviour, so

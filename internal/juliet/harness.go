@@ -15,7 +15,6 @@ import (
 	"repro/internal/loader"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
-	"repro/internal/vm"
 )
 
 // Detector selects the evaluated sanitizer.
@@ -77,6 +76,17 @@ func runCase(det Detector, src string) (uint64, error) {
 	return n, err
 }
 
+// detectors builds each detector's tool; every call returns a fresh
+// instance (libj's cached analysis must not share the run's tool state).
+var detectors = map[Detector]func() core.Tool{
+	JASan:      func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}) },
+	JMSan:      func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true}) },
+	JMSanElide: func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}) },
+	JTSan:      func() core.Tool { return jtsan.New(jtsan.Config{UseLiveness: true}) },
+	JTSanElide: func() core.Tool { return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}) },
+	Valgrind:   func() core.Tool { return baseline.NewValgrind() },
+}
+
 // RunCaseDiag executes one variant under the detector and returns the raw
 // violation count plus the structured diagnostics the run produced —
 // deduplicated, CWE-classified and symbolized against the loaded process
@@ -84,6 +94,10 @@ func runCase(det Detector, src string) (uint64, error) {
 // function) instead of counts alone. The Valgrind baseline reports no
 // structured records (it is not a janitizer trap family).
 func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
+	mkTool, ok := detectors[det]
+	if !ok {
+		return 0, nil, fmt.Errorf("juliet: unknown detector %q", det)
+	}
 	main, err := cc.Compile(src, cc.Options{Module: "case", O2: true})
 	if err != nil {
 		return 0, nil, fmt.Errorf("juliet: compile: %w", err)
@@ -94,70 +108,22 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	}
 	reg := loader.Registry{libj.Name: lj}
 
-	var tool core.Tool
+	tool := mkTool()
 	files := map[string]*rules.File{}
-	var reports func() uint64
-	switch det {
-	case JASan:
-		jt := jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		})
+	if det != Valgrind { // Valgrind has no static stage
+		ljf, err := libjRules(det, mkTool)
 		if err != nil {
 			return 0, nil, err
 		}
-		mf, err := core.AnalyzeModule(main, jt)
+		mf, err := core.AnalyzeModule(main, tool)
 		if err != nil {
 			return 0, nil, err
 		}
 		files[libj.Name] = ljf
 		files[main.Name] = mf
-	case JMSan, JMSanElide:
-		cfg := jmsan.Config{UseLiveness: true, Elide: det == JMSanElide}
-		jt := jmsan.New(cfg)
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool { return jmsan.New(cfg) })
-		if err != nil {
-			return 0, nil, err
-		}
-		mf, err := core.AnalyzeModule(main, jt)
-		if err != nil {
-			return 0, nil, err
-		}
-		files[libj.Name] = ljf
-		files[main.Name] = mf
-	case JTSan, JTSanElide:
-		cfg := jtsan.Config{UseLiveness: true, Elide: det == JTSanElide}
-		jt := jtsan.New(cfg)
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool { return jtsan.New(cfg) })
-		if err != nil {
-			return 0, nil, err
-		}
-		mf, err := core.AnalyzeModule(main, jt)
-		if err != nil {
-			return 0, nil, err
-		}
-		files[libj.Name] = ljf
-		files[main.Name] = mf
-	case Valgrind:
-		vt := baseline.NewValgrind()
-		tool = vt
-		reports = func() uint64 { return vt.Report.Total }
-	default:
-		return 0, nil, fmt.Errorf("juliet: unknown detector %q", det)
 	}
 
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = 5_000_000
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(main)
+	s, err := core.Load(main, reg, tool, files, core.Options{MaxInstrs: 5_000_000})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -165,10 +131,10 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	// cases halt in the application's own check); reports gathered so far
 	// still count, and the structured records are collected regardless, so
 	// the run error is deliberately not propagated.
-	_ = rt.Run(lm.RuntimeAddr(main.Entry))
+	_ = s.Run()
 	dlog := diag.NewLog()
-	diag.Collect(dlog, tool, diag.NewProcessSymbolizer(proc), telemetry.SpanContext{})
-	return reports(), dlog.Entries(), nil
+	diag.Collect(dlog, tool, diag.NewProcessSymbolizer(s.Proc), telemetry.SpanContext{})
+	return uint64(core.Violations(tool)), dlog.Entries(), nil
 }
 
 // Evaluate runs the detector over the suite and tallies Fig. 10's metrics.

@@ -116,22 +116,6 @@ func (p *Process) LoadProgram(main *obj.Module) (*LoadedModule, error) {
 	return p.load(main, false)
 }
 
-// DryLoad loads main and its static dependency closure into a scratch
-// machine and returns the process, exposing the loader's deterministic
-// placement (load bases, module IDs) without executing anything. Callers
-// that need to predict where a program's modules will land — e.g. to key
-// placement-sensitive cache artifacts — use this instead of duplicating
-// the base-assignment policy.
-func DryLoad(main *obj.Module, reg Registry) (*Process, error) {
-	m := vm.New()
-	m.InstallDefaultServices()
-	p := NewProcess(m, reg)
-	if _, err := p.LoadProgram(main); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // Dlopen loads a module by name at run time, outside the static closure.
 func (p *Process) Dlopen(name string) (*LoadedModule, error) {
 	mod, ok := p.Reg[name]

@@ -33,13 +33,11 @@ func CapturePlans(main *obj.Module, reg loader.Registry,
 		return nil, fmt.Errorf("rewrite: tool %s does not expose per-instruction plans", tool.Name())
 	}
 
-	m := vm.New()
-	m.InstallDefaultServices()
-	proc := loader.NewProcess(m, reg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	if _, err := proc.LoadProgram(main); err != nil {
+	s, err := core.Load(main, reg, tool, files, core.Options{})
+	if err != nil {
 		return nil, fmt.Errorf("rewrite: capture load: %w", err)
 	}
+	m, proc, rt := s.M, s.Proc, s.RT
 	if err := tool.RuntimeInit(rt); err != nil {
 		return nil, fmt.Errorf("rewrite: capture runtime init: %w", err)
 	}

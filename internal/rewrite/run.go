@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/core"
@@ -13,13 +12,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Options configures a static or hybrid run.
-type Options struct {
-	// MaxInstrs bounds the run (0 = unbounded).
-	MaxInstrs uint64
-	// Out receives program output (nil keeps the machine default).
-	Out io.Writer
-}
+// Options configures a static or hybrid run: core.Options under the name
+// existing callers build.
+type Options = core.Options
 
 // RunResult is the outcome of a static or hybrid execution.
 type RunResult struct {
@@ -75,11 +70,9 @@ func (c *coveredRanges) contains(pc uint64) bool {
 // rewritten, process loaded, placement assumptions verified, trap origins
 // installed.
 type prepared struct {
-	m     *vm.Machine
-	rt    *core.Runtime
-	entry uint64
-	rw    map[string]*Rewritten
-	cov   *coveredRanges
+	*core.Session
+	rw  map[string]*Rewritten
+	cov *coveredRanges
 }
 
 func prepare(main *obj.Module, reg loader.Registry, tool core.Tool,
@@ -104,19 +97,12 @@ func prepare(main *obj.Module, reg loader.Registry, tool core.Tool,
 		}
 	}
 
-	m := vm.New()
-	m.InstallDefaultServices()
-	m.MaxInstrs = opts.MaxInstrs
-	if opts.Out != nil {
-		m.Out = opts.Out
-	}
-	proc := loader.NewProcess(m, newReg)
-	rt := core.NewRuntime(m, proc, tool, files)
-	lm, err := proc.LoadProgram(newMain)
+	s, err := core.Load(newMain, newReg, tool, files, opts)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: load: %w", err)
 	}
 
+	m, proc := s.M, s.Proc
 	m.TrapOrigin = map[uint64]uint64{}
 	cov := &coveredRanges{pins: map[uint64]bool{}}
 	for name, r := range rw {
@@ -148,9 +134,7 @@ func prepare(main *obj.Module, reg loader.Registry, tool core.Tool,
 	}
 	sort.Slice(cov.ranges, func(i, j int) bool { return cov.ranges[i][0] < cov.ranges[j][0] })
 
-	return &prepared{
-		m: m, rt: rt, entry: lm.RuntimeAddr(newMain.Entry), rw: rw, cov: cov,
-	}, nil
+	return &prepared{Session: s, rw: rw, cov: cov}, nil
 }
 
 // RunStatic executes the program fully natively with the statically
@@ -166,7 +150,7 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return nil, err
 	}
-	for _, jt := range jcfiTools(p.rt.Tool) {
+	for _, jt := range jcfiTools(p.RT.Tool) {
 		cov := p.cov
 		jt.Report.TolerateUninstrumented = func(target uint64) bool {
 			// Instrumented returns always target copy code; anything
@@ -174,13 +158,13 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 			return !cov.contains(target) || cov.pins[target]
 		}
 	}
-	if err := p.rt.Tool.RuntimeInit(p.rt); err != nil {
+	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
 		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
 	}
-	if err := p.m.Run(p.entry); err != nil {
+	if err := p.M.Run(p.Entry); err != nil {
 		return nil, err
 	}
-	return &RunResult{Machine: p.m, Runtime: p.rt, Rewritten: p.rw}, nil
+	return &RunResult{Machine: p.M, Runtime: p.RT, Rewritten: p.rw}, nil
 }
 
 // RunHybrid executes the statically rewritten modules natively and fails
@@ -195,23 +179,23 @@ func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return nil, err
 	}
-	p.rt.DBM.Client = &PlanClient{Tool: tool, Plans: plans, Coverage: &p.rt.Coverage}
-	if err := p.rt.Tool.RuntimeInit(p.rt); err != nil {
+	p.RT.DBM.Client = &PlanClient{Tool: tool, Plans: plans, Coverage: &p.RT.Coverage}
+	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
 		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
 	}
-	m := p.m
-	m.PC = p.entry
+	m := p.M
+	m.PC = p.Entry
 	for !m.Halted {
 		if p.cov.contains(m.PC) {
 			err = m.StepBlock()
 		} else {
-			err = p.rt.DBM.Step()
+			err = p.RT.DBM.Step()
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &RunResult{Machine: m, Runtime: p.rt, Rewritten: p.rw}, nil
+	return &RunResult{Machine: m, Runtime: p.RT, Rewritten: p.rw}, nil
 }
 
 // jcfiTools extracts every JCFI instance reachable through tool (directly

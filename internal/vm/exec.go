@@ -205,7 +205,7 @@ func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 		taken := false
 		next := in.Addr + uint64(in.Size)
 		if m.Instrs > limit {
-			err = &Fault{PC: in.Addr, Kind: "instruction budget exhausted"}
+			err = &Fault{PC: in.Addr, Kind: FaultBudget}
 			goto retired
 		}
 

@@ -8,6 +8,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -31,6 +32,16 @@ type Fault struct {
 
 func (f *Fault) Error() string {
 	return fmt.Sprintf("vm: fault %s at pc=%#x addr=%#x", f.Kind, f.PC, f.Addr)
+}
+
+// FaultBudget is the Kind of the fault a run raises when it exhausts
+// MaxInstrs.
+const FaultBudget = "instruction budget exhausted"
+
+// IsBudget reports whether err is, or wraps, an instruction-budget fault.
+func IsBudget(err error) bool {
+	var f *Fault
+	return errors.As(err, &f) && f.Kind == FaultBudget
 }
 
 // Memory is the flat paged address space. Pages are allocated on first

@@ -429,7 +429,7 @@ func TestInstrBudget(t *testing.T) {
 	m.Mem.WriteBytes(0x400000, buf)
 	err := m.Run(0x400000)
 	var f *Fault
-	if !errors.As(err, &f) || !strings.Contains(f.Kind, "budget") {
+	if !IsBudget(err) || !errors.As(err, &f) {
 		t.Fatalf("err = %v, want budget fault", err)
 	}
 	// The instruction that exceeds the budget is counted and charged, then

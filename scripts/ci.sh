@@ -19,6 +19,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== go vet: benchmark module =="
+# benchmark/ is its own module (replace repro => ../), so the vet and build
+# above skip it; vetting it catches a change to any internal API it builds
+# on. It needs nothing beyond this repository, so it runs offline.
+(cd benchmark && go vet ./...)
+
 echo "== go test -race =="
 go test -race ./...
 
