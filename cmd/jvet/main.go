@@ -8,10 +8,10 @@
 // rule file. It also discharges the per-function ABI axioms ("abi:<name>")
 // against the exporting module's derived call-effect summary.
 //
-// jvet also vets the static rewriting backend: it captures the combined
-// configuration's rewrite plans for each workload, bakes them into the
-// module closure, and re-derives every structural guarantee with the
-// independent verifier in internal/rewrite — original bytes untouched
+// jvet also vets the static rewriting backend: it captures the
+// comprehensive configuration's rewrite plans for each workload, bakes them
+// into the module closure, and re-derives every structural guarantee with
+// the independent verifier in internal/rewrite — original bytes untouched
 // outside pin windows, trampolines well-formed, copy region exactly the
 // plan's materialisation.
 //
@@ -31,6 +31,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cfg"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/jasan"
 	"repro/internal/jcfi"
@@ -133,7 +134,7 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 	for _, mod := range mods {
 		hash := mod.HashString()
 		for _, tool := range tools() {
-			key := hash + "/" + toolID(tool)
+			key := hash + "/" + core.ToolKey(tool)
 			if v.done[key] {
 				continue
 			}
@@ -152,14 +153,13 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 	return v.vetRewrite(w, main, reg)
 }
 
-// rewriteTool is the configuration the rewriting pass vets: the combined
-// jasan+jmsan+jcfi tool, so every tool's plan fragments are exercised.
+// rewriteTool is the configuration the rewriting pass vets: the
+// comprehensive jasan+jmsan+jtsan+jcfi composition the bake-off, jrw and
+// the parity check run, so every tool's plan fragments are exercised.
 // Fresh per call: tools carry per-run state.
 func rewriteTool() core.Tool {
-	return core.NewMultiTool(
-		jasan.New(jasan.Config{UseLiveness: true}),
-		jmsan.New(jmsan.Config{UseLiveness: true}),
-		jcfi.New(jcfi.DefaultConfig))
+	t, _, _ := experiments.NewTool(experiments.Comprehensive)
+	return t
 }
 
 // vetRewrite statically rewrites the workload's module closure from freshly
@@ -213,13 +213,6 @@ func (v *vetter) vetRewrite(w *spec.Workload, main *obj.Module, reg loader.Regis
 	return nil
 }
 
-func toolID(tool core.Tool) string {
-	if ck, ok := tool.(interface{ ConfigKey() string }); ok {
-		return tool.Name() + ":" + ck.ConfigKey()
-	}
-	return tool.Name()
-}
-
 func (v *vetter) vetModule(mod *obj.Module, tool core.Tool, closure []*obj.Module) error {
 	rf, ps, err := core.AnalyzeModuleProofs(mod, tool)
 	if err != nil {
@@ -228,10 +221,10 @@ func (v *vetter) vetModule(mod *obj.Module, tool core.Tool, closure []*obj.Modul
 	v.passes++
 	v.claims += ps.NumClaims()
 	if v.verbose {
-		fmt.Printf("jvet: %-12s %-40s %4d claims\n", mod.Name, toolID(tool), ps.NumClaims())
+		fmt.Printf("jvet: %-12s %-40s %4d claims\n", mod.Name, core.ToolKey(tool), ps.NumClaims())
 	}
 	for _, viol := range vsa.Verify(mod, ps, rf) {
-		v.violations = append(v.violations, toolID(tool)+": "+viol.String())
+		v.violations = append(v.violations, core.ToolKey(tool)+": "+viol.String())
 	}
 	v.dischargeAssumes(mod, ps, closure)
 	return nil

@@ -36,23 +36,6 @@ import (
 	"repro/internal/obj"
 )
 
-// ConfigKeyer is implemented by tools whose static pass depends on
-// configuration (jasan's liveness/SCEV toggles, jcfi's edge selection).
-// The key joins the tool name in the cache key so differently-configured
-// instances of one tool do not alias each other's artifacts.
-type ConfigKeyer interface {
-	ConfigKey() string
-}
-
-// toolKey identifies one tool configuration for cache-keying purposes.
-func toolKey(tool core.Tool) string {
-	k := tool.Name()
-	if ck, ok := tool.(ConfigKeyer); ok {
-		k += "?" + ck.ConfigKey()
-	}
-	return k
-}
-
 // CacheKey returns the content address of one (module, tool configuration)
 // analysis artifact: hex SHA-256 over the module's content hash and the
 // tool key. Stable across processes — obj.Module.Hash is canonical — and
@@ -63,7 +46,7 @@ func CacheKey(mod *obj.Module, tool core.Tool) string {
 	mh := mod.Hash()
 	h.Write(mh[:])
 	h.Write([]byte{0})
-	h.Write([]byte(toolKey(tool)))
+	h.Write([]byte(core.ToolKey(tool)))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

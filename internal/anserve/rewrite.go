@@ -14,22 +14,20 @@ import (
 	"repro/internal/rules"
 )
 
-// RewriteCacheKey returns the content address of one (module, tool, rewrite
-// mode, placement) plan artifact. It extends the rule-cache key with the
-// rewrite mode and the plan's placement assumption (load base + module ID):
-// a plan is only valid under the deterministic loader placement it was
-// captured with, and static and hybrid consumers must never alias each
-// other's entries.
-func RewriteCacheKey(mod *obj.Module, tool core.Tool, mode string,
-	base uint64, moduleID int32) string {
-
+// RewriteCacheKey returns the content address of one (module, tool,
+// placement) plan artifact. It extends the rule-cache key with a fixed
+// "rewrite" domain, so a plan never aliases the module's rule file, and
+// with the plan's placement assumption (load base + module ID): a plan is
+// only valid under the deterministic loader placement it was captured with.
+// The static and hybrid backends consume the same plan, so they share it.
+func RewriteCacheKey(mod *obj.Module, tool core.Tool, base uint64, moduleID int32) string {
 	h := sha256.New()
 	mh := mod.Hash()
 	h.Write(mh[:])
 	h.Write([]byte{0})
-	h.Write([]byte(toolKey(tool)))
+	h.Write([]byte(core.ToolKey(tool)))
 	h.Write([]byte{0})
-	h.Write([]byte("rewrite=" + mode))
+	h.Write([]byte("rewrite"))
 	var pin [12]byte
 	binary.LittleEndian.PutUint64(pin[:8], base)
 	binary.LittleEndian.PutUint32(pin[8:], uint32(moduleID))
@@ -38,22 +36,15 @@ func RewriteCacheKey(mod *obj.Module, tool core.Tool, mode string,
 }
 
 // RewritePlans returns the rewrite plans for main's dependency closure,
-// serving them from the content-addressed cache when possible. mode is
-// "static" or "hybrid" — the plans are identical today, but the mode is
-// part of the cache key so the two backends' artifacts stay distinct (a
-// future backend divergence must not be masked by a stale shared entry).
+// serving them from the content-addressed cache when possible.
 //
 // newTool builds a fresh tool instance for the capture run: plan capture
 // initialises a scratch runtime, so the caller's instance (which will run
 // the program) must not be reused for it. files are the closure's static
 // rule files (from AnalyzeProgram).
 func (s *Service) RewritePlans(main *obj.Module, reg loader.Registry,
-	files map[string]*rules.File, newTool func() core.Tool,
-	mode string) (map[string]*rewrite.Plan, error) {
+	files map[string]*rules.File, newTool func() core.Tool) (map[string]*rewrite.Plan, error) {
 
-	if mode != "static" && mode != "hybrid" {
-		return nil, fmt.Errorf("anserve: unknown rewrite mode %q", mode)
-	}
 	mods, err := loader.LddClosure(main, reg)
 	if err != nil {
 		return nil, fmt.Errorf("anserve: %w", err)
@@ -75,7 +66,7 @@ func (s *Service) RewritePlans(main *obj.Module, reg loader.Registry,
 		if files[mod.Name] == nil {
 			continue
 		}
-		key := RewriteCacheKey(mod, keyTool, mode, bases[mod.Name], ids[mod.Name])
+		key := RewriteCacheKey(mod, keyTool, bases[mod.Name], ids[mod.Name])
 		raw, ok := s.CacheProbe(key)
 		if !ok {
 			missing = true
@@ -110,7 +101,7 @@ func (s *Service) RewritePlans(main *obj.Module, reg loader.Registry,
 		if mod == nil {
 			continue
 		}
-		key := RewriteCacheKey(mod, keyTool, mode, p.AssumedBase, p.ModuleID)
+		key := RewriteCacheKey(mod, keyTool, p.AssumedBase, p.ModuleID)
 		s.CacheInsert(key, p.Marshal())
 	}
 	return captured, nil

@@ -11,18 +11,17 @@ import (
 )
 
 // TestRewriteCacheKeyDistinct checks every axis of the plan cache key:
-// rewrite mode, placement (base and module ID), tool configuration — the
-// static and hybrid backends, and plans captured under different loader
-// placements, must never alias each other's entries.
+// placement (base and module ID), tool configuration, and the rewrite
+// domain — plans captured under different loader placements must never
+// alias each other's entries, nor the module's rule file.
 func TestRewriteCacheKeyDistinct(t *testing.T) {
 	mod := testModule(t)
 	tool := jasan.New(jasan.Config{UseLiveness: true})
-	base := RewriteCacheKey(mod, tool, "static", 0, 0)
+	base := RewriteCacheKey(mod, tool, 0, 0)
 	keys := map[string]string{
-		"mode":   RewriteCacheKey(mod, tool, "hybrid", 0, 0),
-		"base":   RewriteCacheKey(mod, tool, "static", 0x10000, 0),
-		"id":     RewriteCacheKey(mod, tool, "static", 0, 1),
-		"config": RewriteCacheKey(mod, jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}), "static", 0, 0),
+		"base":   RewriteCacheKey(mod, tool, 0x10000, 0),
+		"id":     RewriteCacheKey(mod, tool, 0, 1),
+		"config": RewriteCacheKey(mod, jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}), 0, 0),
 		"rules":  CacheKey(mod, tool),
 	}
 	for axis, k := range keys {
@@ -34,8 +33,7 @@ func TestRewriteCacheKeyDistinct(t *testing.T) {
 
 // TestRewritePlansCached checks the plan cache round trip: a second
 // RewritePlans call must be served entirely from the cache and yield plans
-// byte-identical to the captured ones, while a different mode misses and
-// re-captures.
+// byte-identical to the captured ones.
 func TestRewritePlansCached(t *testing.T) {
 	lj, err := libj.Module()
 	if err != nil {
@@ -51,7 +49,7 @@ func TestRewritePlansCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := svc.RewritePlans(main, reg, files, newTool, "static")
+	first, err := svc.RewritePlans(main, reg, files, newTool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +58,7 @@ func TestRewritePlansCached(t *testing.T) {
 	}
 	hits := svc.Stats().Cache.Hits()
 
-	second, err := svc.RewritePlans(main, reg, files, newTool, "static")
+	second, err := svc.RewritePlans(main, reg, files, newTool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +78,6 @@ func TestRewritePlansCached(t *testing.T) {
 		}
 	}
 
-	// A different mode must not be served from the static entries.
-	if _, err := svc.RewritePlans(main, reg, files, newTool, "hybrid"); err != nil {
-		t.Fatal(err)
-	}
-
 	// Cached plans are directly consumable: they validate and apply.
 	for name, p := range second {
 		if err := p.Validate(); err != nil {
@@ -97,9 +90,5 @@ func TestRewritePlansCached(t *testing.T) {
 		if _, err := rewrite.Apply(mod, p); err != nil {
 			t.Fatalf("%s: cached plan does not apply: %v", name, err)
 		}
-	}
-
-	if _, err := svc.RewritePlans(main, reg, files, newTool, "inplace"); err == nil {
-		t.Fatal("unknown rewrite mode accepted")
 	}
 }

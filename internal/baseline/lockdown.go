@@ -6,7 +6,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/jcfi"
 	"repro/internal/loader"
-	"repro/internal/obj"
 	"repro/internal/rules"
 	"repro/internal/vm"
 )
@@ -50,8 +49,6 @@ type LockdownTool struct {
 	// funcAddrs mirrors every module's function symbol addresses for the
 	// register heuristic and nearest-symbol jump ranges.
 	funcAddrs map[uint64]bool
-	// FalsePositiveSites lists call sites that reported violations on
-	// legitimate transfers (populated by the soundness experiment).
 	modsSetup map[string]bool
 }
 
@@ -281,5 +278,3 @@ func (t *LockdownTool) DynamicAIR() float64 {
 	}
 	return 100 * (1 - sum/float64(len(t.sites)))
 }
-
-var _ = obj.Module{}

@@ -168,7 +168,7 @@ func AnalyzeModuleProofs(mod *obj.Module, tool Tool) (*rules.File, *vsa.ProofSet
 func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rules.File, *vsa.ProofSet, error) {
 	sp, _ := telemetry.StartSpanFrom(ctx, "core.analyze",
 		telemetry.String("module", mod.Name),
-		telemetry.String("tool", toolKey(tool)))
+		telemetry.String("tool", ToolKey(tool)))
 	defer sp.End()
 
 	csp := sp.Child("cfg.build")
@@ -180,7 +180,7 @@ func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rule
 	sc := &StaticContext{
 		Module: mod,
 		Graph:  g,
-		Proofs: vsa.NewProofSet(mod.Name, toolKey(tool)),
+		Proofs: vsa.NewProofSet(mod.Name, ToolKey(tool)),
 	}
 	for _, pass := range []struct {
 		name string
@@ -216,9 +216,6 @@ func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rule
 	sp.SetAttr(telemetry.Int("rules", int64(len(rs))))
 	return &rules.File{Module: mod.Name, Rules: rs}, sc.Proofs, nil
 }
-
-// toolKey identifies a (tool, configuration) pair in proof artifacts.
-func toolKey(tool Tool) string { return ToolKey(tool) }
 
 // ToolKey identifies a (tool, configuration) pair: the tool name plus its
 // ConfigKey when it has one. Proof artifacts, rewrite plans and caches all

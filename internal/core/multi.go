@@ -21,8 +21,8 @@ type InstrPlan interface {
 
 // PlannedTool is a Tool whose block rewriting decomposes into per-
 // instruction hooks. Tools implementing it compose under MultiTool: the
-// paper's "comprehensive" configuration runs JASan, JMSan and JCFI over one
-// shared translation of every block instead of three.
+// "comprehensive" configuration runs JASan, JMSan, JTSan and JCFI over one
+// shared translation of every block instead of four.
 type PlannedTool interface {
 	Tool
 	// PlanStatic prepares the plan for a statically-seen block (the rule-

@@ -397,8 +397,8 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 
 // execute runs the instrumented program on the cell's backend: under the
 // DBM runtime, or statically rewritten from the scheme's plans (captured
-// through the shared service, cached per mode) and run natively (static)
-// or under the failing-over dispatcher (hybrid).
+// through the shared service once, for both rewriting backends) and run
+// natively (static) or under the failing-over dispatcher (hybrid).
 func execute(p *program, scheme Scheme, backend Backend, tool core.Tool,
 	files map[string]*rules.File, prof *telemetry.Profile) (*core.Runtime, *bytes.Buffer, error) {
 
@@ -416,7 +416,7 @@ func execute(p *program, scheme Scheme, backend Backend, tool core.Tool,
 		t, _, _ := NewTool(scheme)
 		return t
 	}
-	plans, err := service.RewritePlans(p.main, p.reg, files, freshTool, string(backend))
+	plans, err := service.RewritePlans(p.main, p.reg, files, freshTool)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan capture: %w", err)
 	}

@@ -11,8 +11,8 @@ import (
 // acceptance: on every workload of the suite, the static and hybrid
 // backends must reproduce the dynamic backend's app-observable behaviour
 // (exit status and output bytes) and its sanitizer verdicts exactly. It
-// runs the combined jasan+jmsan+jcfi configuration so all three tools'
-// plans are exercised at once.
+// runs the comprehensive jasan+jmsan+jtsan+jcfi configuration so all four
+// tools' plans are exercised at once.
 func TestRewriteBackendParityAllWorkloads(t *testing.T) {
 	workloads := spec.All()
 	if testing.Short() {

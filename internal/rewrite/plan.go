@@ -1,15 +1,14 @@
 // Package rewrite implements the static ahead-of-time rewriting backend:
-// a serialisable rewrite-plan IR shared with the dynamic modifier, a
-// Zipr-style in-place applier that bakes a plan into a JEF module, and
-// static/hybrid execution drivers.
+// a serialisable rewrite-plan IR, a Zipr-style in-place applier that bakes
+// a plan into a JEF module, and static/hybrid execution drivers.
 //
 // A Plan is the tool-agnostic record of every instrumentation decision a
 // Janitizer tool makes for one module: for each anchor instruction, the
-// exact meta-code fragments the tool would hand the DBM, captured once and
-// replayed by either backend. The dynamic backend materialises fragments
-// into code-cache blocks (PlanClient); the static backend encodes them into
-// a `.jrw` section of a rewritten module (Apply) so instrumented code runs
-// natively.
+// exact meta-code fragments the tool would hand the DBM, captured once. The
+// static backend encodes them into a `.jrw` section of a rewritten module
+// (Apply) so instrumented code runs natively; the hybrid backend runs the
+// same rewritten modules and fails over to the dynamic modifier's own
+// rule-table classifier everywhere else.
 package rewrite
 
 import (
@@ -24,7 +23,7 @@ import (
 
 // MetaInstr is one captured meta-code instruction: an isa.Instr plus the
 // emitter bookkeeping (fragment-relative jump target, cost center, reloc
-// tag) that both backends need to materialise it faithfully.
+// tag) that the applier needs to materialise it faithfully.
 type MetaInstr struct {
 	// Op, Rd, Rb, Ri, Imm, Disp, Addr and Size mirror isa.Instr. Addr is
 	// preserved verbatim from emission: tools stamp trap metas with the
@@ -78,8 +77,8 @@ type Plan struct {
 	// never seen statically and must fall back to dynamic analysis.
 	BlockAddrs []uint64
 	// Entries holds per-anchor instrumentation, sorted by Anchor. Anchors
-	// with rules but empty fragments are retained so backends classify
-	// coverage identically to the rule tables.
+	// with rules but empty fragments are retained, so the plan lists every
+	// instrumentation anchor of the rule tables.
 	Entries []Entry
 
 	indexOnce sync.Once
@@ -176,23 +175,6 @@ func (mi *MetaInstr) Instr() isa.Instr {
 		Disp: mi.Disp,
 		Addr: mi.Addr,
 		Size: mi.Size,
-	}
-}
-
-// CInstr materialises the meta instruction for a code-cache block whose
-// fragment starts at output index fragStart, rebasing the fragment-relative
-// jump target to a block-absolute one (the inverse of metaFromCInstr).
-func (mi *MetaInstr) CInstr(fragStart int) dbm.CInstr {
-	jt := int32(-1)
-	if mi.JumpTo >= 0 {
-		jt = int32(fragStart) + mi.JumpTo
-	}
-	return dbm.CInstr{
-		In:     mi.Instr(),
-		JumpTo: jt,
-		Meta:   true,
-		CC:     telemetry.CostCenter(mi.CC),
-		Reloc:  dbm.RelocKind(mi.Reloc),
 	}
 }
 

@@ -168,10 +168,11 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 }
 
 // RunHybrid executes the statically rewritten modules natively and fails
-// over to the dynamic modifier — consuming the same plans through
-// PlanClient — for every address the applier refused or never saw:
-// dynamically discovered code keeps full instrumentation instead of the
-// static backend's uninstrumented-native fallback.
+// over to the runtime's own dynamic modifier for every address outside the
+// rewritten copies: code the applier refused or never saw is classified
+// against the rule tables built from files and instrumented exactly as the
+// dynamic backend would, instead of the static backend's
+// uninstrumented-native fallback.
 func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	files map[string]*rules.File, plans map[string]*Plan, opts Options) (*RunResult, error) {
 
@@ -179,7 +180,6 @@ func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return nil, err
 	}
-	p.RT.DBM.Client = &PlanClient{Tool: tool, Plans: plans, Coverage: &p.RT.Coverage}
 	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
 		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
 	}

@@ -6,6 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/jasan"
 	"repro/internal/loader"
+	"repro/internal/obj"
+	"repro/internal/rules"
 	"repro/internal/vm"
 )
 
@@ -121,16 +123,95 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// TestStaticRefusesStalePlacement feeds RunStatic plans whose placement
-// assumption no longer holds; it must refuse, not run with wrong addresses.
+// refusedOverflowProg overflows the heap chunk from `_start` itself, which
+// ends in the exit syscall and so is refused by the applier: the violation
+// fires from code that only the dynamic modifier instruments.
+const refusedOverflowProg = `
+.module prog
+.entry _start
+.needs libj.jef
+.import malloc
+.import free
+.section .text
+_start:
+    mov r1, 24
+    call malloc
+    mov r12, r0
+    mov r6, 1
+    mov r13, 24
+    stxb [r12+r13], r6
+    mov r1, r12
+    call free
+    mov r1, 7
+    mov r0, 1
+    syscall
+`
+
+// TestHybridInstrumentsRefusedCode checks the hybrid's failover: an
+// overflow inside a refused function is caught at the dynamic backend's PC
+// by the hybrid, which instruments that code through the runtime's own
+// classifier, and missed by the static backend, which runs it as original
+// uninstrumented code.
+func TestHybridInstrumentsRefusedCode(t *testing.T) {
+	main, reg := buildProgram(t, refusedOverflowProg)
+	files, plans := captureFor(t, main, reg, jasanTool)
+	opts := Options{MaxInstrs: 20_000_000}
+
+	dyn := jasan.New(jasan.Config{})
+	s, err := core.Load(main, reg, dyn, files, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("dynamic run: %v", err)
+	}
+	if len(dyn.Report.Violations) == 0 {
+		t.Fatal("dynamic backend missed the overflow")
+	}
+
+	hyb := jasan.New(jasan.Config{})
+	res, err := RunHybrid(main, reg, hyb, files, plans, opts)
+	if err != nil {
+		t.Fatalf("hybrid run: %v", err)
+	}
+	refused := false
+	for _, r := range res.Rewritten[main.Name].Manifest.Refused {
+		refused = refused || (r.Fn == "_start" && r.Reason == "falls through past the last block")
+	}
+	if !refused {
+		t.Fatalf("_start was not refused: %+v", res.Rewritten[main.Name].Manifest.Refused)
+	}
+	if hyb.Report.Total != dyn.Report.Total || len(hyb.Report.Violations) == 0 ||
+		hyb.Report.Violations[0].PC != dyn.Report.Violations[0].PC {
+		t.Fatalf("hybrid reports %d violations %+v, dynamic %d at pc %#x",
+			hyb.Report.Total, hyb.Report.Violations, dyn.Report.Total, dyn.Report.Violations[0].PC)
+	}
+
+	st := jasan.New(jasan.Config{})
+	if _, err := RunStatic(main, reg, st, files, plans, opts); err != nil {
+		t.Fatalf("static run: %v", err)
+	}
+	if st.Report.Total != 0 {
+		t.Fatalf("static backend reported %d violations from uninstrumented code", st.Report.Total)
+	}
+}
+
+// TestStaticRefusesStalePlacement feeds both rewriting runners plans whose
+// placement assumption no longer holds; they must refuse, not run with
+// wrong addresses.
 func TestStaticRefusesStalePlacement(t *testing.T) {
 	main, reg := buildProgram(t, overflowProg)
 	files, plans := captureFor(t, main, reg, jasanTool)
 	for _, p := range plans {
 		p.ModuleID++ // placement drift
 	}
-	tool := jasan.New(jasan.Config{})
-	if _, err := RunStatic(main, reg, tool, files, plans, Options{MaxInstrs: 1_000_000}); err == nil {
-		t.Fatal("stale placement accepted")
+	for name, run := range map[string]func(*obj.Module, loader.Registry, core.Tool,
+		map[string]*rules.File, map[string]*Plan, Options) (*RunResult, error){
+		"static": RunStatic, "hybrid": RunHybrid,
+	} {
+		tool := jasan.New(jasan.Config{})
+		if _, err := run(main, reg, tool, files, plans, Options{MaxInstrs: 1_000_000}); err == nil {
+			t.Errorf("%s: stale placement accepted", name)
+		}
 	}
 }
