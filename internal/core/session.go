@@ -21,7 +21,7 @@ type Options struct {
 // single place the run recipe lives (machine, default services, budget,
 // output sink, process, tool runtime wired before the load, entry address).
 // Callers that observe the run — a cost-center profile, block coverage —
-// set s.RT.DBM.Prof, s.RT.DBM.TraceHook or s.M.BlockHook before Run.
+// set s.RT.DBM.Prof or s.M.BlockHook before Run.
 type Session struct {
 	M    *vm.Machine
 	Proc *loader.Process

@@ -11,11 +11,13 @@
 // transfer (the indirect-branch-lookup of a real DBT). Direct transitions
 // are linked and free after the first execution, as in DynamoRIO — and the
 // host links them too: each cached block keeps direct links to the blocks
-// dispatched after it (vm.BlockCache), so a repeated transition skips the
-// code-cache map. Blocks run on the machine's one executor
-// (vm.Machine.ExecBlock), in the form the client emitted them. The
-// "null client" — translation with no instrumentation — therefore shows the
-// baseline DBT overhead the paper reports in Figs. 8 and 11.
+// dispatched after it, so a repeated transition skips the cache map. The
+// modifier is the machine's block-miss handler (vm.Machine.Translate): its
+// blocks live in the machine's one block cache, and vm.Machine.Run
+// dispatches and executes them in the form the client emitted them,
+// charging each to the modifier's vm.Modifier. The "null client" —
+// translation with no instrumentation — therefore shows the baseline DBT
+// overhead the paper reports in Figs. 8 and 11.
 package dbm
 
 import (
@@ -110,15 +112,14 @@ var DefaultCosts = Costs{BlockBuild: 250, PerInstr: 25, IndirectDispatch: 25}
 
 // Stats counts dynamic-modification events.
 type Stats struct {
+	// DispatchCounts are counted by the machine's dispatch loop as it runs
+	// the modifier's blocks. CacheHits counts dispatches served from the
+	// cache; every dispatch is either a hit or a build, so
+	// BlockExecs == CacheHits + BlocksBuilt.
+	vm.DispatchCounts
 	BlocksBuilt       uint64
-	BlockExecs        uint64
-	IndirectDispatch  uint64
 	AppInstrsInCache  uint64
 	MetaInstrsInCache uint64
-	// CacheHits counts dispatches served from the code cache; every
-	// dispatch is either a hit or a build, so
-	// BlockExecs == CacheHits + BlocksBuilt.
-	CacheHits uint64
 	// Flushes counts Flush/FlushRange calls; FlushedBlocks counts the
 	// blocks they evicted.
 	Flushes       uint64
@@ -140,10 +141,8 @@ type DBM struct {
 	// machine's counters, it never adds to them.
 	Prof *telemetry.Profile
 
-	// TraceHook, when set, observes every block dispatch (diagnostics).
-	TraceHook func(pc uint64)
-
-	cache vm.BlockCache
+	// mod is what every block this modifier builds points at.
+	mod vm.Modifier
 }
 
 // New creates a dynamic modifier over a loaded process. proc may be nil when
@@ -155,110 +154,42 @@ func New(m *vm.Machine, proc *loader.Process, client Client) *DBM {
 	}
 }
 
-// Lookup returns the cached block at run-time address addr, or nil.
-func (d *DBM) Lookup(addr uint64) *Block { return d.cache.Get(addr) }
-
-// CacheSize returns the number of blocks in the code cache.
-func (d *DBM) CacheSize() int { return d.cache.Len() }
-
-// Blocks returns the cached blocks (iteration order unspecified).
-func (d *DBM) Blocks() map[uint64]*Block { return d.cache.Blocks() }
-
 // Flush empties the code cache (used when application code is overwritten).
 func (d *DBM) Flush() {
 	d.Stats.Flushes++
-	d.Stats.FlushedBlocks += uint64(d.cache.Flush())
+	d.Stats.FlushedBlocks += uint64(d.M.Blocks().Flush())
 }
 
 // FlushRange evicts cached blocks whose start address lies in [lo, hi) —
 // used when a module is unloaded — and unlinks the blocks that remain.
 func (d *DBM) FlushRange(lo, hi uint64) {
 	d.Stats.Flushes++
-	d.Stats.FlushedBlocks += uint64(d.cache.FlushRange(lo, hi))
-}
-
-// RegisterMetrics exposes the code-cache counters on a telemetry registry
-// under the given label pairs. Series read d.Stats at exposition time, so
-// scrape only from the run's goroutine or after the run finishes.
-func (d *DBM) RegisterMetrics(r *telemetry.Registry, labels ...string) {
-	r.CounterFunc("janitizer_dbm_cache_hits_total",
-		"Block dispatches served from the code cache.",
-		func() uint64 { return d.Stats.CacheHits }, labels...)
-	r.CounterFunc("janitizer_dbm_cache_misses_total",
-		"Block dispatches that required a translation (cache misses).",
-		func() uint64 { return d.Stats.BlocksBuilt }, labels...)
-	r.CounterFunc("janitizer_dbm_cache_flushes_total",
-		"Code-cache flush operations.",
-		func() uint64 { return d.Stats.Flushes }, labels...)
-	r.CounterFunc("janitizer_dbm_cache_flushed_blocks_total",
-		"Blocks evicted by cache flushes.",
-		func() uint64 { return d.Stats.FlushedBlocks }, labels...)
-	r.CounterFunc("janitizer_dbm_block_execs_total",
-		"Cached block executions.",
-		func() uint64 { return d.Stats.BlockExecs }, labels...)
-	r.CounterFunc("janitizer_dbm_indirect_dispatch_total",
-		"Indirect-branch dispatches (hash-lookup cost charged).",
-		func() uint64 { return d.Stats.IndirectDispatch }, labels...)
-	r.GaugeFunc("janitizer_dbm_cache_blocks",
-		"Blocks currently in the code cache.",
-		func() float64 { return float64(d.cache.Len()) }, labels...)
+	d.Stats.FlushedBlocks += uint64(d.M.Blocks().FlushRange(lo, hi))
 }
 
 // Run executes the program from entry under dynamic modification until it
-// halts or faults.
+// halts or faults: the machine's dispatch loop, with Translate handling
+// every block-cache miss.
 func (d *DBM) Run(entry uint64) error {
 	sp := telemetry.StartSpan("dbm.run", telemetry.Uint("entry", entry))
-	m := d.M
-	m.PC = entry
-	for !m.Halted {
-		if err := d.Step(); err != nil {
-			d.endRunSpan(sp)
-			return err
-		}
-	}
-	d.endRunSpan(sp)
-	return nil
+	defer func() {
+		sp.SetAttr(
+			telemetry.Uint("blocks_built", d.Stats.BlocksBuilt),
+			telemetry.Uint("block_execs", d.Stats.BlockExecs),
+			telemetry.Uint("cache_hits", d.Stats.CacheHits),
+			telemetry.Uint("cycles", d.M.Cycles),
+			telemetry.Uint("instrs", d.M.Instrs),
+		)
+		sp.End()
+	}()
+	d.M.Translate = d.Translate
+	return d.M.Run(entry)
 }
 
-// Step dispatches exactly one block at the machine's current PC: cache
-// lookup — through the previous block's successor links, else the cache
-// map — or translation on a miss, followed by execution. On return m.PC
-// holds the next application address, or the machine has halted. Step is
-// Run's loop body, exported so the hybrid rewriting backend can interleave
-// DBM dispatch with native execution of statically rewritten code.
-func (d *DBM) Step() error {
-	m := d.M
-	if d.TraceHook != nil {
-		d.TraceHook(m.PC)
-	}
-	blk := d.cache.Dispatch(m.PC)
-	if blk == nil {
-		var err error
-		blk, err = d.build(m.PC)
-		if err != nil {
-			return err
-		}
-	} else {
-		d.Stats.CacheHits++
-	}
-	return d.exec(blk)
-}
-
-// endRunSpan finishes the dbm.run span with the run's final counters.
-func (d *DBM) endRunSpan(sp *telemetry.Span) {
-	sp.SetAttr(
-		telemetry.Uint("blocks_built", d.Stats.BlocksBuilt),
-		telemetry.Uint("block_execs", d.Stats.BlockExecs),
-		telemetry.Uint("cache_hits", d.Stats.CacheHits),
-		telemetry.Uint("cycles", d.M.Cycles),
-		telemetry.Uint("instrs", d.M.Instrs),
-	)
-	sp.End()
-}
-
-// build decodes, rewrites and caches the block starting at addr (Fig. 4
-// step 2: the dispatcher fetches the block and hands it to the modifier).
-func (d *DBM) build(addr uint64) (*Block, error) {
+// Translate decodes and rewrites the block starting at addr (Fig. 4 step 2:
+// the dispatcher fetches the block and hands it to the modifier) and
+// charges its translation cost. The machine caches the result.
+func (d *DBM) Translate(addr uint64) (*Block, error) {
 	appInstrs, err := d.M.DecodeBlock(addr)
 	if err != nil {
 		return nil, err
@@ -273,8 +204,11 @@ func (d *DBM) build(addr uint64) (*Block, error) {
 	if len(code) == 0 {
 		return nil, fmt.Errorf("dbm: client returned empty block at %#x", addr)
 	}
-	blk := &Block{Start: addr, AppLen: len(appInstrs), Code: code}
-	d.cache.Add(blk)
+	// Costs and Prof are set by the caller after New; every block shares
+	// the one Modifier, so this refresh reaches the blocks already built.
+	d.mod = vm.Modifier{Counts: &d.Stats.DispatchCounts,
+		IndirectCost: d.Costs.IndirectDispatch, Prof: d.Prof}
+	blk := &Block{Start: addr, AppLen: len(appInstrs), Code: code, Mod: &d.mod}
 
 	d.Stats.BlocksBuilt++
 	d.Stats.AppInstrsInCache += uint64(len(appInstrs))
@@ -287,21 +221,4 @@ func (d *DBM) build(addr uint64) (*Block, error) {
 	d.M.AddCycles(buildCost)
 	d.Prof.Charge(telemetry.CCDispatch, buildCost, 0)
 	return blk, nil
-}
-
-// exec runs one cached block on the machine's executor. Application
-// control transfers leave it with m.PC holding the next application
-// address; an indirect one charges the dispatch cost.
-func (d *DBM) exec(b *Block) error {
-	d.Stats.BlockExecs++
-	exit, err := d.M.ExecBlock(b, d.Prof)
-	if err != nil {
-		return err
-	}
-	if exit != nil && exit.In.IsIndirectCTI() {
-		d.Stats.IndirectDispatch++
-		d.M.AddCycles(d.Costs.IndirectDispatch)
-		d.Prof.Charge(telemetry.CCDispatch, d.Costs.IndirectDispatch, 0)
-	}
-	return nil
 }

@@ -267,7 +267,7 @@ func TestBlockCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	loopBlocks := 0
-	for _, b := range d.Blocks() {
+	for _, b := range d.M.Blocks().Blocks() {
 		if b.Execs >= 9999 {
 			loopBlocks++
 		}
@@ -275,11 +275,11 @@ func TestBlockCacheReuse(t *testing.T) {
 	if loopBlocks == 0 {
 		t.Error("loop block not reused from cache")
 	}
-	if d.Lookup(entry) == nil {
+	if d.M.Blocks().Get(entry) == nil {
 		t.Error("entry block not in cache")
 	}
 	d.Flush()
-	if d.CacheSize() != 0 {
+	if d.M.Blocks().Len() != 0 {
 		t.Error("flush did not empty cache")
 	}
 }
@@ -391,7 +391,7 @@ func TestJITCodeUnderDBM(t *testing.T) {
 	}
 	// The JIT block is cached outside any module.
 	found := false
-	for addr := range d.Blocks() {
+	for addr := range d.M.Blocks().Blocks() {
 		if addr >= isa.LayoutJITBase && addr < isa.LayoutStackLimit {
 			found = true
 		}
@@ -417,15 +417,87 @@ func TestJITCodeUnderDBM(t *testing.T) {
 			s.BlockExecs, s.CacheHits, s.BlocksBuilt)
 	}
 
-	// Natively, InvalidateCode is the flush.
+	// Natively, flushing the machine's block cache is the flush.
 	mN, _, entryN := setup(t, jitProgram(jitBlob(7)), NullClient{})
 	runN := func() error { return mN.Run(entryN) }
 	if err := runN(); err != nil {
 		t.Fatal(err)
 	}
-	rerunJIT(t, mN, runN, mN.InvalidateCode, 9)
+	rerunJIT(t, mN, runN, func() { mN.Blocks().Flush() }, 9)
 	if mN.ExitStatus != 9 {
-		t.Fatalf("native rerun after InvalidateCode exit = %d, want 9", mN.ExitStatus)
+		t.Fatalf("native rerun after a block-cache flush exit = %d, want 9", mN.ExitStatus)
+	}
+}
+
+// TestDlopenKeepsTranslations runs a program that dlopens a plugin mid-run
+// and calls into it: loading the plugin must evict no translated block.
+func TestDlopenKeepsTranslations(t *testing.T) {
+	plug, err := asm.Assemble(`
+.module plug.jef
+.type shared
+.pic
+.global f
+.section .text
+f:
+    mov r0, 42
+    ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main, err := asm.Assemble(`
+.module prog
+.entry _start
+.needs libj.jef
+.section .text
+_start:
+    la r1, pn
+    mov r2, 8
+    trap 3              ; dlopen
+    mov r1, r0
+    la r2, fn
+    mov r3, 1
+    trap 4              ; dlsym
+    calli r0
+    mov r1, r0
+    mov r0, 1
+    syscall
+.section .rodata
+pn:
+    .ascii "plug.jef"
+fn:
+    .ascii "f"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, err := libj.Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := vm.New()
+	m.InstallDefaultServices()
+	m.MaxInstrs = 1_000_000
+	p := loader.NewProcess(m, loader.Registry{libj.Name: lj, "plug.jef": plug})
+	lm, err := p.LoadProgram(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(m, p, NullClient{})
+	entry := lm.RuntimeAddr(main.Entry)
+	if err := d.Run(entry); err != nil {
+		t.Fatal(err)
+	}
+	if m.ExitStatus != 42 || p.ModuleByName("plug.jef") == nil {
+		t.Fatalf("exit = %d, plugin loaded %v; want 42 from the dlopened f",
+			m.ExitStatus, p.ModuleByName("plug.jef") != nil)
+	}
+	if s := d.Stats; s.FlushedBlocks != 0 || uint64(m.Blocks().Len()) != s.BlocksBuilt {
+		t.Errorf("FlushedBlocks = %d, %d of %d translations cached; want 0 evicted",
+			s.FlushedBlocks, m.Blocks().Len(), s.BlocksBuilt)
+	}
+	if b := m.Blocks().Get(entry); b == nil || b.Mod == nil {
+		t.Error("entry block's translation not cached after the dlopen")
 	}
 }
 
@@ -459,7 +531,7 @@ func TestInstrBudgetInMetaLoop(t *testing.T) {
 	}
 	// One mov, then (sub, jne) pairs: instruction 101 is the 50th jne, a
 	// meta instruction with no application address.
-	app := uint64(d.Lookup(entry).AppLen)
+	app := uint64(d.M.Blocks().Get(entry).AppLen)
 	want := d.Costs.BlockBuild + d.Costs.PerInstr*app +
 		vm.Costs.ALU + 50*(vm.Costs.ALU+vm.Costs.Branch)
 	if m.Instrs != m.MaxInstrs+1 || f.PC != 0 || m.Cycles != want {

@@ -37,7 +37,7 @@ func TestFlushRangeBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var addrs []uint64
-	for a := range d.Blocks() {
+	for a := range d.M.Blocks().Blocks() {
 		addrs = append(addrs, a)
 	}
 	if len(addrs) < 2 {
@@ -45,18 +45,18 @@ func TestFlushRangeBoundary(t *testing.T) {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	lo, hi := addrs[0], addrs[1]
-	before := d.CacheSize()
+	before := d.M.Blocks().Len()
 
 	// [lo, hi) is half-open: the block starting exactly at lo is evicted,
 	// the block starting exactly at hi survives.
 	d.FlushRange(lo, hi)
-	if d.Lookup(lo) != nil {
+	if d.M.Blocks().Get(lo) != nil {
 		t.Errorf("block at lo=%#x survived FlushRange(lo, hi)", lo)
 	}
-	if d.Lookup(hi) == nil {
+	if d.M.Blocks().Get(hi) == nil {
 		t.Errorf("block at hi=%#x evicted by FlushRange(lo, hi)", hi)
 	}
-	if got := d.CacheSize(); got != before-1 {
+	if got := d.M.Blocks().Len(); got != before-1 {
 		t.Errorf("cache size after flush = %d, want %d", got, before-1)
 	}
 	if d.Stats.Flushes != 1 || d.Stats.FlushedBlocks != 1 {
@@ -65,7 +65,7 @@ func TestFlushRangeBoundary(t *testing.T) {
 
 	// An empty range touches nothing but still counts as a flush call.
 	d.FlushRange(hi, hi)
-	if d.Lookup(hi) == nil {
+	if d.M.Blocks().Get(hi) == nil {
 		t.Error("empty FlushRange(hi, hi) evicted the block at hi")
 	}
 	if d.Stats.Flushes != 2 || d.Stats.FlushedBlocks != 1 {
@@ -74,7 +74,7 @@ func TestFlushRangeBoundary(t *testing.T) {
 	}
 
 	d.Flush()
-	if d.CacheSize() != 0 {
+	if d.M.Blocks().Len() != 0 {
 		t.Error("Flush did not empty the cache")
 	}
 	if d.Stats.Flushes != 3 || d.Stats.FlushedBlocks != uint64(before) {
@@ -269,55 +269,4 @@ func TestEmitterStampsCostCenter(t *testing.T) {
 	if e.Out[4].Meta {
 		t.Error("App emitted a meta instruction")
 	}
-}
-
-func TestRegisterMetricsExposition(t *testing.T) {
-	_, d, entry := setup(t, sumProgram, NullClient{})
-	r := telemetry.NewRegistry()
-	d.RegisterMetrics(r)
-	if err := d.Run(entry); err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	buf = appendProm(t, r, buf)
-	samples, err := telemetry.ParsePrometheus(buf)
-	if err != nil {
-		t.Fatalf("exposition not parseable: %v\n%s", err, buf)
-	}
-	get := func(name string) float64 {
-		t.Helper()
-		for _, s := range samples {
-			if s.Name == name {
-				return s.Value
-			}
-		}
-		t.Fatalf("sample %q missing", name)
-		return 0
-	}
-	hits := get("janitizer_dbm_cache_hits_total")
-	misses := get("janitizer_dbm_cache_misses_total")
-	execs := get("janitizer_dbm_block_execs_total")
-	if hits != float64(d.Stats.CacheHits) || misses != float64(d.Stats.BlocksBuilt) {
-		t.Errorf("metric values diverge from Stats: hits=%v misses=%v stats=%+v", hits, misses, d.Stats)
-	}
-	if execs != hits+misses {
-		t.Errorf("execs (%v) != hits (%v) + misses (%v)", execs, hits, misses)
-	}
-	if get("janitizer_dbm_cache_blocks") != float64(d.CacheSize()) {
-		t.Errorf("cache_blocks gauge diverges from CacheSize %d", d.CacheSize())
-	}
-}
-
-func appendProm(t *testing.T, r *telemetry.Registry, buf []byte) []byte {
-	t.Helper()
-	var sb promSink
-	r.WritePrometheus(&sb)
-	return append(buf, sb.b...)
-}
-
-type promSink struct{ b []byte }
-
-func (s *promSink) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }

@@ -147,7 +147,7 @@ func CheckModule(data []byte, reg loader.Registry, budget uint64) *ModResult {
 			return e
 		}
 		d := dbm.New(s.M, s.Proc, dbm.NullClient{})
-		d.TraceHook = func(pc uint64) { res.Cov.Add(feature(featDBMBlock, pc)) }
+		s.M.BlockHook = func(pc uint64) { res.Cov.Add(feature(featDBMBlock, pc)) }
 		return d.Run(s.Entry)
 	}); crash != nil {
 		res.Crash = crash

@@ -85,8 +85,8 @@ type runOutcome struct {
 // run executes mod natively when tool is nil, else under tool through the
 // hybrid runtime after its static analysis, returning the outcome and the
 // tool's violation count. cov, when non-nil, accumulates executed-block
-// coverage: the machine's block hook natively, the dynamic modifier's
-// block discovery under a tool.
+// coverage from the machine's block hook, salted apart for native runs and
+// runs under a tool.
 func run(mod *obj.Module, reg loader.Registry, tool core.Tool,
 	budget uint64, cov *metrics.Bitmap) (runOutcome, int) {
 
@@ -102,12 +102,12 @@ func run(mod *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return runOutcome{err: err}, 0
 	}
-	switch {
-	case cov == nil:
-	case s.RT == nil:
-		s.M.BlockHook = func(pc uint64) { cov.Add(feature(featNativeBlock, pc)) }
-	default:
-		s.RT.DBM.TraceHook = func(pc uint64) { cov.Add(feature(featDBMBlock, pc)) }
+	if cov != nil {
+		salt := featNativeBlock
+		if s.RT != nil {
+			salt = featDBMBlock
+		}
+		s.M.BlockHook = func(pc uint64) { cov.Add(feature(salt, pc)) }
 	}
 	err = s.Run()
 	return runOutcome{exit: s.M.ExitStatus, out: buf.String(), err: err,

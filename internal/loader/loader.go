@@ -266,18 +266,20 @@ func (p *Process) load(mod *obj.Module, dlopened bool) (*LoadedModule, error) {
 		}
 	}
 
+	// No cached block can lie in the new image: its extent was never
+	// mapped, or Unload flushed it when it was released.
 	p.Modules = append(p.Modules, lm)
 	p.byName[mod.Name] = lm
-	p.M.InvalidateCode()
 	for _, hook := range p.OnModuleLoad {
 		hook(lm)
 	}
 	return lm, nil
 }
 
-// Unload removes a loaded module: hooks fire first (rule tables and cached
-// code go with them), then the image is zeroed so stale code cannot
-// execute, and a PIC module's base becomes reusable. Unloading a module
+// Unload removes a loaded module: hooks fire first (rule tables and
+// translated code go with them), then the image is zeroed so stale code
+// cannot execute, the machine's cached blocks in its extent are dropped,
+// and a PIC module's base becomes reusable. Unloading a module
 // other modules still import from leaves their bound GOT entries dangling —
 // exactly the hazard real dlclose has; transfers to the zeroed image fault.
 func (p *Process) Unload(name string) error {
@@ -302,7 +304,8 @@ func (p *Process) Unload(name string) error {
 	if lm.PIC {
 		p.freeBases = append(p.freeBases, lm.LoadBase)
 	}
-	p.M.InvalidateCode()
+	start := lm.RuntimeAddr(lm.lo)
+	p.M.Blocks().FlushRange(start, start+lm.span)
 	return nil
 }
 

@@ -158,13 +158,7 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 			return !cov.contains(target) || cov.pins[target]
 		}
 	}
-	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
-		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
-	}
-	if err := p.M.Run(p.Entry); err != nil {
-		return nil, err
-	}
-	return &RunResult{Machine: p.M, Runtime: p.RT, Rewritten: p.rw}, nil
+	return p.run()
 }
 
 // RunHybrid executes the statically rewritten modules natively and fails
@@ -172,7 +166,8 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 // rewritten copies: code the applier refused or never saw is classified
 // against the rule tables built from files and instrumented exactly as the
 // dynamic backend would, instead of the static backend's
-// uninstrumented-native fallback.
+// uninstrumented-native fallback. Which of the two runs a block is decided
+// once, when it misses the machine's block cache.
 func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	files map[string]*rules.File, plans map[string]*Plan, opts Options) (*RunResult, error) {
 
@@ -180,22 +175,26 @@ func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return nil, err
 	}
+	m, d := p.M, p.RT.DBM
+	m.Translate = func(pc uint64) (*vm.Block, error) {
+		if p.cov.contains(pc) {
+			return m.NativeBlock(pc)
+		}
+		return d.Translate(pc)
+	}
+	return p.run()
+}
+
+// run initialises the tool runtime and executes the program on the
+// machine's dispatch loop.
+func (p *prepared) run() (*RunResult, error) {
 	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
 		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
 	}
-	m := p.M
-	m.PC = p.Entry
-	for !m.Halted {
-		if p.cov.contains(m.PC) {
-			err = m.StepBlock()
-		} else {
-			err = p.RT.DBM.Step()
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err := p.M.Run(p.Entry); err != nil {
+		return nil, err
 	}
-	return &RunResult{Machine: m, Runtime: p.RT, Rewritten: p.rw}, nil
+	return &RunResult{Machine: p.M, Runtime: p.RT, Rewritten: p.rw}, nil
 }
 
 // jcfiTools extracts every JCFI instance reachable through tool (directly

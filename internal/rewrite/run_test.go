@@ -186,6 +186,17 @@ func TestHybridInstrumentsRefusedCode(t *testing.T) {
 		t.Fatalf("hybrid reports %d violations %+v, dynamic %d at pc %#x",
 			hyb.Report.Total, hyb.Report.Violations, dyn.Report.Total, dyn.Report.Violations[0].PC)
 	}
+	// Covered blocks run natively: only the blocks the modifier built are
+	// classified or counted, and each of its dispatches is a hit or a build.
+	ds, cached := res.Runtime.DBM.Stats, res.Machine.Blocks().Len()
+	if ds.BlocksBuilt == 0 || uint64(cached) <= ds.BlocksBuilt {
+		t.Fatalf("hybrid built %d of its %d cached blocks, want some but not all",
+			ds.BlocksBuilt, cached)
+	}
+	if ds.BlockExecs != ds.CacheHits+ds.BlocksBuilt ||
+		res.Runtime.Coverage.Total() != ds.BlocksBuilt {
+		t.Fatalf("hybrid DBM stats %+v, %d blocks classified", ds, res.Runtime.Coverage.Total())
+	}
 
 	st := jasan.New(jasan.Config{})
 	if _, err := RunStatic(main, reg, st, files, plans, opts); err != nil {

@@ -46,9 +46,10 @@ type CInstr struct {
 }
 
 // Block is one straight-line run of code in executor form, cached under
-// the application address it was decoded from. The native block cache and
-// the dynamic modifier's code cache both hold Blocks; the modifier's also
-// carry the meta instructions its client inserted.
+// the application address it was decoded from. The machine's one block
+// cache holds native blocks and the dynamic modifier's translations alike;
+// a translation also carries the meta instructions its client inserted
+// and the Modifier that accounts for it.
 type Block struct {
 	// Start is the application (run-time) address the block was built
 	// from.
@@ -59,9 +60,30 @@ type Block struct {
 	Code []CInstr
 	// Execs counts executions of this block.
 	Execs uint64
+	// Mod is the dynamic modifier that translated the block, or nil for a
+	// native block, which pays no dispatch cost.
+	Mod *Modifier
 
 	// links are the direct successor links (see BlockCache).
 	links [2]blockLink
+}
+
+// DispatchCounts counts the dispatches of a modifier's blocks. Every
+// dispatch is a cache hit or a translation, so
+// BlockExecs == CacheHits + the modifier's build count.
+type DispatchCounts struct {
+	BlockExecs       uint64
+	CacheHits        uint64
+	IndirectDispatch uint64
+}
+
+// Modifier is what Run charges when it dispatches a translated block: its
+// counters, the cost of an indirect exit (the indirect-branch lookup of a
+// real DBT) and the profile the block's cycles are attributed to.
+type Modifier struct {
+	Counts       *DispatchCounts
+	IndirectCost uint64
+	Prof         *telemetry.Profile
 }
 
 type blockLink struct {
@@ -138,18 +160,22 @@ func (c *BlockCache) Flush() int {
 }
 
 // FlushRange drops the blocks whose start address lies in [lo, hi) and
-// returns how many there were. Surviving blocks lose their links, which
-// may lead to a dropped block.
+// returns how many there were. When any went, surviving blocks lose their
+// links, which may lead to a dropped block.
 func (c *BlockCache) FlushRange(lo, hi uint64) int {
 	n := 0
-	for addr, b := range c.blocks {
+	for addr := range c.blocks {
 		if addr >= lo && addr < hi {
 			delete(c.blocks, addr)
 			n++
 		}
-		b.links = [2]blockLink{}
 	}
-	c.last = nil
+	if n > 0 {
+		for _, b := range c.blocks {
+			b.links = [2]blockLink{}
+		}
+		c.last = nil
+	}
 	return n
 }
 
@@ -173,22 +199,16 @@ func (m *Machine) Exec(in *isa.Instr) (taken bool, err error) {
 	return exit != nil, err
 }
 
-// ExecBlock executes b from its first instruction until control leaves
-// it. Taken meta branches with a JumpTo continue inside the block; any
-// other taken transfer leaves it with m.PC holding the next application
-// address, and ExecBlock returns the transferring instruction. It returns
-// nil when execution fell off the end of the block or the machine halted
+// run executes code from its first instruction until control leaves it:
+// the one switch over opcodes that every native, modified and rewritten
+// instruction retires through. Taken meta branches with a JumpTo continue
+// inside the code; any other taken transfer leaves it with m.PC holding the
+// next application address, and run returns the transferring instruction.
+// It returns nil when execution fell off the end or the machine halted
 // without a transfer.
 //
 // With prof attached, each instruction's cycle delta — including any
 // cycles its trap handler adds — is charged to its cost center.
-func (m *Machine) ExecBlock(b *Block, prof *telemetry.Profile) (exit *CInstr, err error) {
-	b.Execs++
-	return m.run(b.Code, prof)
-}
-
-// run is the executor: the one loop, and the one switch over opcodes, that
-// every native, modified and rewritten instruction retires through.
 func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 	r := &m.Regs
 	limit := m.MaxInstrs
@@ -480,12 +500,31 @@ func (m *Machine) DecodeBlock(addr uint64) ([]isa.Instr, error) {
 	}
 }
 
-// InvalidateCode drops cached decodings (call after writing code bytes, e.g.
-// when JIT-compiling).
-func (m *Machine) InvalidateCode() { m.blocks.Flush() }
+// Blocks returns the machine's block cache: native blocks and the dynamic
+// modifier's translations. Flush it after overwriting code that may have
+// run, e.g. when JIT-compiling over an old region.
+func (m *Machine) Blocks() *BlockCache { return &m.blocks }
 
-// Run executes natively (no dynamic modification) from entry until the
-// program exits or faults.
+// NativeBlock decodes the block at pc for native execution: the
+// application instructions as they are, with no modifier.
+func (m *Machine) NativeBlock(pc uint64) (*Block, error) {
+	app, err := m.DecodeBlock(pc)
+	if err != nil {
+		return nil, err
+	}
+	b := &Block{Start: pc, AppLen: len(app), Code: make([]CInstr, len(app))}
+	for i, in := range app {
+		b.Code[i] = CInstr{In: in, JumpTo: -1}
+	}
+	return b, nil
+}
+
+// Run executes from entry until the program exits or faults. It is the one
+// dispatch loop: each block comes from the block cache, through the
+// previous block's links or the cache map, and a miss builds it with
+// Translate, or natively when Translate is nil. A translated block is
+// charged to its Modifier: the dispatch counts, the indirect-dispatch cost
+// on an indirect exit, and its cycles to the modifier's profile.
 func (m *Machine) Run(entry uint64) error {
 	sp := telemetry.StartSpan("vm.run", telemetry.Uint("entry", entry))
 	defer func() {
@@ -495,32 +534,42 @@ func (m *Machine) Run(entry uint64) error {
 	}()
 	m.PC = entry
 	for !m.Halted {
-		if err := m.StepBlock(); err != nil {
-			return err
+		if m.BlockHook != nil {
+			m.BlockHook(m.PC)
 		}
-	}
-	return nil
-}
-
-// StepBlock natively executes one straight-line block at the current PC —
-// Run's loop body, exported so the hybrid rewriting backend can interleave
-// native execution of statically rewritten code with DBM dispatch.
-func (m *Machine) StepBlock() error {
-	if m.BlockHook != nil {
-		m.BlockHook(m.PC)
-	}
-	b := m.blocks.Dispatch(m.PC)
-	if b == nil {
-		app, err := m.DecodeBlock(m.PC)
+		b := m.blocks.Dispatch(m.PC)
+		hit := b != nil
+		if !hit {
+			var err error
+			if m.Translate != nil {
+				b, err = m.Translate(m.PC)
+			} else {
+				b, err = m.NativeBlock(m.PC)
+			}
+			if err != nil {
+				return err
+			}
+			m.blocks.Add(b)
+		}
+		b.Execs++
+		mod := b.Mod
+		var prof *telemetry.Profile
+		if mod != nil {
+			mod.Counts.BlockExecs++
+			if hit {
+				mod.Counts.CacheHits++
+			}
+			prof = mod.Prof
+		}
+		exit, err := m.run(b.Code, prof)
 		if err != nil {
 			return err
 		}
-		b = &Block{Start: m.PC, AppLen: len(app), Code: make([]CInstr, len(app))}
-		for i, in := range app {
-			b.Code[i] = CInstr{In: in, JumpTo: -1}
+		if mod != nil && exit != nil && exit.In.IsIndirectCTI() {
+			mod.Counts.IndirectDispatch++
+			m.Cycles += mod.IndirectCost
+			mod.Prof.Charge(telemetry.CCDispatch, mod.IndirectCost, 0)
 		}
-		m.blocks.Add(b)
 	}
-	_, err := m.ExecBlock(b, nil)
-	return err
+	return nil
 }

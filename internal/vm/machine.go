@@ -94,18 +94,23 @@ type Machine struct {
 	// MaxInstrs aborts runaway programs; 0 means no limit.
 	MaxInstrs uint64
 
-	// blocks caches decoded straight-line runs for native execution.
+	// blocks caches every block Run dispatches, native or translated.
 	blocks BlockCache
+
+	// Translate, when set, builds the block at pc on a block-cache miss in
+	// place of a native decoding. The dynamic modifier installs it
+	// (dbm.DBM.Run), as does the hybrid rewriting backend, which routes
+	// each miss to native code or to the modifier.
+	Translate func(pc uint64) (*Block, error)
 
 	// WatchLo/WatchHi, when WatchHi > WatchLo, define a write watchpoint:
 	// WatchHook fires on any store intersecting [WatchLo, WatchHi).
 	WatchLo, WatchHi uint64
 	WatchHook        func(pc, addr uint64)
 
-	// BlockHook, when set, observes every straight-line block dispatched
-	// by native Run — the executed-block signal coverage-guided fuzzing
-	// (internal/fuzz) feeds into a metrics.Bitmap. The dynamic modifier
-	// exposes the same signal through dbm.DBM.TraceHook.
+	// BlockHook, when set, observes every block Run dispatches, native or
+	// translated — the executed-block signal coverage-guided fuzzing
+	// (internal/fuzz) feeds into a metrics.Bitmap.
 	BlockHook func(pc uint64)
 }
 

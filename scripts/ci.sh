@@ -29,11 +29,11 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== executor benchmarks (one iteration) =="
-# Per-layer host benchmarks of the executor: a spec program natively and
-# under the DBM (null client, jasan-hybrid), reporting ns/instr and
-# allocs/op. One iteration only proves they still run; measure with a
-# larger -benchtime.
-go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm
+# Per-layer host benchmarks of the executor: a spec program natively,
+# under the DBM (null client, jasan-hybrid) and through the hybrid
+# rewriting backend, reporting ns/instr and allocs/op. One iteration only
+# proves they still run; measure with a larger -benchtime.
+go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm ./internal/rewrite
 
 echo "== study golden at 1 and 4 CPUs =="
 # Every study's rendered output must be byte-identical at any parallelism:
