@@ -310,6 +310,4 @@ int main() {
 // rewrite rules as needing no treatment — no dynamic fallback analysis.
 type janusStyleTool struct{ *jasan.Tool }
 
-func (t *janusStyleTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
+func (t *janusStyleTool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	janitizer -tool jasan|jmsan|jtsan|jcfi [-libdir dir] [-outdir dir] main.jef
+//	janitizer -tool jasan|jmsan|jtsan|jtsan-elide|jcfi [-libdir dir] [-outdir dir] main.jef
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan or jcfi")
+	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jtsan-elide or jcfi")
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	outdir := flag.String("outdir", ".", "directory to write .jrw rule files into")
 	versionFlag := flag.Bool("version", false, "print build version and exit")
@@ -34,7 +34,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: janitizer -tool jasan|jmsan|jtsan|jcfi [flags] main.jef")
+		fmt.Fprintln(os.Stderr, "usage: janitizer -tool jasan|jmsan|jtsan|jtsan-elide|jcfi [flags] main.jef")
 		os.Exit(2)
 	}
 	main, err := jefdir.ReadModule(flag.Arg(0))

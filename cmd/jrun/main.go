@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	jrun [-tool jasan|jmsan|jtsan|jcfi|none] [-libdir dir] [-rules dir] [-stats]
+//	jrun [-tool jasan|jmsan|jtsan|jtsan-elide|jcfi|none] [-libdir dir] [-rules dir] [-stats]
 //	     [-profile] [-report] main.jef
 //
 // -profile attributes every executed cycle to its originating rule kind and
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jcfi or none")
+	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jtsan-elide, jcfi or none")
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	rulesDir := flag.String("rules", "", "directory of .jrw rewrite-rule files")
 	stats := flag.Bool("stats", false, "print cycle and coverage statistics")
@@ -67,48 +67,21 @@ func main() {
 	}
 
 	var tool core.Tool
+	// report renders the tool's violations, one line each, after the run.
 	var report func() []string
 	switch *toolName {
 	case "jasan":
 		jt := jasan.New(jasan.Config{UseLiveness: true})
-		tool = jt
-		report = func() []string {
-			var out []string
-			for _, v := range jt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
+		tool, report = jt, func() []string { return lines(jt.Report.Violations) }
 	case "jmsan":
 		mt := jmsan.New(jmsan.Config{UseLiveness: true})
-		tool = mt
-		report = func() []string {
-			var out []string
-			for _, v := range mt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
+		tool, report = mt, func() []string { return lines(mt.Report.Violations) }
 	case "jtsan", "jtsan-elide":
 		tt := jtsan.New(jtsan.Config{UseLiveness: true, Elide: *toolName == "jtsan-elide"})
-		tool = tt
-		report = func() []string {
-			var out []string
-			for _, v := range tt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
+		tool, report = tt, func() []string { return lines(tt.Report.Violations) }
 	case "jcfi":
 		ct := jcfi.New(jcfi.DefaultConfig)
-		tool = ct
-		report = func() []string {
-			var out []string
-			for _, v := range ct.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
+		tool, report = ct, func() []string { return lines(ct.Report.Violations) }
 	case "none":
 		tool = core.NullTool{}
 		report = func() []string { return nil }
@@ -173,6 +146,15 @@ func main() {
 		fatal(runErr)
 	}
 	os.Exit(int(m.ExitStatus & 0xff))
+}
+
+// lines renders each violation as its own report line.
+func lines[V fmt.Stringer](vs []V) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
 }
 
 func fatal(err error) {

@@ -79,31 +79,43 @@ func bump(e *dbm.Emitter, slot uint64) {
 	e.RestoreEpilog(true, []isa.Register{isa.R6, isa.R7})
 }
 
-// Instrument applies the statically prepared rules.
-func (p *profiler) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	e := &dbm.Emitter{}
-	for _, in := range bc.AppInstrs {
-		for _, r := range instrRules[in.Addr] {
-			if r.ID == ruleCallSite {
-				bump(e, r.Data[0])
-			}
-		}
-		e.App(in)
-	}
-	return e.Out
+// PlanStatic applies the statically prepared rules. The framework runs a
+// plan's Before hook ahead of, and its After hook behind, every
+// application instruction of the block.
+func (p *profiler) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
+	return staticPlan{bc, instrRules}
 }
 
-// DynFallback profiles calls in dynamically discovered code too.
-func (p *profiler) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	e := &dbm.Emitter{}
-	for _, in := range bc.AppInstrs {
-		if in.Op == isa.OpCall {
-			bump(e, p.slot(fmt.Sprintf("dynamic!%#x", in.Target())))
-		}
-		e.App(in)
-	}
-	return e.Out
+type staticPlan struct {
+	bc    *dbm.BlockContext
+	rules map[uint64][]rules.Rule
 }
+
+func (s staticPlan) Before(e *dbm.Emitter, idx int) {
+	for _, r := range s.rules[s.bc.AppInstrs[idx].Addr] {
+		if r.ID == ruleCallSite {
+			bump(e, r.Data[0])
+		}
+	}
+}
+
+func (staticPlan) After(*dbm.Emitter, int) {}
+
+// PlanDyn profiles calls in dynamically discovered code too.
+func (p *profiler) PlanDyn(bc *dbm.BlockContext) core.InstrPlan { return dynPlan{p, bc} }
+
+type dynPlan struct {
+	p  *profiler
+	bc *dbm.BlockContext
+}
+
+func (d dynPlan) Before(e *dbm.Emitter, idx int) {
+	if in := d.bc.AppInstrs[idx]; in.Op == isa.OpCall {
+		bump(e, d.p.slot(fmt.Sprintf("dynamic!%#x", in.Target())))
+	}
+}
+
+func (dynPlan) After(*dbm.Emitter, int) {}
 
 func (p *profiler) RuntimeInit(*core.Runtime) error { return nil }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/jasan"
 	"repro/internal/jcfi"
 	"repro/internal/libj"
@@ -110,10 +109,6 @@ type gateTool struct {
 func (g *gateTool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	<-g.gate
 	return g.Tool.StaticPass(sc)
-}
-
-func (g *gateTool) Instrument(bc *dbm.BlockContext, r map[uint64][]rules.Rule) []dbm.CInstr {
-	return g.Tool.Instrument(bc, r)
 }
 
 // TestSingleflight holds one analysis open while seven more identical

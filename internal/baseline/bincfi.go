@@ -137,47 +137,53 @@ func (t *BinCFITool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	return out
 }
 
-// Instrument implements core.Tool: emit the weak-policy checks against the
+// PlanStatic implements core.Tool: emit the weak-policy checks against the
 // module's tables. BinCFI uses one combined target set for calls and jumps.
-func (t *BinCFITool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	e := &dbm.Emitter{}
-	id := 0
+func (t *BinCFITool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
+	p := &binCFIPlan{t: t, ins: bc.AppInstrs, rules: instrRules}
 	if bc.Module != nil {
-		id = bc.Module.ID
+		p.id = bc.Module.ID
+		p.modLo, p.modHi = jcfi.ModuleExecRange(bc.Module)
 	}
-	var modLo, modHi uint64
-	if bc.Module != nil {
-		modLo, modHi = jcfi.ModuleExecRange(bc.Module)
-	}
-	for idx := range bc.AppInstrs {
-		in := &bc.AppInstrs[idx]
-		for _, r := range instrRules[in.Addr] {
-			switch r.ID {
-			case rules.CFICall:
-				jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
-				t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
-			case rules.CFIJump:
-				// BinCFI translates indirect jumps through an
-				// address-translation table covering every instruction
-				// boundary of the module, plus cross-module identified
-				// targets: modelled as a module-range fast path with
-				// the unioned call table behind it.
-				jcfi.EmitJumpCheck(e, in, modLo, modHi,
-					jcfi.CallTableBase(id), true, nil)
-				t.recordSite(in.Addr,
-					float64(modHi-modLo)+float64(len(t.st.Ensure(id).Call)))
-			case rules.CFIResolverRet:
-				jcfi.EmitResolverRetCheck(e, in, jcfi.CallTableBase(id), true, nil)
-				t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
-			case rules.CFIRet:
-				jcfi.EmitRetTableCheck(e, in, jcfi.RetTableBase(id), true, nil)
-				t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Ret)))
-			}
-		}
-		e.App(*in)
-	}
-	return e.Out
+	return p
 }
+
+type binCFIPlan struct {
+	t            *BinCFITool
+	ins          []isa.Instr
+	rules        map[uint64][]rules.Rule
+	id           int
+	modLo, modHi uint64
+}
+
+func (p *binCFIPlan) Before(e *dbm.Emitter, idx int) {
+	t, id, in := p.t, p.id, &p.ins[idx]
+	for _, r := range p.rules[in.Addr] {
+		switch r.ID {
+		case rules.CFICall:
+			jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
+			t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
+		case rules.CFIJump:
+			// BinCFI translates indirect jumps through an
+			// address-translation table covering every instruction
+			// boundary of the module, plus cross-module identified
+			// targets: modelled as a module-range fast path with
+			// the unioned call table behind it.
+			jcfi.EmitJumpCheck(e, in, p.modLo, p.modHi,
+				jcfi.CallTableBase(id), true, nil)
+			t.recordSite(in.Addr,
+				float64(p.modHi-p.modLo)+float64(len(t.st.Ensure(id).Call)))
+		case rules.CFIResolverRet:
+			jcfi.EmitResolverRetCheck(e, in, jcfi.CallTableBase(id), true, nil)
+			t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
+		case rules.CFIRet:
+			jcfi.EmitRetTableCheck(e, in, jcfi.RetTableBase(id), true, nil)
+			t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Ret)))
+		}
+	}
+}
+
+func (*binCFIPlan) After(*dbm.Emitter, int) {}
 
 func (t *BinCFITool) recordSite(addr uint64, targets float64) {
 	if _, ok := t.sites[addr]; !ok {
@@ -185,11 +191,9 @@ func (t *BinCFITool) recordSite(addr uint64, targets float64) {
 	}
 }
 
-// DynFallback implements core.Tool: identity — statically rewritten binaries
+// PlanDyn implements core.Tool: no plan — statically rewritten binaries
 // leave unseen code unprotected.
-func (t *BinCFITool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
+func (t *BinCFITool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
 
 // RuntimeInit implements core.Tool: build per-module target tables from the
 // static rules; cross-module calls are permitted to any other module's

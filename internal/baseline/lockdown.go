@@ -75,67 +75,75 @@ func (t *LockdownTool) Violations() int { return len(t.Report.Violations) }
 // StaticPass implements core.Tool: Lockdown has no static stage.
 func (t *LockdownTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 
-// Instrument implements core.Tool (unreachable without rules).
-func (t *LockdownTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return t.DynFallback(bc)
+// PlanStatic implements core.Tool (unreachable without rules).
+func (t *LockdownTool) PlanStatic(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) core.InstrPlan {
+	return t.PlanDyn(bc)
 }
 
-// DynFallback implements core.Tool: Lockdown's per-block translation-time
+// PlanDyn implements core.Tool: Lockdown's per-block translation-time
 // instrumentation.
-func (t *LockdownTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	e := &dbm.Emitter{}
+func (t *LockdownTool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
+	return &lockdownPlan{t: t, bc: bc}
+}
+
+type lockdownPlan struct {
+	t  *LockdownTool
+	bc *dbm.BlockContext
+}
+
+// Before checks the block's terminating control transfer.
+func (p *lockdownPlan) Before(e *dbm.Emitter, idx int) {
+	t, bc, ins := p.t, p.bc, p.bc.AppInstrs
+	if idx != len(ins)-1 {
+		return
+	}
 	id := 0
 	if bc.Module != nil {
 		id = bc.Module.ID
 	}
-	ins := bc.AppInstrs
-	for idx := range ins {
-		in := &ins[idx]
-		if idx == len(ins)-1 {
-			switch in.Op {
-			case isa.OpCall:
-				// Cross-module direct call boundary: run the callback
-				// heuristic before the transfer.
-				if bc.Module != nil && t.isCrossModule(bc.Module, in.Target()) {
-					e.Meta(dbm.MkInstr(isa.OpTrap, func(i *isa.Instr) {
-						i.Imm = lockdownHeuristicTrap
-						i.Addr = in.Addr
-					}))
-				}
-				jcfi.EmitShadowPush(e, in, true, nil)
-			case isa.OpCallI:
-				jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
-				t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
-				jcfi.EmitShadowPush(e, in, true, nil)
-			case isa.OpJmpI:
-				if idx > 0 && ins[idx-1].Op == isa.OpLdPC && ins[idx-1].Rd == in.Rd {
-					// PLT dispatch: treated as an inter-module call.
-					jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
-					t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
-					break
-				}
-				var lo, hi uint64
-				if bc.Module != nil {
-					lo, hi = jcfi.NearestFuncRange(bc.Module, in.Addr)
-				}
-				jcfi.EmitJumpCheck(e, in, lo, hi, jcfi.JumpTableBase(id), true, nil)
-				t.recordSite(in.Addr, float64(hi-lo)+float64(len(t.st.Ensure(id).Jump)))
-			case isa.OpRet:
-				if idx > 0 && ins[idx-1].Op == isa.OpPush {
-					// Lockdown's secure loader handles lazy resolution
-					// itself; the equivalent here is a forward check.
-					jcfi.EmitResolverRetCheck(e, in, jcfi.CallTableBase(id), true, nil)
-					t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
-				} else {
-					jcfi.EmitRetCheck(e, in, true, nil)
-					t.recordSite(in.Addr, 1)
-				}
-			}
+	in := &ins[idx]
+	switch in.Op {
+	case isa.OpCall:
+		// Cross-module direct call boundary: run the callback
+		// heuristic before the transfer.
+		if bc.Module != nil && t.isCrossModule(bc.Module, in.Target()) {
+			e.Meta(dbm.MkInstr(isa.OpTrap, func(i *isa.Instr) {
+				i.Imm = lockdownHeuristicTrap
+				i.Addr = in.Addr
+			}))
 		}
-		e.App(*in)
+		jcfi.EmitShadowPush(e, in, true, nil)
+	case isa.OpCallI:
+		jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
+		t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
+		jcfi.EmitShadowPush(e, in, true, nil)
+	case isa.OpJmpI:
+		if idx > 0 && ins[idx-1].Op == isa.OpLdPC && ins[idx-1].Rd == in.Rd {
+			// PLT dispatch: treated as an inter-module call.
+			jcfi.EmitCallCheck(e, in, jcfi.CallTableBase(id), true, nil)
+			t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
+			break
+		}
+		var lo, hi uint64
+		if bc.Module != nil {
+			lo, hi = jcfi.NearestFuncRange(bc.Module, in.Addr)
+		}
+		jcfi.EmitJumpCheck(e, in, lo, hi, jcfi.JumpTableBase(id), true, nil)
+		t.recordSite(in.Addr, float64(hi-lo)+float64(len(t.st.Ensure(id).Jump)))
+	case isa.OpRet:
+		if idx > 0 && ins[idx-1].Op == isa.OpPush {
+			// Lockdown's secure loader handles lazy resolution
+			// itself; the equivalent here is a forward check.
+			jcfi.EmitResolverRetCheck(e, in, jcfi.CallTableBase(id), true, nil)
+			t.recordSite(in.Addr, float64(len(t.st.Ensure(id).Call)))
+		} else {
+			jcfi.EmitRetCheck(e, in, true, nil)
+			t.recordSite(in.Addr, 1)
+		}
 	}
-	return e.Out
 }
+
+func (*lockdownPlan) After(*dbm.Emitter, int) {}
 
 // isCrossModule reports whether a direct call target lies outside the
 // caller's module (including calls into the caller's own PLT, which

@@ -70,17 +70,15 @@ func (t *RetrowriteTool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	return t.j.StaticPass(sc)
 }
 
-// Instrument implements core.Tool.
-func (t *RetrowriteTool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	return t.j.Instrument(bc, instrRules)
+// PlanStatic implements core.Tool: JASan's static plan.
+func (t *RetrowriteTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
+	return t.j.PlanStatic(bc, instrRules)
 }
 
-// DynFallback implements core.Tool: identity. A statically rewritten binary
-// has no run-time component, so code the rewriter never saw executes
+// PlanDyn implements core.Tool: no plan. A statically rewritten binary has
+// no run-time component, so code the rewriter never saw executes
 // unmodified — the coverage gap hybrid schemes close.
-func (t *RetrowriteTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
+func (t *RetrowriteTool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
 
 // RuntimeInit implements core.Tool: install the shared sanitizer runtime
 // (Retrowrite links binaries against the ASan runtime library) and zero the

@@ -84,7 +84,7 @@ func NewValgrindDef() *ValgrindTool {
 // quarantine-and-generation runtime (internal/jtsan), so the two tools
 // agree byte-for-byte on what "freed" means. Every check pays the full
 // context spill that JTSan's inlined fast path avoids, which is what makes
-// this the overhead baseline of BENCH_JTSAN.json.
+// this the overhead baseline of the `jexp jtsan` study.
 func NewValgrindTemporal() *ValgrindTool {
 	t := NewValgrind()
 	t.trackTemporal = true
@@ -118,31 +118,40 @@ func (t *ValgrindTool) Violations() int {
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 
-// Instrument implements core.Tool; it is unreachable since no rules exist,
+// PlanStatic implements core.Tool; it is unreachable since no rules exist,
 // but falls through to the dynamic path for safety.
-func (t *ValgrindTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return t.DynFallback(bc)
+func (t *ValgrindTool) PlanStatic(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) core.InstrPlan {
+	return t.PlanDyn(bc)
 }
 
-// DynFallback instruments every memory access with a clean call into the
-// checker.
-func (t *ValgrindTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	e := &dbm.Emitter{}
-	ins := bc.AppInstrs
-	for i := range ins {
-		in := &ins[i]
-		if in.IsMemAccess() {
-			t.emitCleanCheck(e, in)
-		}
-		e.App(*in)
-		if t.trackDef {
-			if size := jmsan.FrameAllocAt(ins, i); size > 0 {
-				t.frameSizes[in.Addr] = size
-				jmsan.EmitFrameUndef(e, in.Addr)
-			}
-		}
+// PlanDyn implements core.Tool: every memory access gets a clean call into
+// the checker.
+func (t *ValgrindTool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
+	return &valgrindPlan{t: t, ins: bc.AppInstrs}
+}
+
+type valgrindPlan struct {
+	t   *ValgrindTool
+	ins []isa.Instr
+}
+
+func (p *valgrindPlan) Before(e *dbm.Emitter, idx int) {
+	if in := &p.ins[idx]; in.IsMemAccess() {
+		p.t.emitCleanCheck(e, in)
 	}
-	return e.Out
+}
+
+// After marks a new stack frame undefined behind its prologue allocation
+// when validity bits are tracked.
+func (p *valgrindPlan) After(e *dbm.Emitter, idx int) {
+	if !p.t.trackDef {
+		return
+	}
+	if size := jmsan.FrameAllocAt(p.ins, idx); size > 0 {
+		addr := p.ins[idx].Addr
+		p.t.frameSizes[addr] = size
+		jmsan.EmitFrameUndef(e, addr)
+	}
 }
 
 // emitCleanCheck saves the flags and its scratch register, computes the

@@ -15,7 +15,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/jasan"
 	"repro/internal/jlint"
 	"repro/internal/obj"
@@ -37,10 +36,6 @@ type gateTool struct {
 func (g *gateTool) StaticPass(sc *core.StaticContext) []rules.Rule {
 	<-g.gate
 	return g.Tool.StaticPass(sc)
-}
-
-func (g *gateTool) Instrument(bc *dbm.BlockContext, r map[uint64][]rules.Rule) []dbm.CInstr {
-	return g.Tool.Instrument(bc, r)
 }
 
 // testNode is one fleet member: service, cluster wrapper, daemon,

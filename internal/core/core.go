@@ -82,19 +82,35 @@ func LiveSaves(word uint64, use bool) (dead []isa.Register, saveFlags bool) {
 	return dead, flagsLive
 }
 
-// Tool is one security technique plugged into Janitizer.
+// InstrPlan is one tool's per-block instrumentation plan: hooks invoked
+// around every application instruction by the shared emission walk. Each
+// hook's output must be self-contained (its internal meta branches resolve
+// within the instructions it emits), which is what makes plans from
+// different tools composable in a single pass over the block (MultiTool).
+type InstrPlan interface {
+	// Before emits instrumentation ahead of application instruction idx.
+	Before(e *dbm.Emitter, idx int)
+	// After emits instrumentation behind application instruction idx.
+	After(e *dbm.Emitter, idx int)
+}
+
+// Tool is one security technique plugged into Janitizer. It rewrites a
+// block only through per-instruction plans, so every tool composes under
+// MultiTool and its static plans can be captured for static rewriting.
 type Tool interface {
 	// Name identifies the tool ("jasan", "jcfi", ...).
 	Name() string
 	// StaticPass analyzes one module and returns its rewrite rules.
 	// Janitizer adds NoOp marking for uncovered blocks afterwards.
 	StaticPass(sc *StaticContext) []rules.Rule
-	// Instrument rewrites a statically-seen block. instrRules maps
-	// run-time instruction addresses to their rules.
-	Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr
-	// DynFallback rewrites a block never seen statically, using only
-	// block-local analysis.
-	DynFallback(bc *dbm.BlockContext) []dbm.CInstr
+	// PlanStatic plans the rewrite of a statically-seen block (the rule-
+	// guided hit path). instrRules maps run-time instruction addresses to
+	// their rules. A nil plan places the block unmodified.
+	PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) InstrPlan
+	// PlanDyn plans the rewrite of a block never seen statically, using
+	// only block-local analysis (the miss path). A nil plan places the
+	// block unmodified.
+	PlanDyn(bc *dbm.BlockContext) InstrPlan
 	// RuntimeInit installs the tool's run-time state (trap handlers,
 	// shadow regions, target tables) before execution starts.
 	RuntimeInit(rt *Runtime) error
@@ -113,17 +129,11 @@ func Violations(tool Tool) int {
 // rules, every block placed unmodified.
 type NullTool struct{}
 
-func (NullTool) Name() string                           { return "null-client" }
-func (NullTool) StaticPass(*StaticContext) []rules.Rule { return nil }
-func (NullTool) RuntimeInit(*Runtime) error             { return nil }
-
-func (NullTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
-
-func (NullTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
+func (NullTool) Name() string                                                    { return "null-client" }
+func (NullTool) StaticPass(*StaticContext) []rules.Rule                          { return nil }
+func (NullTool) RuntimeInit(*Runtime) error                                      { return nil }
+func (NullTool) PlanStatic(*dbm.BlockContext, map[uint64][]rules.Rule) InstrPlan { return nil }
+func (NullTool) PlanDyn(*dbm.BlockContext) InstrPlan                             { return nil }
 
 // ArtifactTool is a Tool whose analysis product is a custom artifact (for
 // example internal/jlint's bug report) rather than a rewrite-rule file. The
@@ -400,13 +410,35 @@ func (rt *Runtime) Run(entry uint64) error {
 }
 
 // hybridClient is the DBM client implementing Fig. 4: classify each new
-// block via the per-module hash tables, then route it to the rule
-// interpreter (hit) or the dynamic analyzer (miss).
+// block via the per-module hash tables, plan it with the rule interpreter
+// (hit) or the dynamic analyzer (miss), and emit the plan.
 type hybridClient struct {
 	rt *Runtime
 }
 
 func (h *hybridClient) OnBlock(ctx *dbm.BlockContext) []dbm.CInstr {
+	return emitPlan(ctx, h.plan(ctx))
+}
+
+// emitPlan runs the shared emission walk: for every application
+// instruction, the plan's Before hook, the instruction itself, then its
+// After hook. A nil plan places the block unmodified.
+func emitPlan(bc *dbm.BlockContext, p InstrPlan) []dbm.CInstr {
+	e := &dbm.Emitter{Out: make([]dbm.CInstr, 0, len(bc.AppInstrs))}
+	for idx := range bc.AppInstrs {
+		if p != nil {
+			p.Before(e, idx)
+		}
+		e.App(bc.AppInstrs[idx])
+		if p != nil {
+			p.After(e, idx)
+		}
+	}
+	return e.Out
+}
+
+// plan classifies a new block and returns the tool's plan for it.
+func (h *hybridClient) plan(ctx *dbm.BlockContext) InstrPlan {
 	rt := h.rt
 	var tab *rules.Table
 	if ctx.Module != nil {
@@ -432,14 +464,14 @@ func (h *hybridClient) OnBlock(ctx *dbm.BlockContext) []dbm.CInstr {
 			if n == 0 {
 				// (4b) No modification needed anywhere: place as-is.
 				rt.Coverage.StaticNoOp++
-				return dbm.NullClient{}.OnBlock(ctx)
+				return nil
 			}
 			rt.Coverage.StaticInstrumented++
-			return rt.Tool.Instrument(ctx, instrRules)
+			return rt.Tool.PlanStatic(ctx, instrRules)
 		}
 	}
 	// (3a) Miss: dynamically generated, dlopened without rules, or
 	// statically undiscovered code — the dynamic analyzer takes it.
 	rt.Coverage.Fallback++
-	return rt.Tool.DynFallback(ctx)
+	return rt.Tool.PlanDyn(ctx)
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/vm"
 )
 
-// markerTool records which path (Instrument vs DynFallback) each block took
+// markerTool records which path (PlanStatic vs PlanDyn) each block took
 // and tags one instruction kind with rules.
 type markerTool struct {
 	staticBlocks   []uint64
@@ -38,14 +38,14 @@ func (t *markerTool) StaticPass(sc *StaticContext) []rules.Rule {
 	return out
 }
 
-func (t *markerTool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
+func (t *markerTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) InstrPlan {
 	t.staticBlocks = append(t.staticBlocks, bc.Start)
-	return dbm.NullClient{}.OnBlock(bc)
+	return nil
 }
 
-func (t *markerTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
+func (t *markerTool) PlanDyn(bc *dbm.BlockContext) InstrPlan {
 	t.fallbackBlocks = append(t.fallbackBlocks, bc.Start)
-	return dbm.NullClient{}.OnBlock(bc)
+	return nil
 }
 
 func (t *markerTool) RuntimeInit(rt *Runtime) error {
@@ -197,6 +197,58 @@ func TestClassifierMissRoutesToFallback(t *testing.T) {
 	}
 	if rt.Coverage.DynamicFraction() != 1.0 {
 		t.Errorf("dynamic fraction = %f", rt.Coverage.DynamicFraction())
+	}
+}
+
+// TestNilPlanPlacesBlockUnmodified checks the nil-plan rule: a tool whose
+// plans are nil translates every block to exactly its application
+// instructions, on the hit path (rules loaded) and on the miss path (none).
+func TestNilPlanPlacesBlockUnmodified(t *testing.T) {
+	main, reg := loadProg(t, prog)
+	for _, hit := range []bool{true, false} {
+		tool := &markerTool{}
+		files := map[string]*rules.File{}
+		if hit {
+			var err error
+			if files, err = AnalyzeProgram(main, reg, tool); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Load(main, reg, tool, files, Options{MaxInstrs: 1_000_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if hit && (len(tool.staticBlocks) == 0 || len(tool.fallbackBlocks) != 0) {
+			t.Fatalf("hit run: %d static, %d fallback plans requested",
+				len(tool.staticBlocks), len(tool.fallbackBlocks))
+		}
+		if !hit && (len(tool.fallbackBlocks) == 0 || len(tool.staticBlocks) != 0) {
+			t.Fatalf("miss run: %d static, %d fallback plans requested",
+				len(tool.staticBlocks), len(tool.fallbackBlocks))
+		}
+		blocks := s.M.Blocks().Blocks()
+		if len(blocks) == 0 {
+			t.Fatal("no block translated")
+		}
+		for start, b := range blocks {
+			if len(b.Code) != b.AppLen {
+				t.Errorf("hit=%v block %#x: %d instructions for %d application instructions",
+					hit, start, len(b.Code), b.AppLen)
+				continue
+			}
+			next := start
+			for i, c := range b.Code {
+				if c.Meta || c.JumpTo != -1 || c.In.Addr != next {
+					t.Errorf("hit=%v block %#x[%d] = %+v, want application instruction at %#x",
+						hit, start, i, c, next)
+					break
+				}
+				next += uint64(c.In.Size)
+			}
+		}
 	}
 }
 

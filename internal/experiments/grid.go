@@ -326,13 +326,8 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 			return fail(err.Error())
 		}
 	}
-	if backend != BackendDynamic {
-		if !static {
-			return fail("scheme has no static stage to capture rewrite plans from")
-		}
-		if _, ok := tool.(core.PlannedTool); !ok {
-			return fail("tool exposes no per-instruction plans")
-		}
+	if backend != BackendDynamic && !static {
+		return fail("scheme has no static stage to capture rewrite plans from")
 	}
 	files := map[string]*rules.File{}
 	if static {

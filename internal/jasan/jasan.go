@@ -343,14 +343,9 @@ func inductionInit(pre *cfg.BasicBlock, reg isa.Register) (int64, bool) {
 	return val, found
 }
 
-// Instrument implements core.Tool: rewrites a statically-seen block using
-// its rules (the hit path of Fig. 4).
-func (t *Tool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanStatic(bc, instrRules))
-}
-
-// PlanStatic implements core.PlannedTool: the rule-driven per-instruction
-// plan behind Instrument, composable with other tools' plans.
+// PlanStatic implements core.Tool: the rule-driven per-instruction plan
+// for a statically-seen block (the hit path of Fig. 4), composable with
+// other tools' plans.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -452,17 +447,11 @@ func (t *Tool) emitHoisted(e *dbm.Emitter, r rules.Rule, appAddr uint64) {
 	}
 }
 
-// DynFallback implements core.Tool: the simpler per-block analysis for code
+// PlanDyn implements core.Tool: the simpler per-block analysis for code
 // only seen dynamically (§4.1.1). It instruments every load and store,
 // conservatively saving and restoring both the flags and any registers the
 // instrumentation uses, and block-locally pattern-matches canary
 // installs/checks for poisoning.
-func (t *Tool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanDyn(bc))
-}
-
-// PlanDyn implements core.PlannedTool: the block-local fallback plan behind
-// DynFallback.
 func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	ins := bc.AppInstrs
 

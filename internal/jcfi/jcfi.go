@@ -366,13 +366,8 @@ func moduleID(bc *dbm.BlockContext) int {
 	return globalTableID
 }
 
-// Instrument implements core.Tool (the statically-guided hit path).
-func (t *Tool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanStatic(bc, instrRules))
-}
-
-// PlanStatic implements core.PlannedTool: the rule-driven per-instruction
-// plan behind Instrument, composable with other tools' plans.
+// PlanStatic implements core.Tool: the rule-driven per-instruction plan for
+// the statically-guided hit path, composable with other tools' plans.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	base := uint64(0)
 	if bc.Module != nil && bc.Module.PIC {
@@ -498,15 +493,9 @@ func narrowTargets(bc *dbm.BlockContext, r *rules.Rule, base uint64) []uint64 {
 	return out
 }
 
-// DynFallback implements core.Tool (§4.2.2): block-local identification of
+// PlanDyn implements core.Tool (§4.2.2): block-local identification of
 // indirect CTIs with conservative save/restore, the resolver idiom handled
 // by pattern matching, and the module's load-time tables used for targets.
-func (t *Tool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanDyn(bc))
-}
-
-// PlanDyn implements core.PlannedTool: the block-local fallback plan behind
-// DynFallback.
 func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	return &dynPlan{t: t, bc: bc, id: moduleID(bc)}
 }

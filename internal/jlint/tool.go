@@ -29,11 +29,11 @@ func (*Tool) ConfigKey() string { return fmt.Sprintf("report-v%d", ReportVersion
 // StaticPass implements core.Tool; the detector emits no rewrite rules.
 func (*Tool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 
-// Instrument implements core.Tool as a no-op.
-func (*Tool) Instrument(*dbm.BlockContext, map[uint64][]rules.Rule) []dbm.CInstr { return nil }
+// PlanStatic implements core.Tool as a no-op.
+func (*Tool) PlanStatic(*dbm.BlockContext, map[uint64][]rules.Rule) core.InstrPlan { return nil }
 
-// DynFallback implements core.Tool as a no-op.
-func (*Tool) DynFallback(*dbm.BlockContext) []dbm.CInstr { return nil }
+// PlanDyn implements core.Tool as a no-op.
+func (*Tool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
 
 // RuntimeInit implements core.Tool as a no-op.
 func (*Tool) RuntimeInit(*core.Runtime) error { return nil }

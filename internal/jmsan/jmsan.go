@@ -209,21 +209,8 @@ func defInitBarrier(in *isa.Instr) bool {
 	return false
 }
 
-// Instrument implements core.Tool: rewrites a statically-seen block using
+// PlanStatic implements core.Tool: rewrites a statically-seen block using
 // its rules (the hit path).
-func (t *Tool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanStatic(bc, instrRules))
-}
-
-// DynFallback implements core.Tool: the simpler per-block analysis for code
-// only seen dynamically. Every store updates the shadow, every load is
-// checked (no sink filtering — the lattice needs whole-CFG liveness), and
-// prologue stack allocations are pattern-matched block-locally.
-func (t *Tool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanDyn(bc))
-}
-
-// PlanStatic implements core.PlannedTool.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -261,7 +248,10 @@ func (p *staticPlan) After(e *dbm.Emitter, idx int) {
 	}
 }
 
-// PlanDyn implements core.PlannedTool.
+// PlanDyn implements core.Tool: the simpler per-block analysis for code
+// only seen dynamically. Every store updates the shadow, every load is
+// checked (no sink filtering — the lattice needs whole-CFG liveness), and
+// prologue stack allocations are pattern-matched block-locally.
 func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	frameAt := map[int]uint64{}
 	for i := range bc.AppInstrs {

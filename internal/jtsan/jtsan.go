@@ -95,8 +95,8 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 			if allocTrap(in) {
 				// Anchor the quarantine tick: without a rule at the
 				// malloc/free trap the whole block can end up rule-free and
-				// the core NO_OP-routes it past Instrument, so the tick
-				// would never be planted.
+				// the core places it unplanned as a NO_OP block, so the
+				// tick would never be planted.
 				out = append(out, rules.Rule{
 					ID: rules.QuarTick, BBAddr: blk.Start, Instr: in.Addr,
 				})
@@ -198,19 +198,8 @@ func allocTrap(in *isa.Instr) bool {
 		(in.Imm == isa.TrapMalloc || in.Imm == isa.TrapFree)
 }
 
-// Instrument implements core.Tool: rewrites a statically-seen block using
+// PlanStatic implements core.Tool: rewrites a statically-seen block using
 // its rules (the hit path).
-func (t *Tool) Instrument(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanStatic(bc, instrRules))
-}
-
-// DynFallback implements core.Tool: the simpler per-block analysis for code
-// only seen dynamically. Every memory access is generation-checked.
-func (t *Tool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return core.EmitPlans(bc, t.PlanDyn(bc))
-}
-
-// PlanStatic implements core.PlannedTool.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -243,7 +232,8 @@ func (p *staticPlan) Before(e *dbm.Emitter, idx int) {
 
 func (p *staticPlan) After(*dbm.Emitter, int) {}
 
-// PlanDyn implements core.PlannedTool.
+// PlanDyn implements core.Tool: the simpler per-block analysis for code
+// only seen dynamically. Every memory access is generation-checked.
 func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	return &dynPlan{t: t, bc: bc}
 }

@@ -16,9 +16,10 @@ import (
 // of every module in main's dependency closure and records the emitted
 // meta-code as one Plan per instrumented module. The tool must be a fresh
 // instance dedicated to the capture (its planning hooks may accumulate
-// per-run accounting) and must implement core.PlannedTool — per-instruction
+// per-run accounting). Every tool plans per instruction, and per-instruction
 // hooks are what make a captured fragment valid at any block the anchor
-// appears in, which is the property the static applier relies on.
+// appears in, which is the property the static applier relies on. An anchor
+// the tool leaves unplanned (nil plan) gets no entry.
 //
 // Capture loads the program into a scratch machine so anchors decode from
 // relocated memory exactly as the dynamic modifier would see them, and so
@@ -27,11 +28,6 @@ import (
 // run-time consumers refuse plans whose assumption no longer holds.
 func CapturePlans(main *obj.Module, reg loader.Registry,
 	files map[string]*rules.File, tool core.Tool) (map[string]*Plan, error) {
-
-	pt, ok := tool.(core.PlannedTool)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: tool %s does not expose per-instruction plans", tool.Name())
-	}
 
 	s, err := core.Load(main, reg, tool, files, core.Options{})
 	if err != nil {
@@ -58,7 +54,7 @@ func CapturePlans(main *obj.Module, reg loader.Registry,
 		if lm == nil || tab == nil {
 			return nil, fmt.Errorf("rewrite: module %s has rules but never loaded", mod.Name)
 		}
-		p, err := captureModule(m, rt, pt, lm, f)
+		p, err := captureModule(m, rt, tool, lm, f)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +64,7 @@ func CapturePlans(main *obj.Module, reg loader.Registry,
 	return plans, nil
 }
 
-func captureModule(m *vm.Machine, rt *core.Runtime, pt core.PlannedTool,
+func captureModule(m *vm.Machine, rt *core.Runtime, tool core.Tool,
 	lm *loader.LoadedModule, f *rules.File) (*Plan, error) {
 
 	base := uint64(0)
@@ -119,7 +115,10 @@ func captureModule(m *vm.Machine, rt *core.Runtime, pt core.PlannedTool,
 			AppInstrs: []isa.Instr{in},
 			Module:    lm,
 		}
-		plan := pt.PlanStatic(bc, map[uint64][]rules.Rule{anchor: irs})
+		plan := tool.PlanStatic(bc, map[uint64][]rules.Rule{anchor: irs})
+		if plan == nil {
+			continue
+		}
 		var eb, ea dbm.Emitter
 		plan.Before(&eb, 0)
 		plan.After(&ea, 0)

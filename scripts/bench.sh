@@ -22,9 +22,10 @@
 # It then runs the temporal-sanitizer figure — jtsan hybrid/elide/dyn vs
 # the valgrind-temporal generation-tag memcheck model vs the comprehensive
 # jasan+jmsan+jtsan+jcfi stack over all 28 workloads — into
-# BENCH_JTSAN.json, one row per workload with per-cell weighted-cycle
-# slowdowns, elided-check counts, and the gen-check/quarantine/elided
-# telemetry cost centers.
+# BENCH_JTSAN.txt. That artifact is the study's text, not JSON: the table,
+# the geomeans and notes, then one `BENCH_JTSAN {json}` line per workload
+# with per-cell weighted-cycle slowdowns, elided-check counts, and the
+# gen-check/quarantine/elided telemetry cost centers.
 #
 # Finally it runs the static-vs-dynamic detection study — jlint's must and
 # must+may alarm tiers against sanitized execution over the CWE-457 and
@@ -38,7 +39,7 @@
 # (jexp obs hard-errors otherwise — the zero-cost-when-disabled gate); the
 # artifact records each scheme's span/record counts and host wall overhead.
 #
-# Usage: scripts/bench.sh [output.json] [profile.json] [serve.json] [rewrite.json] [static.json] [jtsan.json] [obs.json]
+# Usage: scripts/bench.sh [output.json] [profile.json] [serve.json] [rewrite.json] [static.json] [jtsan.txt] [obs.json]
 # BENCH_PARALLEL overrides the jexp worker count (default 8).
 set -eu
 
@@ -48,7 +49,7 @@ profile_out="${2:-BENCH_PROFILE.json}"
 serve_out="${3:-BENCH_SERVE.json}"
 rewrite_out="${4:-BENCH_REWRITE.json}"
 static_out="${5:-BENCH_STATIC.json}"
-jtsan_out="${6:-BENCH_JTSAN.json}"
+jtsan_out="${6:-BENCH_JTSAN.txt}"
 obs_out="${7:-BENCH_OBS.json}"
 
 go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" bench > "$out"

@@ -19,6 +19,17 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== examples =="
+# Run every example to completion: examples/customtool is the documented
+# template for core.Tool, so an interface change that breaks it, or any
+# example exiting non-zero, fails here rather than only failing to build.
+for ex in examples/*/; do
+	if ! go run "./$ex" > /dev/null; then
+		echo "example $ex failed" >&2
+		exit 1
+	fi
+done
+
 echo "== go vet: benchmark module =="
 # benchmark/ is its own module (replace repro => ../), so the vet and build
 # above skip it; vetting it catches a change to any internal API it builds
@@ -207,7 +218,7 @@ if [ "${CI_SHORT:-0}" = "1" ]; then
 	go run ./cmd/jexp -parallel 4 -o /tmp/profile-smoke.json profile mcf lbm
 	go run ./cmd/jexp -parallel 4 rewrite mcf lbm > /tmp/rewrite-smoke.json
 	go run ./cmd/jexp -parallel 4 -o /tmp/static-smoke.json static
-	go run ./cmd/jexp -parallel 4 jtsan mcf lbm > /tmp/jtsan-smoke.json
+	go run ./cmd/jexp -parallel 4 jtsan mcf lbm > /tmp/jtsan-smoke.txt
 	# The obs smoke still enforces the full disabled-path invariant: every
 	# cell's plain and observed runs must be cycle-exact bit-identical (jexp
 	# obs hard-errors on any divergence).
