@@ -237,33 +237,25 @@ func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 		case isa.OpLdQ:
 			r[in.Rd], err = m.Mem.Read64(ea(r, in))
 		case isa.OpStQ:
-			a := ea(r, in)
-			m.watch(in.Addr, a, 8)
-			err = m.Mem.Write64(a, r[in.Rd])
+			err = m.Mem.Write64(ea(r, in), r[in.Rd])
 		case isa.OpLdB:
 			var b byte
 			if b, err = m.Mem.ReadB(ea(r, in)); err == nil {
 				r[in.Rd] = uint64(b)
 			}
 		case isa.OpStB:
-			a := ea(r, in)
-			m.watch(in.Addr, a, 1)
-			err = m.Mem.WriteB(a, byte(r[in.Rd]))
+			err = m.Mem.WriteB(ea(r, in), byte(r[in.Rd]))
 		case isa.OpLdXQ:
 			r[in.Rd], err = m.Mem.Read64(eax8(r, in))
 		case isa.OpStXQ:
-			a := eax8(r, in)
-			m.watch(in.Addr, a, 8)
-			err = m.Mem.Write64(a, r[in.Rd])
+			err = m.Mem.Write64(eax8(r, in), r[in.Rd])
 		case isa.OpLdXB:
 			var b byte
 			if b, err = m.Mem.ReadB(eax1(r, in)); err == nil {
 				r[in.Rd] = uint64(b)
 			}
 		case isa.OpStXB:
-			a := eax1(r, in)
-			m.watch(in.Addr, a, 1)
-			err = m.Mem.WriteB(a, byte(r[in.Rd]))
+			err = m.Mem.WriteB(eax1(r, in), byte(r[in.Rd]))
 		case isa.OpLea:
 			r[in.Rd] = ea(r, in)
 		case isa.OpLeaX:
@@ -332,7 +324,6 @@ func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 			r[in.Rd] = m.logic(-r[in.Rd])
 
 		case isa.OpPush:
-			m.watch(in.Addr, r[isa.SP]-8, 8)
 			err = m.Push(r[in.Rd])
 		case isa.OpPop:
 			r[in.Rd], err = m.Pop()

@@ -44,6 +44,10 @@ func instrCost(op isa.Op) uint64 {
 	return Costs.ALU
 }
 
+// jitAlign is the granularity of SysMmapX regions (64 KiB), independent of
+// the memory's page size.
+const jitAlign = 1 << 16
+
 // ExitError reports program termination through SysExit with a non-panic
 // path; Run returns nil for a zero exit status and the machine records the
 // status either way.
@@ -103,22 +107,10 @@ type Machine struct {
 	// each miss to native code or to the modifier.
 	Translate func(pc uint64) (*Block, error)
 
-	// WatchLo/WatchHi, when WatchHi > WatchLo, define a write watchpoint:
-	// WatchHook fires on any store intersecting [WatchLo, WatchHi).
-	WatchLo, WatchHi uint64
-	WatchHook        func(pc, addr uint64)
-
 	// BlockHook, when set, observes every block Run dispatches, native or
 	// translated — the executed-block signal coverage-guided fuzzing
 	// (internal/fuzz) feeds into a metrics.Bitmap.
 	BlockHook func(pc uint64)
-}
-
-// watch fires the watchpoint hook if [addr, addr+n) intersects the range.
-func (m *Machine) watch(pc, addr uint64, n uint64) {
-	if m.WatchHook != nil && addr < m.WatchHi && addr+n > m.WatchLo {
-		m.WatchHook(pc, addr)
-	}
 }
 
 // New returns a machine with an empty address space, the stack pointer at
@@ -230,12 +222,8 @@ func (m *Machine) syscall() error {
 		m.Halted = true
 		m.ExitStatus = int64(a1)
 	case isa.SysWrite:
-		buf := make([]byte, a3)
-		if err := m.Mem.ReadBytes(a2, buf); err != nil {
+		if err := m.Mem.Stream(m.Out, a2, a3); err != nil {
 			return err
-		}
-		if m.Out != nil {
-			m.Out.Write(buf)
 		}
 		m.Regs[isa.R0] = a3
 	case isa.SysBrk:
@@ -249,7 +237,7 @@ func (m *Machine) syscall() error {
 		m.Regs[isa.R0] = prev
 	case isa.SysMmapX:
 		base := m.jitNext
-		m.jitNext += (a1 + pageSize - 1) &^ (pageSize - 1)
+		m.jitNext += (a1 + jitAlign - 1) &^ (jitAlign - 1)
 		m.Regs[isa.R0] = base
 	case isa.SysClock:
 		m.Regs[isa.R0] = m.Instrs

@@ -1,5 +1,5 @@
 // Package vm implements the JVA machine: a cycle-accounting interpreter with
-// a flat paged address space, syscalls and extensible service traps. It is
+// a lazily paged address space, syscalls and extensible service traps. It is
 // the reproduction's substitute for the paper's hardware testbed: every
 // performance number in the evaluation is a ratio of weighted cycle counts
 // measured on this machine, so instrumentation overhead emerges from real
@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // AddrLimit is the exclusive upper bound of the address space (2 GiB). The
@@ -17,9 +18,16 @@ import (
 const AddrLimit uint64 = 0x8000_0000
 
 const (
-	pageShift = 16 // 64 KiB pages
+	pageShift = 12 // 4 KiB pages
 	pageSize  = 1 << pageShift
-	numPages  = AddrLimit >> pageShift
+	dirShift  = 20 // 1 MiB per directory entry
+	dirSize   = AddrLimit >> dirShift
+	tableSize = 1 << (dirShift - pageShift) // pages per directory entry
+)
+
+type (
+	page      [pageSize]byte
+	pageTable [tableSize]*page
 )
 
 // Fault is a machine fault (bad memory access, undecodable fetch, division
@@ -44,45 +52,53 @@ func IsBudget(err error) bool {
 	return errors.As(err, &f) && f.Kind == FaultBudget
 }
 
-// Memory is the flat paged address space. Pages are allocated on first
-// write and zero-filled; reading a page never written reads zeros without
-// allocating it, so a program that only probes memory costs no host memory.
-// Accesses beyond AddrLimit fault. Like hardware, the memory itself enforces
-// no object bounds — that is the sanitizers' job.
+// Memory is the paged address space: a 2,048-entry directory (16 KiB, one
+// entry per 1 MiB) of lazily allocated 256-entry page tables (2 KiB each) of
+// 4 KiB pages. A page, and the table holding it, is allocated zero-filled on
+// the first write to it. A read of memory never written returns zeros from
+// a shared zero page and allocates nothing, not even a table, so a sparse
+// shadow region costs only the pages a run actually stores to. Accesses at
+// or beyond AddrLimit fault. Like hardware, the memory itself enforces no
+// object bounds — that is the sanitizers' job.
 type Memory struct {
-	pages [numPages]*[pageSize]byte
+	dir [dirSize]*pageTable
 }
 
 // zeroPage backs reads of pages never written. Nothing writes to it.
-var zeroPage [pageSize]byte
+var zeroPage page
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{} }
 
-// readPage returns the page holding addr for reading.
-func (m *Memory) readPage(addr uint64) (*[pageSize]byte, error) {
-	if addr >= AddrLimit {
-		return nil, outOfRange(addr)
+// lookup returns the page holding in-range addr, or nil if it was never
+// written.
+func (m *Memory) lookup(addr uint64) *page {
+	if t := m.dir[(addr>>dirShift)&(dirSize-1)]; t != nil {
+		return t[(addr>>pageShift)&(tableSize-1)]
 	}
-	if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
-		return p, nil
-	}
-	return &zeroPage, nil
+	return nil
 }
 
-// writePage returns the page holding addr for writing, allocating it on the
-// first write.
-func (m *Memory) writePage(addr uint64) (*[pageSize]byte, error) {
-	if addr >= AddrLimit {
-		return nil, outOfRange(addr)
+// readPage returns the page holding in-range addr for reading.
+func (m *Memory) readPage(addr uint64) *page {
+	if p := m.lookup(addr); p != nil {
+		return p
 	}
-	idx := (addr >> pageShift) & (numPages - 1)
-	p := m.pages[idx]
-	if p == nil {
-		p = new([pageSize]byte)
-		m.pages[idx] = p
+	return &zeroPage
+}
+
+// writePage returns the page holding in-range addr for writing, allocating
+// it, and its table, on the first write.
+func (m *Memory) writePage(addr uint64) *page {
+	t := &m.dir[(addr>>dirShift)&(dirSize-1)]
+	if *t == nil {
+		*t = new(pageTable)
 	}
-	return p, nil
+	p := &(*t)[(addr>>pageShift)&(tableSize-1)]
+	if *p == nil {
+		*p = new(page)
+	}
+	return *p
 }
 
 func outOfRange(addr uint64) error {
@@ -91,27 +107,25 @@ func outOfRange(addr uint64) error {
 
 // ReadB reads one byte.
 func (m *Memory) ReadB(addr uint64) (byte, error) {
-	p, err := m.readPage(addr)
-	if err != nil {
-		return 0, err
+	if addr >= AddrLimit {
+		return 0, outOfRange(addr)
 	}
-	return p[addr&(pageSize-1)], nil
+	return m.readPage(addr)[addr&(pageSize-1)], nil
 }
 
 // WriteB writes one byte.
 func (m *Memory) WriteB(addr uint64, v byte) error {
-	p, err := m.writePage(addr)
-	if err != nil {
-		return err
+	if addr >= AddrLimit {
+		return outOfRange(addr)
 	}
-	p[addr&(pageSize-1)] = v
+	m.writePage(addr)[addr&(pageSize-1)] = v
 	return nil
 }
 
 // Read64 reads a little-endian 8-byte word.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
 	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
-		if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
+		if p := m.lookup(addr); p != nil {
 			return binary.LittleEndian.Uint64(p[off : off+8]), nil
 		}
 	}
@@ -121,13 +135,8 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 // read64 is Read64 for words that straddle a page, lie in a page never
 // written, or lie out of range.
 func (m *Memory) read64(addr uint64) (uint64, error) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-8 {
-		p, err := m.readPage(addr)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(p[off : off+8]), nil
+	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+		return 0, nil // Read64 missed the page: it was never written
 	}
 	var buf [8]byte
 	if err := m.ReadBytes(addr, buf[:]); err != nil {
@@ -139,7 +148,7 @@ func (m *Memory) read64(addr uint64) (uint64, error) {
 // Write64 writes a little-endian 8-byte word.
 func (m *Memory) Write64(addr uint64, v uint64) error {
 	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
-		if p := m.pages[(addr>>pageShift)&(numPages-1)]; p != nil {
+		if p := m.lookup(addr); p != nil {
 			binary.LittleEndian.PutUint64(p[off:off+8], v)
 			return nil
 		}
@@ -150,13 +159,8 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 // write64 is Write64 for words that straddle a page, lie in a page never
 // written, or lie out of range.
 func (m *Memory) write64(addr uint64, v uint64) error {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-8 {
-		p, err := m.writePage(addr)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(p[off:off+8], v)
+	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+		binary.LittleEndian.PutUint64(m.writePage(addr)[off:off+8], v)
 		return nil
 	}
 	var buf [8]byte
@@ -166,13 +170,8 @@ func (m *Memory) write64(addr uint64, v uint64) error {
 
 // Read32 reads a little-endian 4-byte word.
 func (m *Memory) Read32(addr uint64) (uint32, error) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		p, err := m.readPage(addr)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(p[off : off+4]), nil
+	if off := addr & (pageSize - 1); off <= pageSize-4 && addr < AddrLimit {
+		return binary.LittleEndian.Uint32(m.readPage(addr)[off : off+4]), nil
 	}
 	var buf [4]byte
 	if err := m.ReadBytes(addr, buf[:]); err != nil {
@@ -184,12 +183,10 @@ func (m *Memory) Read32(addr uint64) (uint32, error) {
 // ReadBytes fills buf from memory starting at addr.
 func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.readPage(addr)
-		if err != nil {
-			return err
+		if addr >= AddrLimit {
+			return outOfRange(addr)
 		}
-		off := addr & (pageSize - 1)
-		n := copy(buf, p[off:])
+		n := copy(buf, m.readPage(addr)[addr&(pageSize-1):])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -199,14 +196,37 @@ func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 // WriteBytes copies buf into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.writePage(addr)
-		if err != nil {
-			return err
+		if addr >= AddrLimit {
+			return outOfRange(addr)
 		}
-		off := addr & (pageSize - 1)
-		n := copy(p[off:], buf)
+		n := copy(m.writePage(addr)[addr&(pageSize-1):], buf)
 		buf = buf[n:]
 		addr += uint64(n)
+	}
+	return nil
+}
+
+// Stream writes the n bytes at addr to w a page at a time, so a
+// guest-chosen length never sizes a host buffer. The whole range is checked
+// before anything is written: a range extending past AddrLimit, or wrapping,
+// faults as ReadBytes would, at max(addr, AddrLimit); an empty range never
+// faults, as with ReadBytes. A nil w only checks the range; a write error
+// from w ends the stream early.
+func (m *Memory) Stream(w io.Writer, addr, n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	if addr >= AddrLimit || n > AddrLimit-addr {
+		return outOfRange(max(addr, AddrLimit))
+	}
+	for w != nil && n > 0 {
+		off := addr & (pageSize - 1)
+		k := min(n, pageSize-off)
+		if _, err := w.Write(m.readPage(addr)[off : off+k]); err != nil {
+			break
+		}
+		addr += k
+		n -= k
 	}
 	return nil
 }

@@ -81,14 +81,7 @@ func (m *Machine) InstallDefaultServices() *Allocator {
 		return nil
 	})
 	m.HandleTrap(isa.TrapPuts, func(m *Machine) error {
-		buf := make([]byte, m.Regs[isa.R2])
-		if err := m.Mem.ReadBytes(m.Regs[isa.R1], buf); err != nil {
-			return err
-		}
-		if m.Out != nil {
-			m.Out.Write(buf)
-		}
-		return nil
+		return m.Mem.Stream(m.Out, m.Regs[isa.R1], m.Regs[isa.R2])
 	})
 	m.HandleTrap(isa.TrapPutI, func(m *Machine) error {
 		if m.Out != nil {

@@ -39,7 +39,7 @@ func TestMemoryRoundtrip(t *testing.T) {
 	if err != nil || v != 0xdeadbeefcafef00d {
 		t.Fatalf("Read64 = %#x, %v", v, err)
 	}
-	// cross-page access (page size 64 KiB)
+	// cross-page access (page size 4 KiB)
 	if err := mem.Write64(0x1fffc, 0x1122334455667788); err != nil {
 		t.Fatal(err)
 	}
@@ -453,9 +453,14 @@ func TestInstrBudget(t *testing.T) {
 // mappedPages counts the pages memory has allocated.
 func mappedPages(mem *Memory) int {
 	n := 0
-	for _, p := range mem.pages {
-		if p != nil {
-			n++
+	for _, t := range mem.dir {
+		if t == nil {
+			continue
+		}
+		for _, p := range t {
+			if p != nil {
+				n++
+			}
 		}
 	}
 	return n

@@ -42,9 +42,11 @@ go test -race ./...
 echo "== executor benchmarks (one iteration) =="
 # Per-layer host benchmarks of the executor: a spec program natively,
 # under the DBM (null client, jasan-hybrid) and through the hybrid
-# rewriting backend, reporting ns/instr and allocs/op. One iteration only
+# rewriting backend, reporting ns/instr and allocs/op, plus the per-run
+# fixed cost of a short comprehensive session (B/op). One iteration only
 # proves they still run; measure with a larger -benchtime.
-go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm ./internal/rewrite
+go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm ./internal/rewrite \
+	./internal/core
 
 echo "== study golden at 1 and 4 CPUs =="
 # Every study's rendered output must be byte-identical at any parallelism:
