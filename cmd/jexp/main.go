@@ -2,13 +2,14 @@
 //
 // Usage:
 //
-//	jexp [-scale n] [-parallel n] [-stats] [-o file] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|soundness|elision|jmsan|jtsan|bench|obs|rewrite|profile|static|all [benchmarks...]
+//	jexp [-scale n] [-parallel n] [-stats] [-o file] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|soundness|elision|jmsan|jtsan|cells|obs|static|all [benchmarks...]
 //
 // The cells of a study run concurrently (-parallel, default GOMAXPROCS);
 // static analysis is served by a shared content-addressed rule cache, so a
 // module analyzed for one scheme is reused by every later figure. Output is
 // deterministic at any parallelism. `jexp all` runs every paper figure even
-// when one fails, reporting the failures at the end.
+// when one fails, reporting the failures at the end. An unknown workload
+// name is rejected before anything runs.
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/experiments"
+	"repro/internal/spec"
 )
 
 func main() {
@@ -28,7 +30,7 @@ func main() {
 		"concurrent grid cells per study (0: GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print analysis-service cache statistics at exit")
 	out := flag.String("o", "",
-		"profile/static: output path for the JSON artifact (\"-\" for stdout;\ndefault BENCH_PROFILE.json / BENCH_STATIC.json)")
+		"cells/static: output path for the JSON artifact (\"-\" for stdout;\ndefault BENCH_CELLS.json / BENCH_STATIC.json)")
 	versionFlag := flag.Bool("version", false, "print build version and exit")
 	flag.Parse()
 	if *versionFlag {
@@ -75,35 +77,30 @@ func main() {
 		{"elision", func() error { return printText(experiments.Elision(*scale, benches...)) }},
 		{"jmsan", func() error { return printText(experiments.JMSan(*scale, benches...)) }},
 		{"jtsan", func() error { return printText(experiments.JTSan(*scale, benches...)) }},
-		// Pure-JSON scheme sweep for scripts/bench.sh; not part of `all`
-		// (it is a CI artifact, not a paper figure).
-		{"bench", func() error { return printJSON(experiments.Bench(*scale, benches...)) }},
+		// The evaluation matrix: every scheme on the DBM with cost
+		// attribution (the component sums are verified exact per cell),
+		// plus the rewrite schemes on the static and hybrid backends. Every
+		// cell is checked against the native run's exit status and output,
+		// so a successful sweep doubles as a parity gate. Writes the
+		// BENCH_CELLS.json artifact and prints the per-(scheme, backend)
+		// summary table. Not part of `all`: it is a CI artifact, not a
+		// paper figure.
+		{"cells", func() error {
+			rep, err := experiments.Cells(*scale, benches...)
+			if err != nil {
+				return err
+			}
+			if err := writeArtifact(*out, "BENCH_CELLS.json", experiments.FormatJSON(rep)); err != nil {
+				return err
+			}
+			fmt.Println(experiments.FormatCells(rep))
+			return nil
+		}},
 		// Observability overhead sweep: every cell runs plain and with the
 		// full tracing+diagnostics stack attached and must measure
 		// identical Cycles/Instrs/output (hard error otherwise — the
 		// zero-cost-when-disabled gate). Pure JSON for scripts/bench.sh.
 		{"obs", func() error { return printJSON(experiments.Obs(*scale, benches...)) }},
-		// Three-way backend bake-off (dynamic DBM vs static AOT rewriting
-		// vs hybrid fail-over) over the rewrite-capable schemes; pure JSON
-		// for scripts/bench.sh. Every cell's exit status and output are
-		// checked against the native run, so a successful sweep doubles as
-		// a parity gate.
-		{"rewrite", func() error { return printJSON(experiments.BenchRewrite(*scale, benches...)) }},
-		// Per-rule overhead attribution: decomposes each scheme's geomean
-		// slowdown into shadow-update/check/elided/dispatch components
-		// (sums verified exact per cell). Writes the BENCH_PROFILE.json
-		// artifact and prints the summary table.
-		{"profile", func() error {
-			rep, err := experiments.Profile(*scale, benches...)
-			if err != nil {
-				return err
-			}
-			if err := writeArtifact(*out, "BENCH_PROFILE.json", experiments.FormatJSON(rep)); err != nil {
-				return err
-			}
-			fmt.Println(experiments.FormatProfile(rep))
-			return nil
-		}},
 		// Static-vs-dynamic detection study: jlint's must and must+may
 		// alarm tiers against sanitized execution on the CWE-457 and
 		// CWE-122 suites and the planted fuzz bug classes. Writes the
@@ -128,6 +125,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: jexp [-scale n] [-parallel n] [-o file] %s|all [benchmarks...]\n",
 			strings.Join(names, "|"))
 		os.Exit(2)
+	}
+
+	for _, b := range benches {
+		if spec.ByName(b) == nil {
+			fmt.Fprintf(os.Stderr, "jexp: unknown workload %q\n", b)
+			os.Exit(2)
+		}
 	}
 
 	exit := 0

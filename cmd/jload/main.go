@@ -3,8 +3,7 @@
 // and publishes the serving trajectory as BENCH_SERVE.json — QPS,
 // p50/p95/p99 latency, cache-hit tiers (local/peer/miss from the X-Cache
 // header) and per-shard balance — so horizontal scaling is a first-class
-// benchmark artifact alongside BENCH_JANITIZER.json and
-// BENCH_PROFILE.json.
+// benchmark artifact alongside BENCH_CELLS.json.
 //
 // Usage:
 //

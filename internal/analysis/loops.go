@@ -65,9 +65,6 @@ type LoopAnalysis struct {
 	loopOf map[uint64]*Loop
 }
 
-// LoopFor returns the innermost loop containing the block at blockStart.
-func (la *LoopAnalysis) LoopFor(blockStart uint64) *Loop { return la.loopOf[blockStart] }
-
 // ClassOf returns the classification of a memory access (AccessUnknown for
 // accesses outside loops or without structure).
 func (la *LoopAnalysis) ClassOf(instrAddr uint64) AccessClass { return la.Class[instrAddr] }

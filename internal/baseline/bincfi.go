@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/jcfi"
 	"repro/internal/loader"
+	"repro/internal/metrics"
 	"repro/internal/obj"
 	"repro/internal/rules"
 )
@@ -252,18 +253,11 @@ func (t *BinCFITool) RuntimeInit(rt *core.Runtime) error {
 // AIR returns BinCFI's static average indirect-target reduction over its
 // instrumented sites.
 func (t *BinCFITool) AIR() float64 {
-	if len(t.sites) == 0 || t.space == 0 {
-		return 0
-	}
-	sum := 0.0
+	sizes := make([]float64, 0, len(t.sites))
 	for _, n := range t.sites {
-		f := n / t.space
-		if f > 1 {
-			f = 1
-		}
-		sum += f
+		sizes = append(sizes, n)
 	}
-	return 100 * (1 - sum/float64(len(t.sites)))
+	return metrics.AIR(sizes, t.space)
 }
 
 func execBytes(mod *obj.Module) uint64 {

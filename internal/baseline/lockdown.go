@@ -6,6 +6,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/jcfi"
 	"repro/internal/loader"
+	"repro/internal/metrics"
 	"repro/internal/rules"
 	"repro/internal/vm"
 )
@@ -273,16 +274,9 @@ func (t *LockdownTool) setupModule(lm *loader.LoadedModule) error {
 
 // DynamicAIR returns Lockdown's DAIR over instrumented sites.
 func (t *LockdownTool) DynamicAIR() float64 {
-	if len(t.sites) == 0 || t.space == 0 {
-		return 0
-	}
-	sum := 0.0
+	sizes := make([]float64, 0, len(t.sites))
 	for _, n := range t.sites {
-		f := n / t.space
-		if f > 1 {
-			f = 1
-		}
-		sum += f
+		sizes = append(sizes, n)
 	}
-	return 100 * (1 - sum/float64(len(t.sites)))
+	return metrics.AIR(sizes, t.space)
 }

@@ -114,15 +114,6 @@ func (g *Graph) FuncAt(addr uint64) *Function {
 	return nil
 }
 
-// FuncEntries returns the sorted set of function entry addresses.
-func (g *Graph) FuncEntries() []uint64 {
-	out := make([]uint64, len(g.Funcs))
-	for i, f := range g.Funcs {
-		out[i] = f.Entry
-	}
-	return out
-}
-
 // SortedBlocks returns all blocks in address order.
 func (g *Graph) SortedBlocks() []*BasicBlock {
 	out := make([]*BasicBlock, 0, len(g.Blocks))

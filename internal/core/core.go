@@ -312,13 +312,13 @@ func AnalyzeProgramWith(main *obj.Module, reg loader.Registry, tool Tool,
 // behind Fig. 14.
 type CoverageStats struct {
 	// StaticInstrumented blocks hit in a rule table with real rules.
-	StaticInstrumented uint64
+	StaticInstrumented uint64 `json:"static_instrumented"`
 	// StaticNoOp blocks hit in a rule table with only a NoOp rule.
-	StaticNoOp uint64
+	StaticNoOp uint64 `json:"static_noop"`
 	// Fallback blocks missed every table and went through the dynamic
 	// analyzer (dynamically generated, dlopened without rules, or
 	// statically undiscovered).
-	Fallback uint64
+	Fallback uint64 `json:"fallback"`
 }
 
 // Total returns the number of distinct blocks translated.

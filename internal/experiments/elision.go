@@ -12,7 +12,6 @@ var elisionSchemes = []Scheme{JASanHybrid, JASanElide, JCFIHybrid, JCFINarrow}
 // and the retired-instruction counts with and without the proofs applied.
 var elisionStudy = rowStudy{
 	title:   "VSA proof-carrying elision study (retired instructions)",
-	tag:     "BENCH_ELISION",
 	schemes: elisionSchemes,
 	// Violations must be zero in all cells (the safe workloads are
 	// benign); a violation under an elision scheme only is a soundness bug.
@@ -58,8 +57,8 @@ var elisionStudy = rowStudy{
 	},
 }
 
-// Elision runs the check-elision study and renders it as a table followed
-// by one `BENCH_ELISION {json}` line per benchmark.
+// Elision runs the check-elision study and renders it as a table and a
+// summary note.
 func Elision(scale int, names ...string) (string, error) {
 	return elisionStudy.run(scale, names)
 }

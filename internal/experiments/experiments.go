@@ -68,42 +68,45 @@ const (
 	BackendHybrid  Backend = "hybrid"
 )
 
-// Result is one (benchmark, scheme, backend) measurement.
+// Result is one (benchmark, scheme, backend) measurement: one cell of the
+// evaluation matrix and one record of BENCH_CELLS.json.
 type Result struct {
-	Benchmark string
-	Scheme    Scheme
+	Benchmark string `json:"benchmark"`
+	Scheme    Scheme `json:"scheme"`
 	// Backend is the execution backend the measurement ran under.
-	Backend Backend
+	Backend Backend `json:"backend"`
 	// Failed marks configurations the scheme cannot run (the x marks of
 	// the figures); Reason explains why.
-	Failed bool
-	Reason string
+	Failed bool   `json:"failed,omitempty"`
+	Reason string `json:"reason,omitempty"`
 
-	Cycles       uint64
-	NativeCycles uint64
-	Slowdown     float64
-	ExitStatus   int64
+	Cycles       uint64  `json:"cycles"`
+	NativeCycles uint64  `json:"native_cycles"`
+	Slowdown     float64 `json:"slowdown"`
+	ExitStatus   int64   `json:"exit_status"`
 	// Instrs is the retired instruction count of the instrumented run —
 	// the elision study's metric (checks removed shrink the dynamic
 	// instruction stream even when cycle weights hide it).
-	Instrs uint64
+	Instrs uint64 `json:"instrs"`
 
-	Violations int
-	Coverage   core.CoverageStats
+	Violations int                `json:"violations"`
+	Coverage   core.CoverageStats `json:"coverage"`
 	// Output is the program's captured stdout — the backend parity tests
 	// demand it byte-identical across dynamic, static and hybrid runs.
-	Output []byte
+	// Only its SHA-256 is serialised.
+	Output       []byte `json:"-"`
+	OutputSHA256 string `json:"output_sha256,omitempty"`
 	// ElidedChecks counts MEM_ACCESS_SAFE rules with a VSA-backed
 	// provenance (SafeFrame/SafeGlobal/SafeDedup/SafeDefInit) across the
 	// program's static rule files; NarrowedBranches counts CFI_JUMP_NARROW
 	// rules.
-	ElidedChecks     int
-	NarrowedBranches int
+	ElidedChecks     int `json:"elided_checks"`
+	NarrowedBranches int `json:"narrowed_branches"`
 	// DAIR is the dynamic average indirect-target reduction (CFI schemes).
-	DAIR float64
+	DAIR float64 `json:"dair"`
 	// Profile is the run's cost attribution when the grid was profiled
 	// (dynamic backend only).
-	Profile *telemetry.Profile
+	Profile *telemetry.Profile `json:"profile,omitempty"`
 
 	// elapsed is the host wall time of the run step, observability
 	// included.

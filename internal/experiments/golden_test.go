@@ -91,10 +91,10 @@ var studyGoldenPath = filepath.Join("testdata", "studies.golden")
 var studyGoldenSet = []string{"mcf", "lbm", "gamess", "omnetpp"}
 
 // TestStudyGolden pins every figure table, note and BENCH artifact of the
-// grid studies byte for byte, at whatever parallelism the test runs with.
-// The only host wall-clock column, BENCH_OBS's mean_overhead_pct, is
-// blanked. Regenerate with -update only for a change that moves a study's
-// output on purpose.
+// grid studies, BENCH_CELLS.json included, byte for byte, at whatever
+// parallelism the test runs with. The only host wall-clock column,
+// BENCH_OBS's mean_overhead_pct, is blanked. Regenerate with -update only
+// for a change that moves a study's output on purpose.
 func TestStudyGolden(t *testing.T) {
 	var b strings.Builder
 	section := func(name, text string) {
@@ -130,15 +130,9 @@ func TestStudyGolden(t *testing.T) {
 		must(st.name, err)
 		section(st.name, text)
 	}
-	bench, err := Bench(1, studyGoldenSet...)
-	must("bench", err)
-	section("bench", FormatJSON(bench))
-	rw, err := BenchRewrite(1, studyGoldenSet...)
-	must("rewrite", err)
-	section("rewrite", FormatJSON(rw))
-	prof, err := Profile(1, studyGoldenSet...)
-	must("profile", err)
-	section("profile", FormatJSON(prof)+FormatProfile(prof))
+	cells, err := Cells(1, studyGoldenSet...)
+	must("cells", err)
+	section("cells", FormatJSON(cells)+FormatCells(cells))
 	obs, err := Obs(1, studyGoldenSet...)
 	must("obs", err)
 	for i := range obs {

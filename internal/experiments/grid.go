@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
@@ -86,8 +87,8 @@ func workloadSet(scale int, names ...string) []*spec.Workload {
 	return out
 }
 
-// sortedSet is workloadSet in name order: the row order of every BENCH
-// artifact.
+// sortedSet is workloadSet in name order: the workload order of
+// BENCH_CELLS.json and of every row study.
 func sortedSet(scale int, names ...string) []*spec.Workload {
 	ws := workloadSet(scale, names...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
@@ -149,14 +150,6 @@ func (g *grid) column(si, bi int) []*Result {
 	return out
 }
 
-// summary folds one (scheme, backend) column into its geomean slowdown over
-// the workloads the scheme could run.
-func (g *grid) summary(si, bi int) BenchRow {
-	col := g.column(si, bi)
-	return BenchRow{Scheme: g.schemes[si], Backend: g.backends[bi],
-		GeomeanSlowdown: geomean(col, slowdown), Benchmarks: len(col)}
-}
-
 // geomean is the geometric mean of metric over xs.
 func geomean[T any](xs []T, metric func(T) float64) float64 {
 	vs := make([]float64, len(xs))
@@ -193,7 +186,8 @@ func buildProgram(w *spec.Workload, pic bool) (*program, error) {
 	return &program{main: main, reg: reg, native: &Result{
 		Benchmark: w.Name, Scheme: Native, Backend: BackendDynamic,
 		Cycles: m.Cycles, NativeCycles: m.Cycles, Slowdown: 1,
-		ExitStatus: m.ExitStatus, Instrs: m.Instrs, Output: out.Bytes()}}, nil
+		ExitStatus: m.ExitStatus, Instrs: m.Instrs,
+		Output: out.Bytes(), OutputSHA256: digest(out.Bytes())}}, nil
 }
 
 // runGrid runs every (workload, scheme, backend) cell. Each workload is
@@ -258,6 +252,9 @@ func runGrid(workloads []*spec.Workload, schemes []Scheme, backends []Backend,
 	}
 	return g, nil
 }
+
+// digest is the SHA-256 of a run's output in hex, as cycles.golden prints it.
+func digest(out []byte) string { return fmt.Sprintf("%x", sha256.Sum256(out)) }
 
 // progIndex locates the build a cell runs against: a workload's PIC build
 // at 2*wi+1 (Retrowrite consumes PIC), every other scheme's at 2*wi.
@@ -375,6 +372,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 	res.ExitStatus = m.ExitStatus
 	res.Instrs = m.Instrs
 	res.Output = out.Bytes()
+	res.OutputSHA256 = digest(res.Output)
 	res.Coverage = rt.Coverage
 	res.Profile = prof
 	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)

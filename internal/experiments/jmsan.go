@@ -7,13 +7,10 @@ import "fmt"
 // validity-bit baseline and the combined jasan+jmsan+jtsan+jcfi
 // configuration. Like every other study its headline is the weighted-cycle
 // slowdown against native, which is where the memcheck model's clean-call
-// expense lives; retired-instruction counts ride along as informational
-// columns.
+// expense lives.
 var jmsanStudy = rowStudy{
-	title: "JMSan uninitialized-memory study (weighted cycle slowdown vs native)",
-	tag:   "BENCH_JMSAN",
-	schemes: []Scheme{Native, JMSanHybrid, JMSanElide, JMSanDyn,
-		ValgrindDef, Comprehensive},
+	title:   "JMSan uninitialized-memory study (weighted cycle slowdown vs native)",
+	schemes: []Scheme{JMSanHybrid, JMSanElide, JMSanDyn, ValgrindDef, Comprehensive},
 	// Elision is checked for soundness in the report dimension: it removes
 	// only proven-initialized checks, so the elide cell must report exactly
 	// the violations the hybrid cell reports.
@@ -24,13 +21,6 @@ var jmsanStudy = rowStudy{
 		return nil
 	},
 	cols: []column{
-		// Informational retired-instruction counts.
-		{"native_instrs", instrsOf(Native)},
-		{"jmsan_instrs", instrsOf(JMSanHybrid)},
-		{"jmsan_elide_instrs", instrsOf(JMSanElide)},
-		{"jmsan_dyn_instrs", instrsOf(JMSanDyn)},
-		{"valgrind_def_instrs", instrsOf(ValgrindDef)},
-		{"comprehensive_instrs", instrsOf(Comprehensive)},
 		{"jmsan_slowdown", slowdownOf(JMSanHybrid)},
 		{"jmsan_elide_slowdown", slowdownOf(JMSanElide)},
 		{"jmsan_dyn_slowdown", slowdownOf(JMSanDyn)},
@@ -61,7 +51,7 @@ var jmsanStudy = rowStudy{
 }
 
 // JMSan runs the uninitialized-memory study and renders it as a table, the
-// per-scheme geomeans, and one `BENCH_JMSAN {json}` line per benchmark.
+// per-scheme geomeans and the memcheck comparison.
 func JMSan(scale int, names ...string) (string, error) {
 	return jmsanStudy.run(scale, names)
 }

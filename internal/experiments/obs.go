@@ -67,6 +67,7 @@ func Obs(scale int, names ...string) ([]ObsRow, error) {
 		return nil, err
 	}
 
+	sums := summarize(observed.cells)
 	var rows []ObsRow
 	for si, s := range obsSchemes {
 		var sum float64
@@ -91,11 +92,10 @@ func Obs(scale int, names ...string) ([]ObsRow, error) {
 		if n > 0 {
 			mean = math.Round(sum/float64(n)*100) / 100
 		}
-		sr := observed.summary(si, 0)
 		rows = append(rows, ObsRow{
 			Scheme:           s,
-			Benchmarks:       sr.Benchmarks,
-			GeomeanSlowdown:  sr.GeomeanSlowdown,
+			Benchmarks:       sums[si].Benchmarks,
+			GeomeanSlowdown:  sums[si].GeomeanSlowdown,
 			CyclesIdentical:  true,
 			Spans:            len(observed.sinks[si].tr.Snapshot(0)),
 			ViolationRecords: observed.sinks[si].dlog.Len(),

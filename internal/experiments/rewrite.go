@@ -16,13 +16,6 @@ var rewriteSchemes = []Scheme{JASanHybrid, JCFIHybrid, JMSanHybrid, Comprehensiv
 // first.
 var rewriteBackends = []Backend{BackendDynamic, BackendStatic, BackendHybrid}
 
-// BenchRewrite runs the three-way bake-off — every rewrite scheme under the
-// dynamic, static and hybrid backends — and folds each (scheme, backend)
-// cell into one geomean row: the BENCH_REWRITE.json artifact.
-func BenchRewrite(scale int, names ...string) ([]BenchRow, error) {
-	return benchRows(sortedSet(scale, names...), rewriteSchemes, rewriteBackends)
-}
-
 // CheckParity runs scheme over the workloads on the dynamic, static and
 // hybrid backends and demands that both rewritten runs reproduce the
 // dynamic run's sanitizer verdicts, exit status and output bytes. Every

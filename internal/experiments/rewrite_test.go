@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/spec"
@@ -28,12 +29,15 @@ func TestRewriteBackendParityAllWorkloads(t *testing.T) {
 // modifier (static runs everything natively) and the hybrid must never cost
 // more than staying fully dynamic.
 func TestBenchRewriteOrdering(t *testing.T) {
-	rows, err := BenchRewrite(1, quickSet...)
+	rep, err := Cells(1, quickSet...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]BenchRow{}
-	for _, r := range rows {
+	byKey := map[string]Summary{}
+	for _, r := range rep.Summary {
+		if !slices.Contains(rewriteSchemes, r.Scheme) {
+			continue
+		}
 		byKey[fmt.Sprintf("%s/%s", r.Scheme, r.Backend)] = r
 		t.Logf("%-14s %-8s geomean %.3f over %d benchmarks",
 			r.Scheme, r.Backend, r.GeomeanSlowdown, r.Benchmarks)

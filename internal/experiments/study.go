@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -9,15 +8,14 @@ import (
 // cells reads one workload's results by scheme.
 type cells func(Scheme) *Result
 
-// A column is one field of a per-workload study row: its key in the row's
-// BENCH JSON line and the value it reads off the workload's cells.
+// A column is one field of a per-workload study row: its key and the value
+// it reads off the workload's cells.
 type column struct {
 	key string
 	get func(cells) any
 }
 
 func instrsOf(s Scheme) func(cells) any   { return func(c cells) any { return c(s).Instrs } }
-func cyclesOf(s Scheme) func(cells) any   { return func(c cells) any { return c(s).Cycles } }
 func slowdownOf(s Scheme) func(cells) any { return func(c cells) any { return c(s).Slowdown } }
 
 // A row is one workload's column values, by key.
@@ -30,14 +28,13 @@ func geomeanCol(rows []row, key string) float64 {
 
 // A rowStudy is a study with one row per workload: a scheme selection run
 // on the DBM, the cross-cell check every workload must pass, the columns of
-// its rows, and how it renders them — a title, a table over some columns,
-// summary lines, then one machine-readable `<tag> {json}` line per row
-// carrying every column. Rows come in workload-name order, so the text is
-// byte-identical across runs and parallelism settings.
+// its rows, and how it renders them — a title, a table over the columns,
+// then summary lines. Rows come in workload-name order, so the text is
+// byte-identical across runs and parallelism settings. The cells behind
+// every row are in BENCH_CELLS.json (Cells).
 type rowStudy struct {
-	title, tag string
-	schemes    []Scheme
-	probe      probe
+	title   string
+	schemes []Scheme
 	// check is the cross-cell assertion every workload must pass.
 	check func(cells) error
 	cols  []column
@@ -49,7 +46,7 @@ type rowStudy struct {
 }
 
 func (s *rowStudy) run(scale int, names []string) (string, error) {
-	g, err := runGrid(sortedSet(scale, names...), s.schemes, dynamicOnly, s.probe)
+	g, err := runGrid(sortedSet(scale, names...), s.schemes, dynamicOnly, probeNone)
 	if err != nil {
 		return "", err
 	}
@@ -73,15 +70,6 @@ func (s *rowStudy) run(scale int, names []string) (string, error) {
 		fmt.Fprintf(&b, s.line, fields(s.keys, func(k string) any { return r[k] })...)
 	}
 	b.WriteString(s.summary(rows))
-	for _, r := range rows {
-		name, _ := json.Marshal(r["benchmark"])
-		fmt.Fprintf(&b, "%s {\"benchmark\":%s", s.tag, name)
-		for _, col := range s.cols {
-			v, _ := json.Marshal(r[col.key])
-			fmt.Fprintf(&b, ",%q:%s", col.key, v)
-		}
-		b.WriteString("}\n")
-	}
 	return b.String(), nil
 }
 

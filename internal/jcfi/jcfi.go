@@ -16,6 +16,7 @@ import (
 	"repro/internal/dbm"
 	"repro/internal/isa"
 	"repro/internal/loader"
+	"repro/internal/metrics"
 	"repro/internal/obj"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
@@ -581,18 +582,11 @@ func (t *Tool) recordSite(addr uint64, kind siteKind, targets float64) {
 // the indirect CTI sites that executed during the run — the Lockdown-style
 // DAIR of Fig. 12. Space is the total executable bytes of loaded modules.
 func (t *Tool) DynamicAIR() float64 {
-	if len(t.sites) == 0 || t.codeBytes == 0 {
-		return 0
-	}
-	sum := 0.0
+	sizes := make([]float64, 0, len(t.sites))
 	for _, s := range t.sites {
-		frac := s.targets / t.codeBytes
-		if frac > 1 {
-			frac = 1
-		}
-		sum += frac
+		sizes = append(sizes, s.targets)
 	}
-	return 100 * (1 - sum/float64(len(t.sites)))
+	return metrics.AIR(sizes, t.codeBytes)
 }
 
 // DAIRBreakdown splits the dynamic AIR by edge kind ("call", "jump",
@@ -603,22 +597,14 @@ func (t *Tool) DAIRBreakdown() map[string]float64 {
 	if t.codeBytes == 0 {
 		return nil
 	}
-	sums := map[siteKind]float64{}
-	counts := map[siteKind]int{}
+	sizes := map[siteKind][]float64{}
 	for _, s := range t.sites {
-		frac := s.targets / t.codeBytes
-		if frac > 1 {
-			frac = 1
-		}
-		sums[s.kind] += frac
-		counts[s.kind]++
+		sizes[s.kind] = append(sizes[s.kind], s.targets)
 	}
 	names := map[siteKind]string{siteCall: "call", siteJump: "jump", siteRet: "ret"}
 	out := map[string]float64{}
-	for k, n := range counts {
-		if n > 0 {
-			out[names[k]] = 100 * (1 - sums[k]/float64(n))
-		}
+	for k, ss := range sizes {
+		out[names[k]] = metrics.AIR(ss, t.codeBytes)
 	}
 	return out
 }

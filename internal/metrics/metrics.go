@@ -65,6 +65,19 @@ func (a *AIRAccumulator) Percent() float64 {
 	return 100 * (1 - a.sumFrac/float64(a.sites))
 }
 
+// AIR returns the AIR percentage of CTIs with the given allowed-target set
+// sizes out of a space of S. It sorts sizes in place and sums in that
+// order, so the result is bit-identical whatever order the sizes came in —
+// map iteration order included.
+func AIR(sizes []float64, space float64) float64 {
+	sort.Float64s(sizes)
+	var a AIRAccumulator
+	for _, n := range sizes {
+		a.Add(n, space)
+	}
+	return a.Percent()
+}
+
 // Row is one labelled series of per-benchmark values; Table formats rows the
 // way the paper's figures report them.
 type Row struct {

@@ -63,6 +63,20 @@ func TestAIRAccumulator(t *testing.T) {
 	}
 }
 
+func TestAIRIndependentOfOrder(t *testing.T) {
+	// Float addition is not associative: summed in these two orders the
+	// fractions give AIRs 49.83333333333334 and 49.83333333333333, so AIR
+	// must fix its own summation order.
+	fwd := AIR([]float64{300, 694, 511}, 1000)
+	rev := AIR([]float64{511, 694, 300}, 1000)
+	if fwd != rev {
+		t.Fatalf("AIR depends on order: %v vs %v", fwd, rev)
+	}
+	if got := AIR(nil, 100); got != 0 {
+		t.Errorf("AIR(nil) = %v, want 0", got)
+	}
+}
+
 func TestFormatTable(t *testing.T) {
 	rows := []Row{
 		{Label: "toolA", Values: map[string]float64{"b1": 2.0, "b2": 8.0}},

@@ -1,15 +1,18 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // CostCenter classifies where an executed code-cache instruction's cycles
 // go — the originating rewrite-rule kind for meta code, the application
 // itself, or the DBT's own machinery. The dynamic modifier charges each
-// retired instruction's cycles to its center, giving the per-rule overhead
-// decomposition of `jexp profile` (BENCH_PROFILE.json).
+// retired instruction's cycles to its center. `jexp cells` writes each
+// profiled cell's centers into BENCH_CELLS.json by name, and its summary
+// folds them into the per-rule overhead decomposition (Breakdown).
 type CostCenter uint8
 
 const (
@@ -118,6 +121,50 @@ func (p *Profile) TotalInstrs() uint64 {
 		n += c
 	}
 	return n
+}
+
+// profileJSON is a Profile's wire form: cycles and instrs keyed by
+// CostCenter.String() name, zero centers omitted.
+type profileJSON struct {
+	Cycles map[string]uint64 `json:"cycles"`
+	Instrs map[string]uint64 `json:"instrs"`
+}
+
+// MarshalJSON encodes the profile by center name, omitting zero centers.
+func (p Profile) MarshalJSON() ([]byte, error) {
+	byName := func(v *[NumCostCenters]uint64) map[string]uint64 {
+		m := map[string]uint64{}
+		for cc, n := range v {
+			if n != 0 {
+				m[ccNames[cc]] = n
+			}
+		}
+		return m
+	}
+	return json.Marshal(profileJSON{byName(&p.Cycles), byName(&p.Instrs)})
+}
+
+// UnmarshalJSON decodes MarshalJSON's form and rejects an unknown center
+// name.
+func (p *Profile) UnmarshalJSON(b []byte) error {
+	var w profileJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*p = Profile{}
+	for _, f := range []struct {
+		from map[string]uint64
+		to   *[NumCostCenters]uint64
+	}{{w.Cycles, &p.Cycles}, {w.Instrs, &p.Instrs}} {
+		for name, n := range f.from {
+			cc := slices.Index(ccNames[:], name)
+			if cc < 0 {
+				return fmt.Errorf("telemetry: unknown cost center %q", name)
+			}
+			f.to[cc] = n
+		}
+	}
+	return nil
 }
 
 // Breakdown folds cost centers into the paper's overhead components.

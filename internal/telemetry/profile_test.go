@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -78,5 +79,31 @@ func BenchmarkDisabledProfileCharge(b *testing.B) {
 	var p *Profile
 	for i := 0; i < b.N; i++ {
 		p.Charge(CCApp, 2, 1)
+	}
+}
+
+func TestProfileJSONByCenterName(t *testing.T) {
+	p := &Profile{}
+	p.Charge(CCApp, 900, 450)
+	p.Charge(CCGenCheck, 64, 16)
+	p.Charge(CCDispatch, 30, 0)
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"cycles":{"app":900,"dispatch":30,"gen-check":64},"instrs":{"app":450,"gen-check":16}}`
+	if string(b) != want {
+		t.Fatalf("marshal = %s, want %s", b, want)
+	}
+	var back Profile
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != *p {
+		t.Fatalf("round trip = %+v, want %+v", back, *p)
+	}
+	err = json.Unmarshal([]byte(`{"cycles":{"app":1,"mem-chek":2}}`), &back)
+	if err == nil || !strings.Contains(err.Error(), `"mem-chek"`) {
+		t.Fatalf("unknown center name: err = %v", err)
 	}
 }

@@ -88,12 +88,6 @@ func EntryV(r isa.Register) Value { return Value{Region: REntry, Sym: r} }
 // LinkV returns the singleton link-time address a.
 func LinkV(a uint64) Value { return Value{Region: RLink, Lo: int64(a), Hi: int64(a)} }
 
-// IsTop reports whether the value is unknown.
-func (v Value) IsTop() bool { return v.Region == RTop }
-
-// IsBot reports whether the value is unreachable.
-func (v Value) IsBot() bool { return v.Region == RBot }
-
 // IsFrame reports whether the value is frame-based: an offset from the
 // function-entry stack pointer F.
 func (v Value) IsFrame() bool { return v.Region == REntry && v.Sym == isa.SP }

@@ -1,67 +1,49 @@
 #!/bin/sh
-# Benchmark gate: runs the Janitizer scheme sweep (jasan/jcfi/jmsan/jtsan
-# hybrid and elision variants plus the comprehensive jasan+jmsan+jtsan+jcfi
-# configuration)
-# over the full workload suite through jexp, writing one deterministic
-# per-scheme geomean-slowdown row each to BENCH_JANITIZER.json, then reruns
-# the sweep with per-rule cost attribution to produce BENCH_PROFILE.json —
-# each scheme's slowdown decomposed into shadow-update/check/elided/dispatch
-# components whose sums are verified exact per (benchmark, scheme) cell.
+# Benchmark gate: writes the repository's simulated and serving artifacts
+# from three jexp runs and one fleet replay.
 #
-# It then runs the three-way rewriting bake-off — every rewrite-capable
-# scheme under the dynamic, static (AOT) and hybrid (AOT with DBM fail-over)
-# backends — into BENCH_REWRITE.json, one geomean row per (scheme, backend)
-# cell. Every cell cross-checks exit status and output bytes against the
-# uninstrumented native run, so the sweep doubles as a parity gate.
+# BENCH_CELLS.json is the evaluation matrix over the full workload suite, one
+# record per (workload, scheme, backend) cell: every scheme on the DBM with
+# per-rule cost attribution, plus every rewrite-capable scheme under the
+# static (AOT) and hybrid (AOT with DBM fail-over) backends. Each record
+# carries cycles, instructions, cost centers, violations, exit status and
+# the output's SHA-256; the file ends with one geomean-slowdown summary per
+# (scheme, backend) column, its attributed overhead split into
+# shadow-update/check/elided/dispatch/other fractions. jexp verifies the
+# component sums exactly per profiled cell and checks every cell's exit
+# status and output against the uninstrumented native run, so the sweep
+# doubles as a parity gate.
 #
-# It then measures the serving trajectory: a 3-node janitizerd fleet plus a
-# single-node baseline replayed with jload's traffic mixes, written to
-# BENCH_SERVE.json (QPS, p50/p95/p99, cache tiers, per-shard balance, and
-# the fleet-vs-single hot-mix speedup).
+# BENCH_STATIC.json is the static-vs-dynamic detection study: jlint's must
+# and must+may alarm tiers against sanitized execution over the CWE-457 and
+# CWE-122 suites and the planted fuzz bug classes (per-suite TP/FN/FP per
+# tier plus analysis wall-time vs sanitized execution time).
 #
-# It then runs the temporal-sanitizer figure — jtsan hybrid/elide/dyn vs
-# the valgrind-temporal generation-tag memcheck model vs the comprehensive
-# jasan+jmsan+jtsan+jcfi stack over all 28 workloads — into
-# BENCH_JTSAN.txt. That artifact is the study's text, not JSON: the table,
-# the geomeans and notes, then one `BENCH_JTSAN {json}` line per workload
-# with per-cell weighted-cycle slowdowns, elided-check counts, and the
-# gen-check/quarantine/elided telemetry cost centers.
+# BENCH_OBS.json measures the observability stack's cost: six schemes over
+# the full suite, each cell run plain and with tracing + structured
+# diagnostics attached. The two runs must agree cycle-exactly (jexp obs
+# hard-errors otherwise — the zero-cost-when-disabled gate); the artifact
+# records each scheme's span/record counts and host wall overhead.
 #
-# Finally it runs the static-vs-dynamic detection study — jlint's must and
-# must+may alarm tiers against sanitized execution over the CWE-457 and
-# CWE-122 suites and the planted fuzz bug classes — into BENCH_STATIC.json
-# (per-suite TP/FN/FP per tier plus analysis wall-time vs sanitized
-# execution time).
+# BENCH_SERVE.json is the serving trajectory: a 3-node janitizerd fleet plus
+# a single-node baseline replayed with jload's traffic mixes (QPS,
+# p50/p95/p99, cache tiers, per-shard balance, and the fleet-vs-single
+# hot-mix speedup).
 #
-# It also measures the observability stack's cost into BENCH_OBS.json: six
-# schemes over the full suite, each cell run plain and with tracing +
-# structured diagnostics attached. The two runs must agree cycle-exactly
-# (jexp obs hard-errors otherwise — the zero-cost-when-disabled gate); the
-# artifact records each scheme's span/record counts and host wall overhead.
-#
-# Usage: scripts/bench.sh [output.json] [profile.json] [serve.json] [rewrite.json] [static.json] [jtsan.txt] [obs.json]
+# Usage: scripts/bench.sh [cells.json] [static.json] [obs.json] [serve.json]
 # BENCH_PARALLEL overrides the jexp worker count (default 8).
 set -eu
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_JANITIZER.json}"
-profile_out="${2:-BENCH_PROFILE.json}"
-serve_out="${3:-BENCH_SERVE.json}"
-rewrite_out="${4:-BENCH_REWRITE.json}"
-static_out="${5:-BENCH_STATIC.json}"
-jtsan_out="${6:-BENCH_JTSAN.txt}"
-obs_out="${7:-BENCH_OBS.json}"
+cells_out="${1:-BENCH_CELLS.json}"
+static_out="${2:-BENCH_STATIC.json}"
+obs_out="${3:-BENCH_OBS.json}"
+serve_out="${4:-BENCH_SERVE.json}"
 
-go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" bench > "$out"
-echo "bench: wrote $out"
-go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" -o "$profile_out" profile > /dev/null
-echo "bench: wrote $profile_out"
-go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" rewrite > "$rewrite_out"
-echo "bench: wrote $rewrite_out"
+go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" -o "$cells_out" cells > /dev/null
+echo "bench: wrote $cells_out"
 go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" -o "$static_out" static > /dev/null
 echo "bench: wrote $static_out"
-go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" jtsan > "$jtsan_out"
-echo "bench: wrote $jtsan_out"
 go run ./cmd/jexp -parallel "${BENCH_PARALLEL:-8}" obs > "$obs_out"
 echo "bench: wrote $obs_out"
 

@@ -208,17 +208,22 @@ else
 	echo "fleet smoke: byte-identical, peer fills observed, node-kill degraded cleanly"
 fi
 
-echo "== bench + profile + rewrite bake-off =="
-# Full-suite scheme sweep writing BENCH_JANITIZER.json, the attributed
-# BENCH_PROFILE.json, and the three-way rewriting bake-off BENCH_REWRITE.json.
-# In short mode (CI_SHORT=1) the full 28-workload sweeps are replaced by
-# two-workload smokes that still enforce the exact component-sum identity
-# (Profile errors on any mismatch) and the bake-off's native-parity checks
-# (every grid cell hard-errors on any exit/output divergence from native).
+echo "== bench: cell matrix, static, obs =="
+# Full-suite cell matrix writing BENCH_CELLS.json: every scheme on the DBM
+# with cost attribution plus the rewrite schemes on the static and hybrid
+# backends, one record per cell. In short mode (CI_SHORT=1) the full
+# 28-workload sweeps are replaced by two-workload smokes that still enforce
+# the exact component-sum identity (Cells errors on any mismatch) and the
+# native-parity checks (every grid cell hard-errors on any exit/output
+# divergence from native), plus a negative smoke: jexp must reject an
+# unknown workload name rather than print an empty figure.
 if [ "${CI_SHORT:-0}" = "1" ]; then
-	echo "bench: full sweep skipped (CI_SHORT=1); running profile + rewrite + static + jtsan + obs smokes"
-	go run ./cmd/jexp -parallel 4 -o /tmp/profile-smoke.json profile mcf lbm
-	go run ./cmd/jexp -parallel 4 rewrite mcf lbm > /tmp/rewrite-smoke.json
+	echo "bench: full sweep skipped (CI_SHORT=1); running cells + static + jtsan + obs smokes"
+	go run ./cmd/jexp -parallel 4 -o /tmp/cells-smoke.json cells mcf lbm
+	if go run ./cmd/jexp fig7 nosuch > /dev/null 2>&1; then
+		echo "jexp accepted the unknown workload name \"nosuch\""
+		exit 1
+	fi
 	go run ./cmd/jexp -parallel 4 -o /tmp/static-smoke.json static
 	go run ./cmd/jexp -parallel 4 jtsan mcf lbm > /tmp/jtsan-smoke.txt
 	# The obs smoke still enforces the full disabled-path invariant: every
