@@ -6,6 +6,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbm"
 	"repro/internal/jasan"
+	"repro/internal/jcfi"
+	"repro/internal/jmsan"
+	"repro/internal/jtsan"
 	"repro/internal/loader"
 	"repro/internal/obj"
 	"repro/internal/spec"
@@ -17,17 +20,13 @@ import (
 const benchProgram = "hmmer"
 
 // BenchmarkDBMRun measures a whole spec program under the dynamic
-// modifier, with the null client (pure translation and dispatch) and with
-// JASan's hybrid instrumentation. Loading and static analysis are outside
-// the timer; ns/instr is host time per retired instruction, meta
-// instructions included.
+// modifier, with the null client (pure translation and dispatch), with
+// JASan's hybrid instrumentation, and with the comprehensive scheme
+// (JASan+JMSan+JTSan+JCFI, the densest checks). Loading and static
+// analysis are outside the timer; ns/instr is host time per retired
+// instruction, meta instructions included.
 func BenchmarkDBMRun(b *testing.B) {
 	main, reg, err := spec.ByName(benchProgram).Build(false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newJASan := func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) }
-	files, err := core.AnalyzeProgram(main, reg, newJASan())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,11 +35,29 @@ func BenchmarkDBMRun(b *testing.B) {
 			return dbm.New(m, proc, dbm.NullClient{}).Run
 		})
 	})
-	b.Run("jasan-hybrid", func(b *testing.B) {
-		benchDBM(b, main, reg, func(m *vm.Machine, proc *loader.Process) func(uint64) error {
-			return core.NewRuntime(m, proc, newJASan(), files).Run
+	for _, s := range []struct {
+		name    string
+		newTool func() core.Tool
+	}{
+		{"jasan-hybrid", func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) }},
+		{"comprehensive", func() core.Tool {
+			return core.NewMultiTool(
+				jasan.New(jasan.Config{UseLiveness: true}),
+				jmsan.New(jmsan.Config{UseLiveness: true}),
+				jtsan.New(jtsan.Config{UseLiveness: true}),
+				jcfi.New(jcfi.DefaultConfig))
+		}},
+	} {
+		files, err := core.AnalyzeProgram(main, reg, s.newTool())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(s.name, func(b *testing.B) {
+			benchDBM(b, main, reg, func(m *vm.Machine, proc *loader.Process) func(uint64) error {
+				return core.NewRuntime(m, proc, s.newTool(), files).Run
+			})
 		})
-	})
+	}
 }
 
 // benchDBM times b.N runs of main, each on a fresh machine and process

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jasan"
+	"repro/internal/obj"
 	"repro/internal/spec"
 )
 
@@ -32,4 +33,33 @@ func BenchmarkHybridRun(b *testing.B) {
 		instrs += res.Machine.Instrs
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+}
+
+// BenchmarkApply measures the static applier over every module of one spec
+// program that JASan's captured plans instrument: CFG recovery, the
+// per-function refusals, trampolines and the relocated `.jrw` copies.
+// Static analysis and plan capture are outside the timer.
+func BenchmarkApply(b *testing.B) {
+	main, reg, err := spec.ByName("hmmer").Build(false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, plans := captureFor(b, main, reg, func() core.Tool {
+		return jasan.New(jasan.Config{UseLiveness: true})
+	})
+	mods := []*obj.Module{main}
+	for _, mod := range reg {
+		mods = append(mods, mod)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, mod := range mods {
+			if plan := plans[mod.Name]; plan != nil {
+				if _, err := Apply(mod, plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 }

@@ -43,6 +43,10 @@ type CInstr struct {
 	CC telemetry.CostCenter
 	// Reloc marks a position-dependent meta immediate (see RelocKind).
 	Reloc RelocKind
+
+	// fused marks the first instruction of a shadow-check idiom that run
+	// retires in one step (see FuseChecks).
+	fused bool
 }
 
 // Block is one straight-line run of code in executor form, cached under
@@ -209,6 +213,10 @@ func (m *Machine) Exec(in *isa.Instr) (taken bool, err error) {
 //
 // With prof attached, each instruction's cycle delta — including any
 // cycles its trap handler adds — is charged to its cost center.
+//
+// A shadow check FuseChecks marked retires in one step at its lea when the
+// budget admits all seven of its instructions; otherwise, or when its
+// shadow load would fault, it steps through the switch like any other code.
 func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 	r := &m.Regs
 	limit := m.MaxInstrs
@@ -256,12 +264,17 @@ func (m *Machine) run(code []CInstr, prof *telemetry.Profile) (*CInstr, error) {
 			}
 		case isa.OpStXB:
 			err = m.Mem.WriteB(eax1(r, in), byte(r[in.Rd]))
-		case isa.OpLea:
-			r[in.Rd] = ea(r, in)
-		case isa.OpLeaX:
-			r[in.Rd] = eax8(r, in)
-		case isa.OpLeaXB:
-			r[in.Rd] = eax1(r, in)
+		case isa.OpLea, isa.OpLeaX, isa.OpLeaXB:
+			if c.fused {
+				if j, exit, ok := m.retireCheck(code, i, limit, before, prof); ok {
+					if j < 0 {
+						return exit, nil
+					}
+					i = j
+					continue
+				}
+			}
+			r[in.Rd] = leaAddr(r, in)
 		case isa.OpLdPC:
 			r[in.Rd], err = m.Mem.Read64(next + uint64(int64(in.Disp)))
 		case isa.OpLeaPC:
@@ -431,6 +444,17 @@ func eax1(r *[isa.NumRegs]uint64, in *isa.Instr) uint64 {
 	return r[in.Rb] + r[in.Ri] + uint64(int64(in.Disp))
 }
 
+// leaAddr is the address a lea, leaX or leaXB instruction computes.
+func leaAddr(r *[isa.NumRegs]uint64, in *isa.Instr) uint64 {
+	switch in.Op {
+	case isa.OpLeaX:
+		return eax8(r, in)
+	case isa.OpLeaXB:
+		return eax1(r, in)
+	}
+	return ea(r, in)
+}
+
 // add returns a+b and sets the flags of the addition.
 func (m *Machine) add(a, b uint64) uint64 {
 	res := a + b
@@ -513,9 +537,10 @@ func (m *Machine) NativeBlock(pc uint64) (*Block, error) {
 // Run executes from entry until the program exits or faults. It is the one
 // dispatch loop: each block comes from the block cache, through the
 // previous block's links or the cache map, and a miss builds it with
-// Translate, or natively when Translate is nil. A translated block is
-// charged to its Modifier: the dispatch counts, the indirect-dispatch cost
-// on an indirect exit, and its cycles to the modifier's profile.
+// Translate, or natively when Translate is nil, and marks its shadow checks
+// with FuseChecks. A translated block is charged to its Modifier: the
+// dispatch counts, the indirect-dispatch cost on an indirect exit, and its
+// cycles to the modifier's profile.
 func (m *Machine) Run(entry uint64) error {
 	sp := telemetry.StartSpan("vm.run", telemetry.Uint("entry", entry))
 	defer func() {
@@ -540,6 +565,7 @@ func (m *Machine) Run(entry uint64) error {
 			if err != nil {
 				return err
 			}
+			FuseChecks(b.Code)
 			m.blocks.Add(b)
 		}
 		b.Execs++

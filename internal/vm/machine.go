@@ -227,14 +227,14 @@ func (m *Machine) syscall() error {
 		}
 		m.Regs[isa.R0] = a3
 	case isa.SysBrk:
-		prev := m.brk
-		m.brk += a1
-		if m.brk > isa.LayoutHeapLimit {
-			m.brk = prev
+		// a1 is a signed increment; the break stays inside the heap.
+		brk := m.brk + a1
+		if (int64(a1) < 0) != (brk < m.brk) ||
+			brk < isa.LayoutHeapBase || brk > isa.LayoutHeapLimit {
 			m.Regs[isa.R0] = ^uint64(0)
 			return nil
 		}
-		m.Regs[isa.R0] = prev
+		m.Regs[isa.R0], m.brk = m.brk, brk
 	case isa.SysMmapX:
 		base := m.jitNext
 		m.jitNext += (a1 + jitAlign - 1) &^ (jitAlign - 1)

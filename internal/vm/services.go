@@ -30,12 +30,16 @@ func NewAllocator(base, limit uint64) *Allocator {
 }
 
 // Alloc returns the base of a fresh block of the given size (16-byte
-// aligned), or 0 if the heap is exhausted.
+// aligned), or 0 if the heap is exhausted or the size is too large to
+// round.
 func (a *Allocator) Alloc(size uint64) uint64 {
 	if size == 0 {
 		size = 1
 	}
 	size = (size + 15) &^ 15
+	if size == 0 {
+		return 0 // the rounding overflowed
+	}
 	for i, b := range a.free {
 		if b.size >= size {
 			a.free = append(a.free[:i], a.free[i+1:]...)
@@ -46,7 +50,7 @@ func (a *Allocator) Alloc(size uint64) uint64 {
 			return b.base
 		}
 	}
-	if a.next+size > a.limit {
+	if end := a.next + size; end < a.next || end > a.limit {
 		return 0
 	}
 	base := a.next

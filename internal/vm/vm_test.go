@@ -687,3 +687,54 @@ func TestUnknownTrapAndSyscallFault(t *testing.T) {
 		t.Error("unknown syscall should fault")
 	}
 }
+
+func TestAllocatorRejectsOverflowingSizes(t *testing.T) {
+	a := NewAllocator(0x1000, 0x100000)
+	// ^0 rounds to 0; ^0-31 rounds to a size whose end wraps below the
+	// heap base.
+	for _, size := range []uint64{^uint64(0), ^uint64(0) - 31, ^uint64(0) - 15, 1 << 63} {
+		if b := a.Alloc(size); b != 0 {
+			t.Errorf("Alloc(%#x) = %#x, want 0", size, b)
+		}
+	}
+	if len(a.Live) != 0 {
+		t.Fatalf("rejected allocations left live blocks: %v", a.Live)
+	}
+	b1, b2 := a.Alloc(16), a.Alloc(16)
+	if b1 != 0x1000 || b2 != 0x1010 {
+		t.Errorf("Alloc(16) twice = %#x, %#x; want 0x1000, 0x1010", b1, b2)
+	}
+}
+
+func TestSysBrkStaysInsideTheHeap(t *testing.T) {
+	m := New()
+	brk := func(incr uint64) uint64 {
+		m.Regs[isa.R0], m.Regs[isa.R1] = isa.SysBrk, incr
+		if err := m.syscall(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Regs[isa.R0]
+	}
+	const fail = ^uint64(0)
+	base, limit := uint64(isa.LayoutHeapBase), uint64(isa.LayoutHeapLimit)
+	steps := []struct {
+		incr, want, brk uint64
+	}{
+		{4096, base, base + 4096},
+		{^uint64(4096) + 1, base + 4096, base}, // shrink back by 4096
+		{^uint64(0), fail, base},               // below the heap base
+		{limit - base + 1, fail, base},         // past the heap limit
+		{^uint64(0) - base + 1, fail, base},    // wraps to address 0
+		{1 << 63, fail, base},                  // wraps far below
+		{limit - base, base, limit},            // exactly to the limit
+		{1, fail, limit},                       // one past it
+		{^uint64(limit-base) + 1, limit, base}, // exactly back to base
+		{0, base, base},
+	}
+	for i, s := range steps {
+		if got := brk(s.incr); got != s.want || m.brk != s.brk {
+			t.Errorf("step %d: brk(%#x) = %#x with break %#x, want %#x with break %#x",
+				i, s.incr, got, m.brk, s.want, s.brk)
+		}
+	}
+}

@@ -39,14 +39,16 @@ echo "== go vet: benchmark module =="
 echo "== go test -race =="
 go test -race ./...
 
-echo "== executor benchmarks (one iteration) =="
-# Per-layer host benchmarks of the executor: a spec program natively,
-# under the DBM (null client, jasan-hybrid) and through the hybrid
-# rewriting backend, reporting ns/instr and allocs/op, plus the per-run
-# fixed cost of a short comprehensive session (B/op). One iteration only
-# proves they still run; measure with a larger -benchtime.
+echo "== executor and per-layer benchmarks (one iteration) =="
+# Per-layer host benchmarks: the executor running a spec program natively,
+# under the DBM (null client, jasan-hybrid, comprehensive) and through the
+# hybrid rewriting backend, reporting ns/instr and allocs/op; the per-run
+# fixed cost of a short comprehensive session (B/op); and the static
+# layers over one spec program: cc.Compile, cfg.Build, the VSA fixpoint
+# and rewrite.Apply. One iteration only proves they still run; measure
+# with a larger -benchtime.
 go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm ./internal/rewrite \
-	./internal/core
+	./internal/core ./internal/cc ./internal/cfg ./internal/vsa
 
 echo "== study golden at 1 and 4 CPUs =="
 # Every study's rendered output must be byte-identical at any parallelism:
