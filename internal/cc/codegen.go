@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/libj"
@@ -38,9 +37,6 @@ type Options struct {
 	// NoIPARA disables the -O2 ipa-ra caller-save elision (useful for
 	// isolating its effect; see internal/analysis.ReliedUpon).
 	NoIPARA bool
-
-	// noIPARA is the internal first-pass marker.
-	noIPARA bool
 }
 
 // CompileError is a semantic diagnostic.
@@ -55,31 +51,70 @@ func (e *CompileError) Error() string { return fmt.Sprintf("cc: line %d: %s", e.
 func Compile(src string, opts Options) (*obj.Module, error) {
 	sp := telemetry.StartSpan("cc.compile", telemetry.String("module", opts.Module))
 	defer sp.End()
-	text, err := GenAsm(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	asp := sp.Child("cc.assemble")
-	mod, err := asm.Assemble(text)
-	asp.End()
-	if err != nil {
-		return nil, fmt.Errorf("cc: internal: emitted bad assembly: %w", err)
-	}
-	return mod, nil
+	_, mod, err := compile(sp, src, opts)
+	return mod, err
 }
 
 // GenAsm compiles MiniC source to JVA assembly text.
 func GenAsm(src string, opts Options) (string, error) {
 	sp := telemetry.StartSpan("cc.genasm", telemetry.String("module", opts.Module))
 	defer sp.End()
+	text, _, err := compile(sp, src, opts)
+	return text, err
+}
+
+// compile generates src's assembly text once and assembles it. At -O2 it
+// then drops the spills ipa-ra proves dead from the text and, if it drops
+// any, assembles the text again.
+func compile(sp *telemetry.Span, src string, opts Options) (string, *obj.Module, error) {
+	text, spills, err := codegen(sp, src, opts)
+	if err != nil {
+		return "", nil, err
+	}
+	asp := sp.Child("cc.assemble")
+	mod, err := assemble(text)
+	asp.End()
+	if err != nil || len(spills) == 0 {
+		return text, mod, err
+	}
+	isp := sp.Child("cc.ipara")
+	defer isp.End()
+	drop, err := elidable(mod, spills)
+	if err != nil || len(drop) == 0 {
+		return text, mod, err
+	}
+	lines := strings.Split(text, "\n")
+	kept := lines[:0]
+	for i, l := range lines {
+		if !drop[i+1] {
+			kept = append(kept, l)
+		}
+	}
+	text = strings.Join(kept, "\n")
+	mod, err = assemble(text)
+	return text, mod, err
+}
+
+// assemble assembles text jcc emitted; failing is a compiler bug.
+func assemble(text string) (*obj.Module, error) {
+	mod, err := asm.Assemble(text)
+	if err != nil {
+		return nil, fmt.Errorf("cc: internal: emitted bad assembly: %w", err)
+	}
+	return mod, nil
+}
+
+// codegen parses src and generates its assembly text in one pass. At -O2
+// it also returns the spills ipa-ra may drop from that text.
+func codegen(sp *telemetry.Span, src string, opts Options) (string, []spill, error) {
 	psp := sp.Child("cc.parse")
 	prog, err := Parse(src)
 	psp.End()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	if opts.Module == "" {
-		return "", fmt.Errorf("cc: missing module name")
+		return "", nil, fmt.Errorf("cc: missing module name")
 	}
 	if opts.Shared {
 		opts.PIC = true
@@ -91,20 +126,10 @@ func GenAsm(src string, opts Options) (string, error) {
 		opts.EntryName = "main"
 	}
 	g := &gen{prog: prog, opts: opts, globals: map[string]*symbol{}}
-	if opts.O2 && !opts.NoIPARA && !opts.noIPARA {
-		// Two-pass ipa-ra: analyze the first-pass output for per-function
-		// clobber sets, then regenerate eliding provably dead spills
-		// around same-unit direct calls (§4.1.2's convention break).
-		clob, err := unitClobbers(src, opts)
-		if err != nil {
-			return "", err
-		}
-		g.ipa = clob
-	}
 	gsp := sp.Child("cc.codegen")
+	defer gsp.End()
 	text, err := g.run()
-	gsp.End()
-	return text, err
+	return text, g.spills, err
 }
 
 // tempRegs is the expression-evaluation register stack.
@@ -123,9 +148,10 @@ type gen struct {
 	imports map[string]bool
 	strs    map[string]string // literal -> label
 	label   int
-	// ipa holds per-function caller-saved clobber masks for ipa-ra
-	// (nil disables the elision).
-	ipa map[string]analysis.RegMask
+	lines   int // lines written to .text
+	// spills records every caller-saved push and pop around a direct call
+	// when ipa-ra applies (-O2 without NoIPARA).
+	spills []spill
 
 	// per-function state
 	fn        *FuncDecl
@@ -230,6 +256,12 @@ func (g *gen) run() (out string, err error) {
 		// _start: call main; exit(result)
 		fmt.Fprintf(&b, "_start:\n    call %s\n    mov r1, r0\n    call exit\n    hlt\n",
 			g.opts.EntryName)
+	}
+	// Spill lines were counted within .text; number them in the whole
+	// text.
+	hdr := strings.Count(b.String(), "\n")
+	for i := range g.spills {
+		g.spills[i].line += hdr
 	}
 	b.WriteString(g.text.String())
 	if g.ro.Len() > 0 {
@@ -368,9 +400,13 @@ func align8(n int64) int64 { return (n + 7) &^ 7 }
 // emit writes one line of function text.
 func (g *gen) emit(format string, args ...interface{}) {
 	fmt.Fprintf(&g.text, "    "+format+"\n", args...)
+	g.lines++
 }
 
-func (g *gen) emitLabel(l string) { fmt.Fprintf(&g.text, "%s:\n", l) }
+func (g *gen) emitLabel(l string) {
+	fmt.Fprintf(&g.text, "%s:\n", l)
+	g.lines++
+}
 
 // alloc takes the next temp register.
 func (g *gen) alloc(line int) isa.Register {

@@ -445,19 +445,14 @@ func (g *gen) genCall(e *Expr) (isa.Register, *Type) {
 	// Save the temp registers that stay live below the arg window —
 	// everything currently allocated is consumed by this call, but outer
 	// expressions may hold earlier temps. Those are tempRegs[0:depthBase]
-	// where depthBase = g.depth - len(argRegs). Under ipa-ra, spills of
-	// temps the callee's transitive extent provably never writes are
-	// elided — the §4.1.2 calling-convention break.
+	// where depthBase = g.depth - len(argRegs). Under ipa-ra, each spill
+	// around a direct call is recorded, and the ones the callee's
+	// transitive extent provably never clobbers are dropped after
+	// assembly — the §4.1.2 calling-convention break.
 	depthBase := g.depth - len(argRegs)
-	var saved []isa.Register
-	for i := 0; i < depthBase; i++ {
-		r := tempRegs[i]
-		if direct != "" && g.ipa != nil {
-			if clob, ok := g.ipa[direct]; ok && !clob.Has(r) {
-				continue
-			}
-		}
-		saved = append(saved, r)
+	saved := tempRegs[:depthBase]
+	for _, r := range saved {
+		g.spill(direct, r)
 		g.emit("push %s", r)
 	}
 	// Marshal arguments. Args currently occupy tempRegs[depthBase...];
@@ -477,7 +472,16 @@ func (g *gen) genCall(e *Expr) (isa.Register, *Type) {
 	res := g.alloc(e.Line)
 	g.emit("mov %s, r0", res)
 	for i := len(saved) - 1; i >= 0; i-- {
+		g.spill(direct, saved[i])
 		g.emit("pop %s", saved[i])
 	}
 	return res, resultT
+}
+
+// spill records that the next line emitted pushes or pops r around a
+// direct call to callee, when ipa-ra applies.
+func (g *gen) spill(callee string, r isa.Register) {
+	if callee != "" && g.opts.O2 && !g.opts.NoIPARA {
+		g.spills = append(g.spills, spill{line: g.lines + 1, callee: callee, reg: r})
+	}
 }

@@ -2,9 +2,9 @@ package cc
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/isa"
+	"repro/internal/obj"
 )
 
 // ipa-ra (inter-procedural register allocation, gcc's -fipa-ra): at -O2 the
@@ -13,22 +13,43 @@ import (
 // This deliberately breaks the calling convention in exactly the way §4.1.2
 // describes — and is what the reliance-aware inter-procedural liveness in
 // package analysis exists to survive.
+//
+// Codegen runs once: it emits every spill and records each one around a
+// direct call. The clobber facts come from the module assembled from that
+// full text; the spills they prove dead are then left out of the final
+// text and module. Leaving out a pop only removes a register write, so the
+// facts stay sound, if conservative, for the final code.
+
+// spill is one push or pop of a caller-saved temp that genCall emitted
+// around a direct call.
+type spill struct {
+	line   int // 1-based line in the assembly text (in .text until run ends)
+	callee string
+	reg    isa.Register
+}
+
+// elidable returns the lines of the spills ipa-ra drops: those around calls
+// to same-unit functions whose transitive extent, as mod shows it, never
+// writes the spilled register.
+func elidable(mod *obj.Module, spills []spill) (map[int]bool, error) {
+	clob, err := unitClobbers(mod)
+	if err != nil {
+		return nil, err
+	}
+	drop := map[int]bool{}
+	for _, s := range spills {
+		if m, ok := clob[s.callee]; ok && !m.Has(s.reg) {
+			drop[s.line] = true
+		}
+	}
+	return drop, nil
+}
 
 // unitClobbers computes, per function name, the caller-saved registers the
 // function's transitive extent may write. Functions whose extent escapes the
 // unit (indirect calls, PLT calls, calls into unrecovered code) clobber
 // everything, so ipa-ra never applies across them.
-func unitClobbers(src string, opts Options) (map[string]analysis.RegMask, error) {
-	// Assemble the first-pass output and analyze the real code — the
-	// clobber facts must hold for what was actually emitted.
-	text, err := (&gen{prog: nil}).runFirstPass(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := asm.Assemble(text)
-	if err != nil {
-		return nil, err
-	}
+func unitClobbers(mod *obj.Module) (map[string]analysis.RegMask, error) {
 	g, err := cfg.Build(mod)
 	if err != nil {
 		return nil, err
@@ -106,15 +127,4 @@ func unitClobbers(src string, opts Options) (map[string]analysis.RegMask, error)
 		out[fn.Name] = clob[fn.Entry]
 	}
 	return out, nil
-}
-
-// runFirstPass compiles without ipa-ra information (gen is a throwaway).
-func (*gen) runFirstPass(src string, opts Options) (string, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return "", err
-	}
-	g := &gen{prog: prog, opts: opts, globals: map[string]*symbol{}}
-	g.opts.noIPARA = true
-	return g.run()
 }

@@ -135,14 +135,21 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 // read64 is Read64 for words that straddle a page, lie in a page never
 // written, or lie out of range.
 func (m *Memory) read64(addr uint64) (uint64, error) {
-	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+	off := addr & (pageSize - 1)
+	switch {
+	case addr > AddrLimit-8:
+		// The word reaches AddrLimit: fault at its first byte out of
+		// range, as ReadBytes does.
+		return 0, outOfRange(max(addr, AddrLimit))
+	case off <= pageSize-8:
 		return 0, nil // Read64 missed the page: it was never written
 	}
-	var buf [8]byte
-	if err := m.ReadBytes(addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	// The word straddles two pages: its low n bits are the top of the
+	// last word of the first page, the rest the bottom of the next page.
+	n := (pageSize - off) * 8
+	lo := binary.LittleEndian.Uint64(m.readPage(addr)[pageSize-8:])
+	hi := binary.LittleEndian.Uint64(m.readPage(addr + pageSize - off)[:8])
+	return lo>>(64-n) | hi<<n, nil
 }
 
 // Write64 writes a little-endian 8-byte word.
@@ -159,13 +166,27 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 // write64 is Write64 for words that straddle a page, lie in a page never
 // written, or lie out of range.
 func (m *Memory) write64(addr uint64, v uint64) error {
-	if off := addr & (pageSize - 1); off <= pageSize-8 && addr < AddrLimit {
+	off := addr & (pageSize - 1)
+	switch {
+	case addr > AddrLimit-8:
+		// The word reaches AddrLimit: WriteBytes stores the bytes below
+		// it, then faults.
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		return m.WriteBytes(addr, buf[:])
+	case off <= pageSize-8:
 		binary.LittleEndian.PutUint64(m.writePage(addr)[off:off+8], v)
 		return nil
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return m.WriteBytes(addr, buf[:])
+	// The word straddles two pages: merge its low n bits into the top of
+	// the first page's last word, the rest into the next page's first.
+	n := (pageSize - off) * 8
+	keep := uint64(1)<<(64-n) - 1
+	lo := m.writePage(addr)[pageSize-8:]
+	binary.LittleEndian.PutUint64(lo, binary.LittleEndian.Uint64(lo)&keep|v<<(64-n))
+	hi := m.writePage(addr + pageSize - off)[:8]
+	binary.LittleEndian.PutUint64(hi, binary.LittleEndian.Uint64(hi)&^keep|v>>n)
+	return nil
 }
 
 // Read32 reads a little-endian 4-byte word.

@@ -2,7 +2,9 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/isa"
@@ -208,6 +210,95 @@ func TestOutputInRange(t *testing.T) {
 		m.Out = nil
 		if err := output(m, puts, addr, 1<<40); err == nil {
 			t.Fatalf("puts=%v with nil Out accepted an out-of-range length", puts)
+		}
+	}
+}
+
+// faultAddr returns the address of the fault err carries, or 0 for nil.
+func faultAddr(t *testing.T, err error) uint64 {
+	t.Helper()
+	if err == nil {
+		return 0
+	}
+	var f *Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("error %v is no fault", err)
+	}
+	return f.Addr
+}
+
+// Read64 and Write64 compose a word that straddles a page from two page
+// lookups. The value read, the memory left behind and the fault address
+// must all match the byte-wise ReadBytes and WriteBytes, whether the
+// neighbouring pages were written or never written, and where the word
+// runs into AddrLimit.
+func TestStraddlingWordMatchesBytewise(t *testing.T) {
+	const v uint64 = 0x8877665544332211
+	// The shadow of the stack top, where JMSan and JTSan bitmap windows
+	// straddle a page.
+	const base uint64 = 0x7edff000
+	var addrs []uint64
+	for off := uint64(pageSize - 7); off < pageSize; off++ {
+		addrs = append(addrs, base+off)
+	}
+	for d := uint64(7); d >= 1; d-- {
+		addrs = append(addrs, AddrLimit-d)
+	}
+	addrs = append(addrs, AddrLimit, AddrLimit+pageSize-3, ^uint64(0)-3)
+
+	for _, addr := range addrs {
+		lo := min(addr, AddrLimit-1) &^ (pageSize - 1)
+		hi := lo + pageSize
+		for _, prep := range []struct {
+			name      string
+			from, end uint64 // bytes written before the access
+		}{
+			{"unwritten", lo, lo},
+			{"both written", lo, min(hi+pageSize, AddrLimit)},
+			{"first written", lo, hi},
+			{"second written", hi, min(hi+pageSize, AddrLimit)},
+		} {
+			a, b := NewMemory(), NewMemory()
+			if prep.end > prep.from {
+				fill := pattern(int(prep.end - prep.from))
+				if err := a.WriteBytes(prep.from, fill); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.WriteBytes(prep.from, fill); err != nil {
+					t.Fatal(err)
+				}
+			}
+			where := func(op string) string {
+				return fmt.Sprintf("%s at %#x, %s", op, addr, prep.name)
+			}
+
+			got, gerr := a.Read64(addr)
+			var buf [8]byte
+			werr := b.ReadBytes(addr, buf[:])
+			want := binary.LittleEndian.Uint64(buf[:])
+			if werr != nil {
+				want = 0
+			}
+			if got != want || faultAddr(t, gerr) != faultAddr(t, werr) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: got %#x, %v; byte-wise %#x, %v", where("Read64"), got, gerr, want, werr)
+			}
+
+			binary.LittleEndian.PutUint64(buf[:], v)
+			gerr, werr = a.Write64(addr, v), b.WriteBytes(addr, buf[:])
+			if faultAddr(t, gerr) != faultAddr(t, werr) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: got %v; byte-wise %v", where("Write64"), gerr, werr)
+			}
+			end := min(hi+pageSize, AddrLimit)
+			am, bm := make([]byte, end-lo), make([]byte, end-lo)
+			if err := a.ReadBytes(lo, am); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ReadBytes(lo, bm); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(am, bm) || mappedPages(a) != mappedPages(b) {
+				t.Fatalf("%s: memory differs from the byte-wise write", where("Write64"))
+			}
 		}
 	}
 }

@@ -36,6 +36,11 @@ echo "== go vet: benchmark module =="
 # on. It needs nothing beyond this repository, so it runs offline.
 (cd benchmark && go vet ./...)
 
+echo "== benchmark module tests =="
+# Every workload at tiny size with its output checks, including the
+# analyze workload's byte-identity check on repeated programs.
+(cd benchmark && go test -count=1 .)
+
 echo "== go test -race =="
 go test -race ./...
 
