@@ -1,9 +1,9 @@
 package anserve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,6 +24,25 @@ const DefaultRunMaxInstrs = 50_000_000
 
 // maxRunOutput caps the program output echoed back in a RunResponse.
 const maxRunOutput = 1 << 16
+
+// errOutputFull ends a guest write once the run's output is full.
+var errOutputFull = errors.New("anserve: run output exceeds the response cap")
+
+// runOutput keeps the first maxRunOutput bytes a run writes and fails
+// every write past them, so the machine stops streaming a guest-chosen
+// length the response could not carry anyway. The guest still sees its
+// full count returned.
+type runOutput struct{ buf []byte }
+
+func (o *runOutput) Write(p []byte) (int, error) {
+	room := maxRunOutput - len(o.buf)
+	if len(p) > room {
+		o.buf = append(o.buf, p[:room]...)
+		return room, errOutputFull
+	}
+	o.buf = append(o.buf, p...)
+	return len(p), nil
+}
 
 // RunResponse is the POST /run reply: the module was analyzed (through the
 // shared analyzer, so cache tiers and peer fills apply), executed under the
@@ -153,7 +172,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 	if maxInstrs == 0 {
 		maxInstrs = DefaultRunMaxInstrs
 	}
-	var out bytes.Buffer
+	var out runOutput
 	sess, err := core.Load(mod, loader.Registry{libj.Name: lj}, tool, files,
 		core.Options{MaxInstrs: maxInstrs, Out: &out})
 	if err != nil {
@@ -189,10 +208,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 	}
 	sp.SetAttr(telemetry.Int("violations", int64(len(found))))
 
-	output := out.String()
-	if len(output) > maxRunOutput {
-		output = output[:maxRunOutput]
-	}
 	resp := RunResponse{
 		Module:     mod.Name,
 		Tool:       name,
@@ -200,7 +215,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 		ExitStatus: m.ExitStatus,
 		Cycles:     m.Cycles,
 		Instrs:     m.Instrs,
-		Output:     output,
+		Output:     string(out.buf),
 		TraceID:    sp.TraceID(),
 		Violations: found,
 	}

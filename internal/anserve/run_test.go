@@ -2,12 +2,16 @@ package anserve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/diag"
+	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
 
@@ -212,5 +216,63 @@ func TestTraceLimitValidation(t *testing.T) {
 	w = doReq(t, h, "GET", "/trace?limit=bogus", nil)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bogus limit: %d", w.Code)
+	}
+}
+
+// floodModule assembles a program that writes n bytes from heap pages it
+// never touched, then exits 0.
+func floodModule(t *testing.T, n uint64) []byte {
+	t.Helper()
+	mod, err := asm.Assemble(fmt.Sprintf(`
+.module flood
+.entry _start
+.section .text
+_start:
+    mov r0, %d
+    mov r1, 1
+    mov r2, %d
+    mov r3, %d
+    syscall
+    mov r0, %d
+    mov r1, 0
+    syscall
+`, isa.SysWrite, isa.LayoutHeapBase, n, isa.SysExit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod.Marshal()
+}
+
+// TestRunOutputBoundedWhileRunning: a guest that writes 256 MiB gets the
+// first maxRunOutput bytes back, and the daemon stops taking its output
+// there instead of buffering all of it and cutting it after the run.
+func TestRunOutputBoundedWhileRunning(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	h := svc.Handler(DefaultTools())
+	// A warm-up run analyzes libj, so the measured run allocates only for
+	// its own module.
+	if w := doReq(t, h, "POST", "/run?tool=jasan", floodModule(t, 100)); w.Code != http.StatusOK {
+		t.Fatalf("warm-up POST /run: %d: %s", w.Code, w.Body.String())
+	}
+	body := floodModule(t, 256<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := doReq(t, h, "POST", "/run?tool=jasan", body)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST /run: %d: %s", w.Code, w.Body.String())
+	}
+	var resp RunResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Output) != maxRunOutput {
+		t.Fatalf("output = %d bytes, want %d", len(resp.Output), maxRunOutput)
+	}
+	if resp.ExitStatus != 0 || resp.RunError != "" {
+		t.Fatalf("exit status %d, run error %q", resp.ExitStatus, resp.RunError)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 16<<20 {
+		t.Fatalf("the run allocated %d MiB for 64 KiB of output", grown>>20)
 	}
 }

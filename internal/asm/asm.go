@@ -1,5 +1,10 @@
-// Package asm implements jas, a two-pass assembler from JVA textual
-// assembly to JEF modules.
+// Package asm implements jas, the JVA assembler. Its interface is one
+// in-memory form of a module, the Unit: header directives plus the items
+// (labels, instructions, data) of each section. Two front ends fill a Unit:
+// Assemble parses textual assembly into one, and jcc appends its labels,
+// instructions and data to one directly through the Section methods. Link
+// lays a Unit out and encodes it as a JEF module; Text prints it as
+// assembly that assembles to the same module.
 //
 // Source structure:
 //
@@ -12,7 +17,8 @@
 //	.import malloc        imported function: synthesizes a PLT stub + GOT slot
 //	.global name          export symbol `name`
 //	.strip full|exports|stripped   symbol table level (default full)
-//	.section .text        switch section
+//	.section .text        switch section (.plt and .got are reserved for
+//	                      the synthesized import stubs)
 //
 //	label:                define a symbol (labels starting with '.' are
 //	                      assembly-local and never enter the symbol table)
@@ -31,497 +37,171 @@ package asm
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/obj"
 )
 
-// Error is an assembly diagnostic with source position.
+// Error is an assembly diagnostic with source position. Line is 0 for
+// items of a unit built in memory.
 type Error struct {
 	Line int
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
-
-// itemKind discriminates parsed items within a section.
-type itemKind uint8
-
-const (
-	itemInstr itemKind = iota
-	itemLabel
-	itemData  // raw bytes known at parse time
-	itemQuad  // 8-byte symbolic value
-	itemLong  // 4-byte symbolic value
-	itemAlign // pad to boundary
-)
-
-// operand is a parsed instruction operand.
-type operand struct {
-	kind opKind
-	reg  isa.Register
-	ri   isa.Register
-	rb   isa.Register
-	val  int64  // immediate or displacement
-	sym  string // symbol reference
+func (e *Error) Error() string {
+	if e.Line == 0 {
+		return "asm: " + e.Msg
+	}
+	return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg)
 }
 
-type opKind uint8
+// Unit is one module in the assembler's in-memory form. The exported
+// fields are its header directives.
+type Unit struct {
+	Name    string          // .module (required)
+	Type    obj.ModuleType  // .type
+	PIC     bool            // .pic
+	Base    uint64          // .base: link base of a non-PIC module
+	Entry   string          // .entry
+	Strip   obj.SymTabLevel // .strip
+	Needs   []string        // .needs, in order
+	Imports []string        // .import, in order: the PLT and GOT slot order
+	Globals []string        // .global, in order
 
-const (
-	opReg  opKind = iota // r3
-	opImm                // 42
-	opMem                // [rb+disp]
-	opMemX               // [rb+ri(*8)+disp]
-	opPC                 // [pc+disp]
-	opSym                // label
-)
-
-// item is one parsed source element.
-type item struct {
-	kind  itemKind
-	line  int
-	in    isa.Instr // itemInstr: partially filled instruction
-	ops   []operand // itemInstr: original operands for fixup
-	mn    string    // itemInstr: mnemonic (for error messages)
-	name  string    // itemLabel: symbol name
-	bytes []byte    // itemData
-	sym   string    // itemQuad/itemLong symbol ("" for pure value)
-	val   int64     // itemQuad/itemLong addend or value; itemAlign boundary
-	size  uint64    // assigned during layout
-	addr  uint64    // assigned during layout
+	sections []*Section // in declaration order
+	line     int        // source line new items are stamped with
 }
 
-// section accumulates items for one output section.
-type section struct {
-	name  string
-	items []item
-	flags uint8
+// NewUnit returns an empty unit with the defaults of a source without
+// directives: a position-dependent executable at LayoutExecBase with a
+// full symbol table.
+func NewUnit() *Unit {
+	return &Unit{Type: obj.Exec, Base: isa.LayoutExecBase, Strip: obj.SymFull}
 }
 
-// assembler holds parse state.
-type assembler struct {
-	modName  string
-	modType  obj.ModuleType
-	pic      bool
-	base     uint64
-	entrySym string
-	symLevel obj.SymTabLevel
-	needs    []string
-	imports  []string
-	globals  map[string]bool
-	sections []*section
-	cur      *section
-	line     int
-}
-
-func (a *assembler) errf(format string, args ...interface{}) error {
-	return &Error{Line: a.line, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (a *assembler) sectionNamed(name string) *section {
-	for _, s := range a.sections {
+// Section returns the section called name, declaring it on first use.
+func (u *Unit) Section(name string) *Section {
+	for _, s := range u.sections {
 		if s.name == name {
 			return s
 		}
 	}
-	flags := uint8(0)
-	switch name {
-	case ".text", ".init", ".fini", ".plt":
-		flags = obj.SecExec
-	case ".data", ".bss", ".got":
-		flags = obj.SecWrite
-	}
-	s := &section{name: name, flags: flags}
-	a.sections = append(a.sections, s)
+	s := &Section{name: name, flags: sectionFlags(name), u: u}
+	u.sections = append(u.sections, s)
 	return s
 }
 
-// Assemble assembles one source file into a JEF module.
-func Assemble(src string) (*obj.Module, error) {
-	a := &assembler{
-		modType:  obj.Exec,
-		base:     isa.LayoutExecBase,
-		symLevel: obj.SymFull,
-		globals:  map[string]bool{},
+func sectionFlags(name string) uint8 {
+	switch name {
+	case ".text", ".init", ".fini", ".plt":
+		return obj.SecExec
+	case ".data", ".bss", ".got":
+		return obj.SecWrite
 	}
-	for i, raw := range strings.Split(src, "\n") {
-		a.line = i + 1
-		if err := a.parseLine(raw); err != nil {
-			return nil, err
-		}
-	}
-	return a.finish()
+	return 0
 }
 
-// parseLine handles one source line.
-func (a *assembler) parseLine(raw string) error {
-	line := stripComment(raw)
-	line = strings.TrimSpace(line)
-	if line == "" {
-		return nil
-	}
-	// Label definitions may share a line with an instruction.
-	for {
-		idx := labelEnd(line)
-		if idx < 0 {
-			break
-		}
-		name := line[:idx]
-		if err := a.defineLabel(name); err != nil {
-			return err
-		}
-		line = strings.TrimSpace(line[idx+1:])
-		if line == "" {
-			return nil
-		}
-	}
-	if strings.HasPrefix(line, ".") {
-		return a.parseDirective(line)
-	}
-	return a.parseInstr(line)
+// Section is one section of a Unit. Its methods append items in order.
+type Section struct {
+	name  string
+	flags uint8
+	items []item
+	u     *Unit
 }
 
-// labelEnd returns the index of the ':' terminating a leading label, or -1.
-func labelEnd(line string) int {
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == ':' {
-			if i == 0 {
-				return -1
-			}
-			return i
-		}
-		if !isIdentChar(c) && !(i == 0 && c == '.') && c != '.' {
-			return -1
-		}
-	}
-	return -1
+// itemKind discriminates the items of a section.
+type itemKind uint8
+
+const (
+	itemInstr itemKind = iota // instruction without a symbolic operand
+	itemRef                   // branch, call, ldpc or leapc reaching str+val
+	itemLa                    // la rd, str+val
+	itemLabel                 // label str
+	itemQuad                  // 8-byte datum str+val (val alone if str is "")
+	itemLong                  // 4-byte datum str+val
+	itemByte                  // .byte: the bytes of str
+	itemAscii                 // .ascii: the bytes of str
+	itemAsciz                 // .asciz: the bytes of str, then a NUL
+	itemZero                  // .zero: val zero bytes
+	itemAlign                 // .align: zero padding to a val-byte boundary
+	itemPLT                   // the PLT Link synthesizes for the imports
+	itemGOT                   // the GOT Link synthesizes for the imports
+)
+
+// item is one element of a section. A section holds one per source line,
+// so the item is kept small: appending it is most of what building a unit
+// costs.
+type item struct {
+	kind       itemKind
+	op         isa.Op       // instructions: opcode (la: chosen by Link)
+	rd, rb, ri isa.Register // instructions: register operands
+	disp       int32        // itemInstr: displacement
+	line       int32        // source line, for diagnostics
+	val        int64        // immediate, addend, datum, count or boundary
+	addr       uint64       // assigned by Link's layout
+	str        string       // label, referenced symbol, or data bytes
 }
 
-func isIdentChar(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+func (s *Section) add(it item) {
+	it.line = int32(s.u.line)
+	s.items = append(s.items, it)
 }
 
-func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		switch line[i] {
-		case '"':
-			inStr = !inStr
-		case '\\':
-			if inStr {
-				i++
-			}
-		case ';', '#':
-			if !inStr {
-				return line[:i]
-			}
-		case '/':
-			if !inStr && i+1 < len(line) && line[i+1] == '/' {
-				return line[:i]
-			}
-		}
-	}
-	return line
-}
+// Len returns the number of items in the section: the index the next
+// appended item gets.
+func (s *Section) Len() int { return len(s.items) }
 
-func (a *assembler) defineLabel(name string) error {
-	if a.cur == nil {
-		a.cur = a.sectionNamed(".text")
-	}
-	a.cur.items = append(a.cur.items, item{kind: itemLabel, line: a.line, name: name})
-	return nil
-}
-
-// parseDirective handles lines beginning with '.'.
-func (a *assembler) parseDirective(line string) error {
-	word, rest := splitWord(line)
-	rest = strings.TrimSpace(rest)
-	switch word {
-	case ".module":
-		a.modName = rest
-	case ".type":
-		switch rest {
-		case "exec":
-			a.modType = obj.Exec
-		case "shared":
-			a.modType = obj.SharedObj
-		default:
-			return a.errf(".type: want exec or shared, got %q", rest)
-		}
-	case ".pic":
-		a.pic = true
-	case ".base":
-		v, err := parseInt(rest)
-		if err != nil {
-			return a.errf(".base: %v", err)
-		}
-		a.base = uint64(v)
-	case ".entry":
-		a.entrySym = rest
-	case ".needs":
-		a.needs = append(a.needs, rest)
-	case ".import":
-		a.imports = append(a.imports, rest)
-	case ".global":
-		a.globals[rest] = true
-	case ".strip":
-		switch rest {
-		case "full":
-			a.symLevel = obj.SymFull
-		case "exports":
-			a.symLevel = obj.SymExports
-		case "stripped":
-			a.symLevel = obj.SymStripped
-		default:
-			return a.errf(".strip: want full, exports or stripped, got %q", rest)
-		}
-	case ".section":
-		a.cur = a.sectionNamed(rest)
-	case ".quad", ".long":
-		if a.cur == nil {
-			return a.errf("%s outside section", word)
-		}
-		kind := itemQuad
-		if word == ".long" {
-			kind = itemLong
-		}
-		for _, f := range splitOperands(rest) {
-			sym, addend, err := parseSymExpr(f)
-			if err != nil {
-				return a.errf("%s: %v", word, err)
-			}
-			a.cur.items = append(a.cur.items,
-				item{kind: kind, line: a.line, sym: sym, val: addend})
-		}
-	case ".byte":
-		if a.cur == nil {
-			return a.errf(".byte outside section")
-		}
-		var bs []byte
-		for _, f := range splitOperands(rest) {
-			v, err := parseInt(f)
-			if err != nil {
-				return a.errf(".byte: %v", err)
-			}
-			bs = append(bs, byte(v))
-		}
-		a.cur.items = append(a.cur.items, item{kind: itemData, line: a.line, bytes: bs})
-	case ".ascii", ".asciz":
-		s, err := strconv.Unquote(rest)
-		if err != nil {
-			return a.errf("%s: bad string %s: %v", word, rest, err)
-		}
-		b := []byte(s)
-		if word == ".asciz" {
-			b = append(b, 0)
-		}
-		a.cur.items = append(a.cur.items, item{kind: itemData, line: a.line, bytes: b})
-	case ".zero":
-		n, err := parseInt(rest)
-		if err != nil || n < 0 {
-			return a.errf(".zero: bad count %q", rest)
-		}
-		a.cur.items = append(a.cur.items,
-			item{kind: itemData, line: a.line, bytes: make([]byte, n)})
-	case ".align":
-		n, err := parseInt(rest)
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			return a.errf(".align: bad boundary %q", rest)
-		}
-		a.cur.items = append(a.cur.items, item{kind: itemAlign, line: a.line, val: n})
-	default:
-		return a.errf("unknown directive %s", word)
-	}
-	return nil
-}
-
-func splitWord(s string) (string, string) {
-	s = strings.TrimSpace(s)
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return s, ""
-	}
-	return s[:i], s[i+1:]
-}
-
-// splitOperands splits on commas not inside brackets or strings.
-func splitOperands(s string) []string {
-	var out []string
-	depth := 0
-	start := 0
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			inStr = !inStr
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case ',':
-			if depth == 0 && !inStr {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
-		}
-	}
-	last := strings.TrimSpace(s[start:])
-	if last != "" {
-		out = append(out, last)
-	}
-	return out
-}
-
-func parseInt(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("empty integer")
-	}
-	return strconv.ParseInt(s, 0, 64)
-}
-
-// parseSymExpr parses `42`, `sym` or `sym+8` / `sym-8`.
-func parseSymExpr(s string) (sym string, addend int64, err error) {
-	s = strings.TrimSpace(s)
-	if v, e := parseInt(s); e == nil {
-		return "", v, nil
-	}
-	// find +/- splitting symbol and addend (not leading)
-	for i := 1; i < len(s); i++ {
-		if s[i] == '+' || s[i] == '-' {
-			v, e := parseInt(s[i:])
-			if e != nil {
-				return "", 0, fmt.Errorf("bad addend in %q", s)
-			}
-			return s[:i], v, nil
-		}
-	}
-	if !isIdentStart(s) {
-		return "", 0, fmt.Errorf("bad expression %q", s)
-	}
-	return s, 0, nil
-}
-
-func isIdentStart(s string) bool {
-	if s == "" {
-		return false
-	}
-	c := s[0]
-	return c == '_' || c == '.' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
-}
-
-func parseReg(s string) (isa.Register, bool) {
-	switch s {
-	case "sp":
-		return isa.SP, true
-	case "fp":
-		return isa.FP, true
-	}
-	if len(s) >= 2 && s[0] == 'r' {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n < isa.NumRegs {
-			return isa.Register(n), true
-		}
-	}
-	return 0, false
-}
-
-// parseOperand classifies one operand string.
-func parseOperand(s string) (operand, error) {
-	s = strings.TrimSpace(s)
-	if r, ok := parseReg(s); ok {
-		return operand{kind: opReg, reg: r}, nil
-	}
-	if strings.HasPrefix(s, "[") {
-		if !strings.HasSuffix(s, "]") {
-			return operand{}, fmt.Errorf("unterminated memory operand %q", s)
-		}
-		return parseMem(s[1 : len(s)-1])
-	}
-	if v, err := parseInt(s); err == nil {
-		return operand{kind: opImm, val: v}, nil
-	}
-	if isIdentStart(s) {
-		sym, addend, err := parseSymExpr(s)
-		if err != nil {
-			return operand{}, err
-		}
-		return operand{kind: opSym, sym: sym, val: addend}, nil
-	}
-	return operand{}, fmt.Errorf("bad operand %q", s)
-}
-
-// parseMem parses the inside of [...]: rb, rb+disp, rb-disp, rb+ri,
-// rb+ri*8, rb+ri+disp, rb+ri*8+disp, pc+disp, pc+sym.
-func parseMem(s string) (operand, error) {
-	parts := splitAddExpr(s)
-	if len(parts) == 0 {
-		return operand{}, fmt.Errorf("empty memory operand")
-	}
-	op := operand{kind: opMem}
-	first := strings.TrimSpace(parts[0])
-	if first == "pc" {
-		op.kind = opPC
-		for _, p := range parts[1:] {
-			p = strings.TrimSpace(p)
-			if v, err := parseInt(p); err == nil {
-				op.val += v
-				continue
-			}
-			name := strings.TrimPrefix(p, "+")
-			if !isIdentStart(name) {
-				return operand{}, fmt.Errorf("bad pc-relative term %q", p)
-			}
-			if op.sym != "" {
-				return operand{}, fmt.Errorf("multiple symbols in %q", s)
-			}
-			op.sym = name
-		}
-		return op, nil
-	}
-	rb, ok := parseReg(first)
-	if !ok {
-		return operand{}, fmt.Errorf("bad base register %q", first)
-	}
-	op.rb = rb
-	seenIndex := false
-	for _, p := range parts[1:] {
-		p = strings.TrimSpace(p)
-		// Index register term: "+ri" or "+ri*8" (scale is implied by the
-		// mnemonic's access width, so "*8" is accepted documentation).
-		t := strings.TrimSuffix(strings.TrimPrefix(p, "+"), "*8")
-		if r, ok := parseReg(t); ok {
-			if seenIndex {
-				return operand{}, fmt.Errorf("two index registers in %q", s)
-			}
-			seenIndex = true
-			op.kind = opMemX
-			op.ri = r
+// Delete removes the items at the ascending indices idx.
+func (s *Section) Delete(idx []int) {
+	kept, next := s.items[:0], 0
+	for i := range s.items {
+		if next < len(idx) && idx[next] == i {
+			next++
 			continue
 		}
-		v, err := parseInt(p)
-		if err != nil {
-			return operand{}, fmt.Errorf("bad memory term %q", p)
-		}
-		op.val += v
+		kept = append(kept, s.items[i])
 	}
-	return op, nil
+	s.items = kept
 }
 
-// splitAddExpr splits "a+b-c" into ["a", "+b", "-c"] keeping signs.
-func splitAddExpr(s string) []string {
-	var out []string
-	start := 0
-	for i := 1; i < len(s); i++ {
-		if s[i] == '+' || s[i] == '-' {
-			out = append(out, s[start:i])
-			start = i
-		}
-	}
-	out = append(out, s[start:])
-	return out
+// Label defines the symbol name at the current position.
+func (s *Section) Label(name string) { s.add(item{kind: itemLabel, str: name}) }
+
+// Instr appends an instruction without a symbolic operand.
+func (s *Section) Instr(in isa.Instr) {
+	s.add(item{kind: itemInstr, op: in.Op, rd: in.Rd, rb: in.Rb, ri: in.Ri,
+		disp: in.Disp, val: in.Imm})
 }
+
+// Ref appends an instruction whose displacement reaches sym+addend: a
+// direct branch or call (rd unused), or an ldpc or leapc into rd.
+func (s *Section) Ref(op isa.Op, rd isa.Register, sym string, addend int64) {
+	s.add(item{kind: itemRef, op: op, rd: rd, str: sym, val: addend})
+}
+
+// La appends the la pseudo-instruction: rd = the address of sym+addend.
+func (s *Section) La(rd isa.Register, sym string, addend int64) {
+	s.add(item{kind: itemLa, rd: rd, str: sym, val: addend})
+}
+
+// Quad appends an 8-byte datum: sym+val, or val alone if sym is "".
+func (s *Section) Quad(sym string, val int64) { s.add(item{kind: itemQuad, str: sym, val: val}) }
+
+// Long appends a 4-byte datum: sym+val, or val alone if sym is "".
+func (s *Section) Long(sym string, val int64) { s.add(item{kind: itemLong, str: sym, val: val}) }
+
+// Bytes appends raw bytes (.byte).
+func (s *Section) Bytes(b []byte) { s.add(item{kind: itemByte, str: string(b)}) }
+
+// Ascii appends the bytes of str (.ascii).
+func (s *Section) Ascii(str string) { s.add(item{kind: itemAscii, str: str}) }
+
+// Asciz appends the bytes of str and a terminating NUL (.asciz).
+func (s *Section) Asciz(str string) { s.add(item{kind: itemAsciz, str: str}) }
+
+// Zero appends n zero bytes.
+func (s *Section) Zero(n int64) { s.add(item{kind: itemZero, val: n}) }
+
+// Align pads with zeros to an n-byte boundary; n is a power of two.
+func (s *Section) Align(n int64) { s.add(item{kind: itemAlign, val: n}) }

@@ -441,6 +441,8 @@ func TestErrors(t *testing.T) {
 		{"entry undefined", ".module m\n.entry nope\n.section .text\nf: ret", "entry symbol"},
 		{"bad reg", ".module m\n.entry f\nf: push r16", "unsupported operand"},
 		{"two indexes", ".module m\n.entry f\nf: ldxq r1, [r2+r3+r4]", "two index registers"},
+		{"data outside section", ".module m\n.ascii \"x\"", "outside section"},
+		{"reserved section", ".module m\n.entry f\nf: ret\n.section .plt\ng: ret", "reserved"},
 	}
 	for _, tc := range cases {
 		_, err := Assemble(tc.src)

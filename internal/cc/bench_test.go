@@ -21,3 +21,19 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompileLarge measures the largest compilation unit among the
+// spec workloads, cactusADM's dlopen'd solver module, with the options
+// spec.Build compiles extra modules with.
+func BenchmarkCompileLarge(b *testing.B) {
+	w := spec.ByName("cactusADM")
+	name := "cactus_solver.jef"
+	src := strings.ReplaceAll(w.ExtraC[name], "SCALE_N", "1")
+	opts := cc.Options{Module: name, Shared: true, O2: true, NoRuntime: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cc.Compile(src, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

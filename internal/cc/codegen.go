@@ -3,7 +3,7 @@ package cc
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -55,66 +55,64 @@ func Compile(src string, opts Options) (*obj.Module, error) {
 	return mod, err
 }
 
-// GenAsm compiles MiniC source to JVA assembly text.
+// GenAsm compiles MiniC source to JVA assembly text: it prints the
+// assembler unit Compile links.
 func GenAsm(src string, opts Options) (string, error) {
 	sp := telemetry.StartSpan("cc.genasm", telemetry.String("module", opts.Module))
 	defer sp.End()
-	text, _, err := compile(sp, src, opts)
-	return text, err
+	u, _, err := compile(sp, src, opts)
+	if err != nil {
+		return "", err
+	}
+	return u.Text(), nil
 }
 
-// compile generates src's assembly text once and assembles it. At -O2 it
-// then drops the spills ipa-ra proves dead from the text and, if it drops
-// any, assembles the text again.
-func compile(sp *telemetry.Span, src string, opts Options) (string, *obj.Module, error) {
-	text, spills, err := codegen(sp, src, opts)
+// compile generates src's code into an assembler unit once and links it.
+// At -O2 it then deletes the spills ipa-ra proves dead from the unit and,
+// if it deletes any, links the unit again.
+func compile(sp *telemetry.Span, src string, opts Options) (*asm.Unit, *obj.Module, error) {
+	u, spills, err := codegen(sp, src, opts)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	asp := sp.Child("cc.assemble")
-	mod, err := assemble(text)
+	mod, err := link(u)
 	asp.End()
 	if err != nil || len(spills) == 0 {
-		return text, mod, err
+		return u, mod, err
 	}
 	isp := sp.Child("cc.ipara")
 	defer isp.End()
 	drop, err := elidable(mod, spills)
 	if err != nil || len(drop) == 0 {
-		return text, mod, err
+		return u, mod, err
 	}
-	lines := strings.Split(text, "\n")
-	kept := lines[:0]
-	for i, l := range lines {
-		if !drop[i+1] {
-			kept = append(kept, l)
-		}
-	}
-	text = strings.Join(kept, "\n")
-	mod, err = assemble(text)
-	return text, mod, err
+	u.Section(".text").Delete(drop)
+	mod, err = link(u)
+	return u, mod, err
 }
 
-// assemble assembles text jcc emitted; failing is a compiler bug.
-func assemble(text string) (*obj.Module, error) {
-	mod, err := asm.Assemble(text)
+// link lays out and encodes a unit jcc generated; failing is a compiler
+// bug.
+func link(u *asm.Unit) (*obj.Module, error) {
+	mod, err := u.Link()
 	if err != nil {
 		return nil, fmt.Errorf("cc: internal: emitted bad assembly: %w", err)
 	}
 	return mod, nil
 }
 
-// codegen parses src and generates its assembly text in one pass. At -O2
-// it also returns the spills ipa-ra may drop from that text.
-func codegen(sp *telemetry.Span, src string, opts Options) (string, []spill, error) {
+// codegen parses src and generates its code into an assembler unit in one
+// pass. At -O2 it also returns the spills ipa-ra may delete from the unit.
+func codegen(sp *telemetry.Span, src string, opts Options) (*asm.Unit, []spill, error) {
 	psp := sp.Child("cc.parse")
 	prog, err := Parse(src)
 	psp.End()
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	if opts.Module == "" {
-		return "", nil, fmt.Errorf("cc: missing module name")
+		return nil, nil, fmt.Errorf("cc: missing module name")
 	}
 	if opts.Shared {
 		opts.PIC = true
@@ -128,8 +126,10 @@ func codegen(sp *telemetry.Span, src string, opts Options) (string, []spill, err
 	g := &gen{prog: prog, opts: opts, globals: map[string]*symbol{}}
 	gsp := sp.Child("cc.codegen")
 	defer gsp.End()
-	text, err := g.run()
-	return text, g.spills, err
+	if err := g.run(); err != nil {
+		return nil, nil, err
+	}
+	return g.u, g.spills, nil
 }
 
 // tempRegs is the expression-evaluation register stack.
@@ -140,15 +140,15 @@ type gen struct {
 	prog *gen2Prog
 	opts Options
 
-	text strings.Builder // .text
-	ro   strings.Builder // .rodata
-	data strings.Builder // .data
+	u    *asm.Unit
+	text *asm.Section // .text
+	ro   *asm.Section // .rodata, declared on first use
+	data *asm.Section // .data, declared on first use
 
 	globals map[string]*symbol
 	imports map[string]bool
 	strs    map[string]string // literal -> label
 	label   int
-	lines   int // lines written to .text
 	// spills records every caller-saved push and pop around a direct call
 	// when ipa-ra applies (-O2 without NoIPARA).
 	spills []spill
@@ -172,8 +172,8 @@ func (g *gen) errf(line int, format string, args ...interface{}) error {
 	panic(&CompileError{Line: line, Msg: fmt.Sprintf(format, args...)})
 }
 
-// run drives whole-program emission.
-func (g *gen) run() (out string, err error) {
+// run drives whole-program emission into g.u.
+func (g *gen) run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ce, ok := r.(*CompileError); ok {
@@ -185,6 +185,17 @@ func (g *gen) run() (out string, err error) {
 	}()
 	g.imports = map[string]bool{}
 	g.strs = map[string]string{}
+	g.u = asm.NewUnit()
+	g.text = g.u.Section(".text")
+	withRuntime := !g.opts.Shared && !g.opts.NoRuntime
+	if withRuntime {
+		// _start: call main; exit(result)
+		g.emitLabel("_start")
+		g.emitJump(isa.OpCall, g.opts.EntryName)
+		g.emitRR(isa.OpMovRR, isa.R1, isa.R0)
+		g.emitJump(isa.OpCall, "exit")
+		g.emit(isa.Instr{Op: isa.OpHlt})
+	}
 
 	// Register global symbols first (mutual recursion, fn pointers).
 	for _, f := range g.prog.Funcs {
@@ -213,72 +224,51 @@ func (g *gen) run() (out string, err error) {
 		g.emitFunc(f)
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, ".module %s\n", g.opts.Module)
+	u := g.u
+	u.Name = g.opts.Module
 	if g.opts.Shared {
-		b.WriteString(".type shared\n")
-	} else {
-		b.WriteString(".type exec\n")
+		u.Type = obj.SharedObj
 	}
-	if g.opts.PIC {
-		b.WriteString(".pic\n")
-	} else {
-		fmt.Fprintf(&b, ".base %#x\n", g.opts.Base)
-	}
+	u.PIC = g.opts.PIC
+	u.Base = g.opts.Base
 	needLibj := len(g.imports) > 0
-	if !g.opts.Shared && !g.opts.NoRuntime {
-		b.WriteString(".entry _start\n")
+	if withRuntime {
+		u.Entry = "_start"
 		needLibj = true
 		g.imports["exit"] = true
 	}
 	if needLibj {
-		fmt.Fprintf(&b, ".needs %s\n", libj.Name)
+		u.Needs = []string{libj.Name}
 	}
-	// Emit imports sorted: the PLT/GOT layout follows import order, and
-	// the compiled module must be byte-identical across runs (content
-	// hashes key the analysis cache).
-	importNames := make([]string, 0, len(g.imports))
+	// Imports sorted: the PLT/GOT layout follows import order, and the
+	// compiled module must be byte-identical across runs (content hashes
+	// key the analysis cache).
 	for name := range g.imports {
-		importNames = append(importNames, name)
+		u.Imports = append(u.Imports, name)
 	}
-	sort.Strings(importNames)
-	for _, name := range importNames {
-		fmt.Fprintf(&b, ".import %s\n", name)
-	}
+	sort.Strings(u.Imports)
 	// Exports: non-static functions.
 	for _, f := range g.prog.Funcs {
 		if !f.Static {
-			fmt.Fprintf(&b, ".global %s\n", f.Name)
+			u.Globals = append(u.Globals, f.Name)
 		}
 	}
-	b.WriteString("\n.section .text\n")
-	if !g.opts.Shared && !g.opts.NoRuntime {
-		// _start: call main; exit(result)
-		fmt.Fprintf(&b, "_start:\n    call %s\n    mov r1, r0\n    call exit\n    hlt\n",
-			g.opts.EntryName)
-	}
-	// Spill lines were counted within .text; number them in the whole
-	// text.
-	hdr := strings.Count(b.String(), "\n")
-	for i := range g.spills {
-		g.spills[i].line += hdr
-	}
-	b.WriteString(g.text.String())
-	if g.ro.Len() > 0 {
-		b.WriteString("\n.section .rodata\n")
-		b.WriteString(g.ro.String())
-	}
-	if g.data.Len() > 0 {
-		b.WriteString("\n.section .data\n")
-		b.WriteString(g.data.String())
-	}
-	return b.String(), nil
+	return nil
 }
 
 // newLabel returns a fresh assembly-local label.
 func (g *gen) newLabel(stem string) string {
 	g.label++
-	return fmt.Sprintf(".L%s%d", stem, g.label)
+	return ".L" + stem + strconv.Itoa(g.label)
+}
+
+// rodata returns .rodata, declaring it on first use: a unit without
+// read-only data prints no .rodata section.
+func (g *gen) rodata() *asm.Section {
+	if g.ro == nil {
+		g.ro = g.u.Section(".rodata")
+	}
+	return g.ro
 }
 
 // strLabel interns a string literal in .rodata.
@@ -288,55 +278,61 @@ func (g *gen) strLabel(s string) string {
 	}
 	l := g.newLabel("str")
 	g.strs[s] = l
-	fmt.Fprintf(&g.ro, "%s:\n    .asciz %q\n", l, s)
+	ro := g.rodata()
+	ro.Label(l)
+	ro.Asciz(s)
 	return l
 }
 
 // emitGlobal lays out one global in .data.
 func (g *gen) emitGlobal(d *VarDecl) {
-	w := &g.data
-	fmt.Fprintf(w, ".align 8\n%s:\n", d.Name)
+	if g.data == nil {
+		g.data = g.u.Section(".data")
+	}
+	w := g.data
+	w.Align(8)
+	w.Label(d.Name)
 	t := d.Type
 	switch {
 	case d.InitStr != "" && t.Kind == TArray && t.Elem.Kind == TChar:
-		fmt.Fprintf(w, "    .ascii %q\n", d.InitStr)
+		w.Ascii(d.InitStr)
 		if pad := t.Size() - int64(len(d.InitStr)); pad > 0 {
-			fmt.Fprintf(w, "    .zero %d\n", pad)
+			w.Zero(pad)
 		}
 	case len(d.InitList) > 0:
 		for _, e := range d.InitList {
 			switch {
 			case e.Kind == ENum:
-				fmt.Fprintf(w, "    .quad %d\n", e.Num)
+				w.Quad("", e.Num)
 			case e.Kind == EIdent:
-				fmt.Fprintf(w, "    .quad %s\n", e.Str)
+				w.Quad(e.Str, 0)
 			case e.Kind == EUnary && e.Op == "&" && e.X.Kind == EIdent:
-				fmt.Fprintf(w, "    .quad %s\n", e.X.Str)
+				w.Quad(e.X.Str, 0)
 			case e.Kind == EStr:
-				fmt.Fprintf(w, "    .quad %s\n", g.strLabel(e.Str))
+				w.Quad(g.strLabel(e.Str), 0)
 			default:
 				g.errf(d.Line, "global initialiser for %s must be constant", d.Name)
 			}
 		}
 		if pad := t.Size() - int64(len(d.InitList))*8; pad > 0 && t.Kind == TArray {
-			fmt.Fprintf(w, "    .zero %d\n", pad)
+			w.Zero(pad)
 		}
 	case d.Init != nil:
 		if v, ok := constFold(d.Init); ok {
-			fmt.Fprintf(w, "    .quad %d\n", v)
+			w.Quad("", v)
 			break
 		}
 		// Address constants: a function or global name (optionally via &).
 		switch {
 		case d.Init.Kind == EIdent:
-			fmt.Fprintf(w, "    .quad %s\n", d.Init.Str)
+			w.Quad(d.Init.Str, 0)
 		case d.Init.Kind == EUnary && d.Init.Op == "&" && d.Init.X.Kind == EIdent:
-			fmt.Fprintf(w, "    .quad %s\n", d.Init.X.Str)
+			w.Quad(d.Init.X.Str, 0)
 		default:
 			g.errf(d.Line, "global initialiser for %s must be constant", d.Name)
 		}
 	default:
-		fmt.Fprintf(w, "    .zero %d\n", max64(t.Size(), 8))
+		w.Zero(max64(t.Size(), 8))
 	}
 }
 
@@ -397,16 +393,35 @@ func countFrame(body []*Stmt) int64 {
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
-// emit writes one line of function text.
-func (g *gen) emit(format string, args ...interface{}) {
-	fmt.Fprintf(&g.text, "    "+format+"\n", args...)
-	g.lines++
+// Emission helpers: each appends one item to .text.
+
+func (g *gen) emit(in isa.Instr) { g.text.Instr(in) }
+
+func (g *gen) emitLabel(l string) { g.text.Label(l) }
+
+// emitR emits a one-register instruction: push, pop, neg, not, ldg, jmpi,
+// calli.
+func (g *gen) emitR(op isa.Op, rd isa.Register) { g.emit(isa.Instr{Op: op, Rd: rd}) }
+
+func (g *gen) emitRR(op isa.Op, rd, rb isa.Register) {
+	g.emit(isa.Instr{Op: op, Rd: rd, Rb: rb})
 }
 
-func (g *gen) emitLabel(l string) {
-	fmt.Fprintf(&g.text, "%s:\n", l)
-	g.lines++
+func (g *gen) emitRI(op isa.Op, rd isa.Register, imm int64) {
+	g.emit(isa.Instr{Op: op, Rd: rd, Imm: imm})
 }
+
+// emitMem emits a load or lea of [rb+disp] into rd, or a store of rd to
+// [rb+disp].
+func (g *gen) emitMem(op isa.Op, rd, rb isa.Register, disp int32) {
+	g.emit(isa.Instr{Op: op, Rd: rd, Rb: rb, Disp: disp})
+}
+
+// emitJump emits a direct branch or call to sym.
+func (g *gen) emitJump(op isa.Op, sym string) { g.text.Ref(op, 0, sym, 0) }
+
+// emitLa materialises the address of sym in rd.
+func (g *gen) emitLa(rd isa.Register, sym string) { g.text.La(rd, sym, 0) }
 
 // alloc takes the next temp register.
 func (g *gen) alloc(line int) isa.Register {
@@ -456,43 +471,43 @@ func (g *gen) emitFunc(f *FuncDecl) {
 	g.frameSize = (g.frameSize + 15) &^ 15
 
 	g.emitLabel(f.Name)
-	g.emit("push fp")
-	g.emit("mov fp, sp")
+	g.emitR(isa.OpPush, isa.FP)
+	g.emitRR(isa.OpMovRR, isa.FP, isa.SP)
 	if g.frameSize > 0 {
-		g.emit("sub sp, %d", g.frameSize)
+		g.emitRI(isa.OpSubRI, isa.SP, g.frameSize)
 	}
 	if g.hasCanary {
-		g.emit("ldg r6")
-		g.emit("stq [fp-8], r6")
+		g.emitR(isa.OpLdG, isa.R6)
+		g.emitMem(isa.OpStQ, isa.R6, isa.FP, -8)
 	}
 	for i, sym := range paramSyms {
 		if sym.typ.Kind == TChar {
-			g.emit("stb [fp%+d], r%d", sym.frameOff, i+1)
+			g.emitMem(isa.OpStB, isa.Register(i+1), isa.FP, sym.frameOff)
 		} else {
-			g.emit("stq [fp%+d], r%d", sym.frameOff, i+1)
+			g.emitMem(isa.OpStQ, isa.Register(i+1), isa.FP, sym.frameOff)
 		}
 	}
 	for _, s := range f.Body {
 		g.genStmt(s)
 	}
 	// Implicit return 0.
-	g.emit("mov r0, 0")
+	g.emitRI(isa.OpMovRI, isa.R0, 0)
 	g.emitLabel(g.retLbl)
 	if g.hasCanary {
 		fail := g.newLabel("chkfail")
-		g.emit("ldq r6, [fp-8]")
-		g.emit("ldg r7")
-		g.emit("cmp r6, r7")
-		g.emit("jne %s", fail)
-		g.emit("mov sp, fp")
-		g.emit("pop fp")
-		g.emit("ret")
+		g.emitMem(isa.OpLdQ, isa.R6, isa.FP, -8)
+		g.emitR(isa.OpLdG, isa.R7)
+		g.emitRR(isa.OpCmpRR, isa.R6, isa.R7)
+		g.emitJump(isa.OpJne, fail)
+		g.emitRR(isa.OpMovRR, isa.SP, isa.FP)
+		g.emitR(isa.OpPop, isa.FP)
+		g.emit(isa.Instr{Op: isa.OpRet})
 		g.emitLabel(fail)
-		g.emit("hlt")
+		g.emit(isa.Instr{Op: isa.OpHlt})
 	} else {
-		g.emit("mov sp, fp")
-		g.emit("pop fp")
-		g.emit("ret")
+		g.emitRR(isa.OpMovRR, isa.SP, isa.FP)
+		g.emitR(isa.OpPop, isa.FP)
+		g.emit(isa.Instr{Op: isa.OpRet})
 	}
 }
 
@@ -547,7 +562,7 @@ func (g *gen) genStmt(s *Stmt) {
 		g.genCondJump(s.Expr, "", elseL)
 		g.genBlockScoped(s.Body)
 		if len(s.Else) > 0 {
-			g.emit("jmp %s", endL)
+			g.emitJump(isa.OpJmp, endL)
 		}
 		g.emitLabel(elseL)
 		if len(s.Else) > 0 {
@@ -562,7 +577,7 @@ func (g *gen) genStmt(s *Stmt) {
 		g.pushLoop(end, head)
 		g.genBlockScoped(s.Body)
 		g.popLoop()
-		g.emit("jmp %s", head)
+		g.emitJump(isa.OpJmp, head)
 		g.emitLabel(end)
 	case SDoWhile:
 		head := g.newLabel("do")
@@ -597,7 +612,7 @@ func (g *gen) genStmt(s *Stmt) {
 			r, _ := g.genExpr(s.Post)
 			g.free(r)
 		}
-		g.emit("jmp %s", head)
+		g.emitJump(isa.OpJmp, head)
 		g.emitLabel(end)
 		g.scopes = g.scopes[:len(g.scopes)-1]
 	case SReturn:
@@ -612,20 +627,20 @@ func (g *gen) genStmt(s *Stmt) {
 				return
 			}
 			r, _ := g.genExpr(s.Expr)
-			g.emit("mov r0, %s", r)
+			g.emitRR(isa.OpMovRR, isa.R0, r)
 			g.free(r)
 		}
-		g.emit("jmp %s", g.retLbl)
+		g.emitJump(isa.OpJmp, g.retLbl)
 	case SBreak:
 		if len(g.breakLbl) == 0 {
 			g.errf(s.Line, "break outside loop/switch")
 		}
-		g.emit("jmp %s", g.breakLbl[len(g.breakLbl)-1])
+		g.emitJump(isa.OpJmp, g.breakLbl[len(g.breakLbl)-1])
 	case SContinue:
 		if len(g.contLbl) == 0 {
 			g.errf(s.Line, "continue outside loop")
 		}
-		g.emit("jmp %s", g.contLbl[len(g.contLbl)-1])
+		g.emitJump(isa.OpJmp, g.contLbl[len(g.contLbl)-1])
 	case SSwitch:
 		g.genSwitch(s)
 	}
@@ -657,9 +672,9 @@ func (g *gen) genDecl(d *VarDecl) {
 	if d.Init != nil {
 		r, _ := g.genExpr(d.Init)
 		if d.Type.Kind == TChar {
-			g.emit("stb [fp%+d], %s", sym.frameOff, r)
+			g.emitMem(isa.OpStB, r, isa.FP, sym.frameOff)
 		} else {
-			g.emit("stq [fp%+d], %s", sym.frameOff, r)
+			g.emitMem(isa.OpStQ, r, isa.FP, sym.frameOff)
 		}
 		g.free(r)
 	}
@@ -667,19 +682,19 @@ func (g *gen) genDecl(d *VarDecl) {
 		// char buf[N] = "..." — copy from .rodata.
 		l := g.strLabel(d.InitStr)
 		src := g.alloc(d.Line)
-		g.emit("la %s, %s", src, l)
+		g.emitLa(src, l)
 		dst := g.alloc(d.Line)
-		g.emit("lea %s, [fp%+d]", dst, sym.frameOff)
+		g.emitMem(isa.OpLea, dst, isa.FP, sym.frameOff)
 		idx := g.alloc(d.Line)
-		g.emit("mov %s, 0", idx)
+		g.emitRI(isa.OpMovRI, idx, 0)
 		loop := g.newLabel("initcp")
 		g.emitLabel(loop)
 		tmp := g.alloc(d.Line)
-		g.emit("ldxb %s, [%s+%s]", tmp, src, idx)
-		g.emit("stxb [%s+%s], %s", dst, idx, tmp)
-		g.emit("add %s, 1", idx)
-		g.emit("cmp %s, %d", idx, len(d.InitStr)+1)
-		g.emit("jl %s", loop)
+		g.emit(isa.Instr{Op: isa.OpLdXB, Rd: tmp, Rb: src, Ri: idx})
+		g.emit(isa.Instr{Op: isa.OpStXB, Rd: tmp, Rb: dst, Ri: idx})
+		g.emitRI(isa.OpAddRI, idx, 1)
+		g.emitRI(isa.OpCmpRI, idx, int64(len(d.InitStr)+1))
+		g.emitJump(isa.OpJl, loop)
 		g.free(src)
 	}
 }
@@ -722,41 +737,43 @@ func (g *gen) genCondJump(e *Expr, trueL, falseL string) {
 		if cc, ok := cmpOps[e.Op]; ok {
 			rx, _ := g.genExpr(e.X)
 			ry, _ := g.genExpr(e.Y)
-			g.emit("cmp %s, %s", rx, ry)
+			g.emitRR(isa.OpCmpRR, rx, ry)
 			g.free(ry)
 			g.free(rx)
 			if trueL != "" {
-				g.emit("%s %s", cc, trueL)
+				g.emitJump(cc, trueL)
 				if falseL != "" {
-					g.emit("jmp %s", falseL)
+					g.emitJump(isa.OpJmp, falseL)
 				}
 			} else {
-				g.emit("%s %s", negCC[cc], falseL)
+				g.emitJump(negCC[cc], falseL)
 			}
 			return
 		}
 	}
 	// General value: test against zero.
 	r, _ := g.genExpr(e)
-	g.emit("cmp %s, 0", r)
+	g.emitRI(isa.OpCmpRI, r, 0)
 	g.free(r)
 	if trueL != "" {
-		g.emit("jne %s", trueL)
+		g.emitJump(isa.OpJne, trueL)
 		if falseL != "" {
-			g.emit("jmp %s", falseL)
+			g.emitJump(isa.OpJmp, falseL)
 		}
 	} else {
-		g.emit("je %s", falseL)
+		g.emitJump(isa.OpJe, falseL)
 	}
 }
 
-var cmpOps = map[string]string{
-	"==": "je", "!=": "jne", "<": "jl", "<=": "jle", ">": "jg", ">=": "jge",
+var cmpOps = map[string]isa.Op{
+	"==": isa.OpJe, "!=": isa.OpJne, "<": isa.OpJl, "<=": isa.OpJle,
+	">": isa.OpJg, ">=": isa.OpJge,
 }
 
-var negCC = map[string]string{
-	"je": "jne", "jne": "je", "jl": "jge", "jle": "jg", "jg": "jle",
-	"jge": "jl", "jb": "jae", "jae": "jb",
+var negCC = map[isa.Op]isa.Op{
+	isa.OpJe: isa.OpJne, isa.OpJne: isa.OpJe, isa.OpJl: isa.OpJge,
+	isa.OpJle: isa.OpJg, isa.OpJg: isa.OpJle, isa.OpJge: isa.OpJl,
+	isa.OpJb: isa.OpJae, isa.OpJae: isa.OpJb,
 }
 
 // genSwitch lowers a switch: dense value sets at -O2 become jump tables
@@ -800,17 +817,17 @@ func (g *gen) genSwitch(s *Stmt) {
 		// Jump table.
 		tbl := g.newLabel("jt")
 		idx := g.alloc(s.Line)
-		g.emit("mov %s, %s", idx, subj)
+		g.emitRR(isa.OpMovRR, idx, subj)
 		if minV != 0 {
-			g.emit("sub %s, %d", idx, minV)
+			g.emitRI(isa.OpSubRI, idx, minV)
 		}
-		g.emit("cmp %s, %d", idx, span)
-		g.emit("jae %s", defaultL)
+		g.emitRI(isa.OpCmpRI, idx, span)
+		g.emitJump(isa.OpJae, defaultL)
 		base := g.alloc(s.Line)
-		g.emit("la %s, %s", base, tbl)
+		g.emitLa(base, tbl)
 		tgt := g.alloc(s.Line)
-		g.emit("ldxq %s, [%s+%s*8]", tgt, base, idx)
-		g.emit("jmpi %s", tgt)
+		g.emit(isa.Instr{Op: isa.OpLdXQ, Rd: tgt, Rb: base, Ri: idx})
+		g.emitR(isa.OpJmpI, tgt)
 		g.free(idx)
 		// Table entries in .rodata.
 		entries := make([]string, span)
@@ -822,18 +839,19 @@ func (g *gen) genSwitch(s *Stmt) {
 				entries[v-minV] = a.label
 			}
 		}
-		fmt.Fprintf(&g.ro, "%s:\n", tbl)
+		ro := g.rodata()
+		ro.Label(tbl)
 		for _, e := range entries {
-			fmt.Fprintf(&g.ro, "    .quad %s\n", e)
+			ro.Quad(e, 0)
 		}
 	} else {
 		for _, a := range arms {
 			for _, v := range a.c.Vals {
-				g.emit("cmp %s, %d", subj, v)
-				g.emit("je %s", a.label)
+				g.emitRI(isa.OpCmpRI, subj, v)
+				g.emitJump(isa.OpJe, a.label)
 			}
 		}
-		g.emit("jmp %s", defaultL)
+		g.emitJump(isa.OpJmp, defaultL)
 	}
 	g.free(subj)
 
@@ -883,26 +901,26 @@ func (g *gen) tryTailCall(e *Expr) bool {
 		target, _ = g.genExpr(callee)
 	}
 	for i := range e.Args {
-		g.emit("mov r%d, %s", i+1, argRegs[i])
+		g.emitRR(isa.OpMovRR, isa.Register(i+1), argRegs[i])
 	}
 	// Canary verification must happen before leaving the frame.
 	if g.hasCanary {
 		fail := g.newLabel("tcchk")
 		ok := g.newLabel("tcok")
-		g.emit("ldq r0, [fp-8]")
-		g.emit("ldg r11")
-		g.emit("cmp r0, r11")
-		g.emit("je %s", ok)
+		g.emitMem(isa.OpLdQ, isa.R0, isa.FP, -8)
+		g.emitR(isa.OpLdG, isa.R11)
+		g.emitRR(isa.OpCmpRR, isa.R0, isa.R11)
+		g.emitJump(isa.OpJe, ok)
 		g.emitLabel(fail)
-		g.emit("hlt")
+		g.emit(isa.Instr{Op: isa.OpHlt})
 		g.emitLabel(ok)
 	}
-	g.emit("mov sp, fp")
-	g.emit("pop fp")
+	g.emitRR(isa.OpMovRR, isa.SP, isa.FP)
+	g.emitR(isa.OpPop, isa.FP)
 	if direct != "" {
-		g.emit("jmp %s", direct)
+		g.emitJump(isa.OpJmp, direct)
 	} else {
-		g.emit("jmpi %s", target)
+		g.emitR(isa.OpJmpI, target)
 	}
 	// Reset temp accounting (the statement consumed everything).
 	g.depth = 0

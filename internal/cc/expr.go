@@ -71,36 +71,36 @@ func (g *gen) genExpr(e *Expr) (isa.Register, *Type) {
 	if g.opts.O2 {
 		if v, ok := constFold(e); ok && e.Kind != ENum {
 			r := g.alloc(e.Line)
-			g.emit("mov %s, %d", r, v)
+			g.emitRI(isa.OpMovRI, r, v)
 			return r, IntType
 		}
 	}
 	switch e.Kind {
 	case ENum:
 		r := g.alloc(e.Line)
-		g.emit("mov %s, %d", r, e.Num)
+		g.emitRI(isa.OpMovRI, r, e.Num)
 		return r, IntType
 	case EStr:
 		r := g.alloc(e.Line)
-		g.emit("la %s, %s", r, g.strLabel(e.Str))
+		g.emitLa(r, g.strLabel(e.Str))
 		return r, PtrTo(CharType)
 	case EIdent:
 		sym := g.lookup(e.Str, e.Line)
 		r := g.alloc(e.Line)
 		switch {
 		case sym.fn:
-			g.emit("la %s, %s", r, sym.name) // function address (address-taken)
+			g.emitLa(r, sym.name) // function address (address-taken)
 			return r, PtrTo(sym.typ)
 		case sym.typ.Kind == TArray:
 			// Arrays decay to pointers.
 			if sym.global {
-				g.emit("la %s, %s", r, sym.name)
+				g.emitLa(r, sym.name)
 			} else {
-				g.emit("lea %s, [fp%+d]", r, sym.frameOff)
+				g.emitMem(isa.OpLea, r, isa.FP, sym.frameOff)
 			}
 			return r, PtrTo(sym.typ.Elem)
 		case sym.global:
-			g.emit("la %s, %s", r, sym.name)
+			g.emitLa(r, sym.name)
 			g.loadScalar(r, r, 0, sym.typ)
 			return r, sym.typ
 		default:
@@ -130,20 +130,20 @@ func (g *gen) genExpr(e *Expr) (isa.Register, *Type) {
 		old := g.alloc(e.Line)
 		g.loadScalar(old, addr, 0, t)
 		tmp := g.alloc(e.Line)
-		g.emit("mov %s, %s", tmp, old)
+		g.emitRR(isa.OpMovRR, tmp, old)
 		delta := int64(1)
 		if t.Kind == TPtr {
 			delta = t.Elem.Size()
 		}
 		if e.Op == "++" {
-			g.emit("add %s, %d", tmp, delta)
+			g.emitRI(isa.OpAddRI, tmp, delta)
 		} else {
-			g.emit("sub %s, %d", tmp, delta)
+			g.emitRI(isa.OpSubRI, tmp, delta)
 		}
 		g.storeScalar(addr, 0, tmp, t)
 		g.free(tmp)
 		// Move old value into addr's register slot to keep LIFO shape.
-		g.emit("mov %s, %s", addr, old)
+		g.emitRR(isa.OpMovRR, addr, old)
 		g.free(old)
 		return addr, t
 	}
@@ -154,18 +154,18 @@ func (g *gen) genExpr(e *Expr) (isa.Register, *Type) {
 // loadScalar emits a typed load of [base+disp] into dst.
 func (g *gen) loadScalar(dst, base isa.Register, disp int32, t *Type) {
 	if t.Kind == TChar {
-		g.emit("ldb %s, [%s%+d]", dst, base, disp)
+		g.emitMem(isa.OpLdB, dst, base, disp)
 	} else {
-		g.emit("ldq %s, [%s%+d]", dst, base, disp)
+		g.emitMem(isa.OpLdQ, dst, base, disp)
 	}
 }
 
 // storeScalar emits a typed store of src to [base+disp].
 func (g *gen) storeScalar(base isa.Register, disp int32, src isa.Register, t *Type) {
 	if t.Kind == TChar {
-		g.emit("stb [%s%+d], %s", base, disp, src)
+		g.emitMem(isa.OpStB, src, base, disp)
 	} else {
-		g.emit("stq [%s%+d], %s", base, disp, src)
+		g.emitMem(isa.OpStQ, src, base, disp)
 	}
 }
 
@@ -180,9 +180,9 @@ func (g *gen) genAddr(e *Expr) (isa.Register, *Type) {
 		}
 		r := g.alloc(e.Line)
 		if sym.global {
-			g.emit("la %s, %s", r, sym.name)
+			g.emitLa(r, sym.name)
 		} else {
-			g.emit("lea %s, [fp%+d]", r, sym.frameOff)
+			g.emitMem(isa.OpLea, r, isa.FP, sym.frameOff)
 		}
 		t := sym.typ
 		if t.Kind == TArray {
@@ -216,28 +216,35 @@ func (g *gen) genIndexAddr(e *Expr) (isa.Register, *Type) {
 	if v, ok := constFold(e.Y); ok {
 		off := v * elem.Size()
 		if off != 0 {
-			g.emit("add %s, %d", base, off)
+			g.emitRI(isa.OpAddRI, base, off)
 		}
 		return base, elem
 	}
 	idx, _ := g.genExpr(e.Y)
 	switch elem.Size() {
 	case 1:
-		g.emit("add %s, %s", base, idx)
+		g.emitRR(isa.OpAddRR, base, idx)
 	case 8:
-		g.emit("shl %s, 3", idx)
-		g.emit("add %s, %s", base, idx)
+		g.emitRI(isa.OpShlRI, idx, 3)
+		g.emitRR(isa.OpAddRR, base, idx)
 	default:
-		g.emit("mul %s, %d", idx, elem.Size())
-		g.emit("add %s, %s", base, idx)
+		g.emitRI(isa.OpMulRI, idx, elem.Size())
+		g.emitRR(isa.OpAddRR, base, idx)
 	}
 	g.free(idx)
 	return base, elem
 }
 
-var binInsn = map[string]string{
-	"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
-	"&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
+// aluOps are the register and immediate forms of one binary operator.
+// Division and remainder have no immediate form.
+type aluOps struct{ rr, ri isa.Op }
+
+var binInsn = map[string]aluOps{
+	"+": {isa.OpAddRR, isa.OpAddRI}, "-": {isa.OpSubRR, isa.OpSubRI},
+	"*": {isa.OpMulRR, isa.OpMulRI}, "/": {isa.OpDivRR, 0},
+	"%": {isa.OpRemRR, 0}, "&": {isa.OpAndRR, isa.OpAndRI},
+	"|": {isa.OpOrRR, isa.OpOrRI}, "^": {isa.OpXorRR, isa.OpXorRI},
+	"<<": {isa.OpShlRR, isa.OpShlRI}, ">>": {isa.OpShrRR, isa.OpShrRI},
 }
 
 // genBinary evaluates arithmetic, comparisons and short-circuit logic as
@@ -250,25 +257,25 @@ func (g *gen) genBinary(e *Expr) (isa.Register, *Type) {
 		done := g.newLabel("bd")
 		g.genCondJump(e, trueL, falseL)
 		g.emitLabel(trueL)
-		g.emit("mov %s, 1", r)
-		g.emit("jmp %s", done)
+		g.emitRI(isa.OpMovRI, r, 1)
+		g.emitJump(isa.OpJmp, done)
 		g.emitLabel(falseL)
-		g.emit("mov %s, 0", r)
+		g.emitRI(isa.OpMovRI, r, 0)
 		g.emitLabel(done)
 		return r, IntType
 	}
 	if cc, ok := cmpOps[e.Op]; ok {
 		rx, _ := g.genExpr(e.X)
 		ry, _ := g.genExpr(e.Y)
-		g.emit("cmp %s, %s", rx, ry)
+		g.emitRR(isa.OpCmpRR, rx, ry)
 		g.free(ry)
 		trueL := g.newLabel("ct")
 		done := g.newLabel("cd")
-		g.emit("%s %s", cc, trueL)
-		g.emit("mov %s, 0", rx)
-		g.emit("jmp %s", done)
+		g.emitJump(cc, trueL)
+		g.emitRI(isa.OpMovRI, rx, 0)
+		g.emitJump(isa.OpJmp, done)
 		g.emitLabel(trueL)
-		g.emit("mov %s, 1", rx)
+		g.emitRI(isa.OpMovRI, rx, 1)
 		g.emitLabel(done)
 		return rx, IntType
 	}
@@ -281,25 +288,25 @@ func (g *gen) genBinary(e *Expr) (isa.Register, *Type) {
 	if tx.Kind == TPtr && (e.Op == "+" || e.Op == "-") {
 		if v, ok := constFold(e.Y); ok {
 			off := v * tx.Elem.Size()
-			g.emit("%s %s, %d", insn, rx, off)
+			g.emitRI(insn.ri, rx, off)
 			return rx, tx
 		}
 	}
 	// div/rem have no immediate form; other ops fold constant operands.
 	if v, ok := constFold(e.Y); ok && tx.Kind != TPtr &&
 		e.Op != "/" && e.Op != "%" {
-		g.emit("%s %s, %d", insn, rx, v)
+		g.emitRI(insn.ri, rx, v)
 		return rx, tx
 	}
 	ry, ty := g.genExpr(e.Y)
 	if tx.Kind == TPtr && (e.Op == "+" || e.Op == "-") && ty.Kind != TPtr {
 		if tx.Elem.Size() == 8 {
-			g.emit("shl %s, 3", ry)
+			g.emitRI(isa.OpShlRI, ry, 3)
 		} else if tx.Elem.Size() != 1 {
-			g.emit("mul %s, %d", ry, tx.Elem.Size())
+			g.emitRI(isa.OpMulRI, ry, tx.Elem.Size())
 		}
 	}
-	g.emit("%s %s, %s", insn, rx, ry)
+	g.emitRR(insn.rr, rx, ry)
 	g.free(ry)
 	t := tx
 	if tx.Kind == TPtr && ty != nil && ty.Kind == TPtr && e.Op == "-" {
@@ -313,22 +320,22 @@ func (g *gen) genUnary(e *Expr) (isa.Register, *Type) {
 	switch e.Op {
 	case "-":
 		r, t := g.genExpr(e.X)
-		g.emit("neg %s", r)
+		g.emitR(isa.OpNeg, r)
 		return r, t
 	case "~":
 		r, t := g.genExpr(e.X)
-		g.emit("not %s", r)
+		g.emitR(isa.OpNot, r)
 		return r, t
 	case "!":
 		r, _ := g.genExpr(e.X)
 		trueL := g.newLabel("nt")
 		done := g.newLabel("nd")
-		g.emit("cmp %s, 0", r)
-		g.emit("je %s", trueL)
-		g.emit("mov %s, 0", r)
-		g.emit("jmp %s", done)
+		g.emitRI(isa.OpCmpRI, r, 0)
+		g.emitJump(isa.OpJe, trueL)
+		g.emitRI(isa.OpMovRI, r, 0)
+		g.emitJump(isa.OpJmp, done)
 		g.emitLabel(trueL)
-		g.emit("mov %s, 1", r)
+		g.emitRI(isa.OpMovRI, r, 1)
 		g.emitLabel(done)
 		return r, IntType
 	case "*":
@@ -366,7 +373,7 @@ func (g *gen) genAssign(e *Expr) (isa.Register, *Type) {
 	g.storeScalar(addr, 0, rv, t)
 	// Keep LIFO: move the value into the address register and free the
 	// value register.
-	g.emit("mov %s, %s", addr, rv)
+	g.emitRR(isa.OpMovRR, addr, rv)
 	g.free(rv)
 	return addr, t
 }
@@ -390,18 +397,18 @@ func (g *gen) rhsValue(e *Expr, base isa.Register, disp int32, t *Type) isa.Regi
 		if t.Kind == TPtr && (op == "+" || op == "-") {
 			delta = v * t.Elem.Size()
 		}
-		g.emit("%s %s, %d", insn, cur, delta)
+		g.emitRI(insn.ri, cur, delta)
 		return cur
 	}
 	rv, _ := g.genExpr(e.Y)
 	if t.Kind == TPtr && (op == "+" || op == "-") && t.Elem.Size() != 1 {
 		if t.Elem.Size() == 8 {
-			g.emit("shl %s, 3", rv)
+			g.emitRI(isa.OpShlRI, rv, 3)
 		} else {
-			g.emit("mul %s, %d", rv, t.Elem.Size())
+			g.emitRI(isa.OpMulRI, rv, t.Elem.Size())
 		}
 	}
-	g.emit("%s %s, %s", insn, cur, rv)
+	g.emitRR(insn.rr, cur, rv)
 	g.free(rv)
 	return cur
 }
@@ -453,35 +460,35 @@ func (g *gen) genCall(e *Expr) (isa.Register, *Type) {
 	saved := tempRegs[:depthBase]
 	for _, r := range saved {
 		g.spill(direct, r)
-		g.emit("push %s", r)
+		g.emitR(isa.OpPush, r)
 	}
 	// Marshal arguments. Args currently occupy tempRegs[depthBase...];
 	// moving lowest-first into r1.. is safe because tempRegs start at r6.
 	for i := range e.Args {
-		g.emit("mov r%d, %s", i+1, argRegs[i])
+		g.emitRR(isa.OpMovRR, isa.Register(i+1), argRegs[i])
 	}
 	if direct != "" {
-		g.emit("call %s", direct)
+		g.emitJump(isa.OpCall, direct)
 	} else {
-		g.emit("calli %s", target)
+		g.emitR(isa.OpCallI, target)
 	}
 	// Free the argument temps and re-acquire a result register.
 	for i := len(argRegs) - 1; i >= 0; i-- {
 		g.free(argRegs[i])
 	}
 	res := g.alloc(e.Line)
-	g.emit("mov %s, r0", res)
+	g.emitRR(isa.OpMovRR, res, isa.R0)
 	for i := len(saved) - 1; i >= 0; i-- {
 		g.spill(direct, saved[i])
-		g.emit("pop %s", saved[i])
+		g.emitR(isa.OpPop, saved[i])
 	}
 	return res, resultT
 }
 
-// spill records that the next line emitted pushes or pops r around a
-// direct call to callee, when ipa-ra applies.
+// spill records that the next instruction emitted pushes or pops r around
+// a direct call to callee, when ipa-ra applies.
 func (g *gen) spill(callee string, r isa.Register) {
 	if callee != "" && g.opts.O2 && !g.opts.NoIPARA {
-		g.spills = append(g.spills, spill{line: g.lines + 1, callee: callee, reg: r})
+		g.spills = append(g.spills, spill{at: g.text.Len(), callee: callee, reg: r})
 	}
 }

@@ -15,31 +15,31 @@ import (
 // package analysis exists to survive.
 //
 // Codegen runs once: it emits every spill and records each one around a
-// direct call. The clobber facts come from the module assembled from that
-// full text; the spills they prove dead are then left out of the final
-// text and module. Leaving out a pop only removes a register write, so the
-// facts stay sound, if conservative, for the final code.
+// direct call. The clobber facts come from the module linked from that
+// full unit; the spills they prove dead are then deleted from the unit,
+// which is linked again. Leaving out a pop only removes a register write,
+// so the facts stay sound, if conservative, for the final code.
 
 // spill is one push or pop of a caller-saved temp that genCall emitted
 // around a direct call.
 type spill struct {
-	line   int // 1-based line in the assembly text (in .text until run ends)
+	at     int // index among the .text items
 	callee string
 	reg    isa.Register
 }
 
-// elidable returns the lines of the spills ipa-ra drops: those around calls
-// to same-unit functions whose transitive extent, as mod shows it, never
-// writes the spilled register.
-func elidable(mod *obj.Module, spills []spill) (map[int]bool, error) {
+// elidable returns the ascending .text item indices of the spills ipa-ra
+// drops: those around calls to same-unit functions whose transitive
+// extent, as mod shows it, never writes the spilled register.
+func elidable(mod *obj.Module, spills []spill) ([]int, error) {
 	clob, err := unitClobbers(mod)
 	if err != nil {
 		return nil, err
 	}
-	drop := map[int]bool{}
+	var drop []int
 	for _, s := range spills {
 		if m, ok := clob[s.callee]; ok && !m.Has(s.reg) {
-			drop[s.line] = true
+			drop = append(drop, s.at)
 		}
 	}
 	return drop, nil

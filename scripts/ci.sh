@@ -30,6 +30,40 @@ for ex in examples/*/; do
 	fi
 done
 
+echo "== jcc -S | jas == jcc =="
+# The compile golden checks through the API that assembling jcc's -S text
+# reproduces the module jcc compiles; this checks the same through the jcc
+# and jas command lines, for an executable and a shared object.
+JCC_DIR=$(mktemp -d)
+go build -o "$JCC_DIR/jcc" ./cmd/jcc
+go build -o "$JCC_DIR/jas" ./cmd/jas
+cat > "$JCC_DIR/prog.c" <<'EOF'
+char greeting[16] = "streamed";
+int table[4] = {1, 2, 3, 4};
+int twice(int x) { return x * 2; }
+int main() {
+    char *p = malloc(32);
+    strcpy(p, greeting);
+    int s = 0;
+    for (int i = 0; i < 4; i++) {
+        s = s + table[i] + twice(i);
+    }
+    puts(p, strlen(p));
+    free(p);
+    return s & 63;
+}
+EOF
+for flags in "" "-shared"; do
+	"$JCC_DIR/jcc" -O2 $flags -o "$JCC_DIR/direct.jef" "$JCC_DIR/prog.c" > /dev/null
+	"$JCC_DIR/jcc" -O2 $flags -S -o "$JCC_DIR/prog.s" "$JCC_DIR/prog.c" > /dev/null
+	"$JCC_DIR/jas" -o "$JCC_DIR/viatext.jef" "$JCC_DIR/prog.s" > /dev/null
+	if ! cmp "$JCC_DIR/direct.jef" "$JCC_DIR/viatext.jef"; then
+		echo "jcc -O2 $flags: jcc -S | jas differs from jcc" >&2
+		exit 1
+	fi
+done
+rm -rf "$JCC_DIR"
+
 echo "== go vet: benchmark module =="
 # benchmark/ is its own module (replace repro => ../), so the vet and build
 # above skip it; vetting it catches a change to any internal API it builds
