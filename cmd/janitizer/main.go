@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	janitizer -tool jasan|jmsan|jtsan|jtsan-elide|jcfi [-libdir dir] [-outdir dir] main.jef
+//	janitizer [-tool name] [-libdir dir] [-outdir dir] main.jef
+//
+// -tool takes any internal/registry name or alias with a static stage; rule
+// files are named <module>.<canonical name>.jrw, so jrun finds either name's.
 package main
 
 import (
@@ -16,15 +19,12 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jefdir"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
+	"repro/internal/registry"
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jtsan-elide or jcfi")
+	toolName := flag.String("tool", "jasan", "tool configuration: "+registry.Usage(true))
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	outdir := flag.String("outdir", ".", "directory to write .jrw rule files into")
 	versionFlag := flag.Bool("version", false, "print build version and exit")
@@ -34,8 +34,16 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: janitizer -tool jasan|jmsan|jtsan|jtsan-elide|jcfi [flags] main.jef")
+		fmt.Fprintln(os.Stderr, "usage: janitizer [flags] main.jef")
 		os.Exit(2)
+	}
+	entry, err := registry.LookupStatic(*toolName)
+	if err != nil {
+		fatal(err)
+	}
+	tool := entry.New()
+	if _, ok := tool.(core.ArtifactTool); ok {
+		fatal(fmt.Errorf("tool %q produces analysis artifacts, not executable rules", *toolName))
 	}
 	main, err := jefdir.ReadModule(flag.Arg(0))
 	if err != nil {
@@ -44,21 +52,6 @@ func main() {
 	reg, err := jefdir.Load(*libdir)
 	if err != nil {
 		fatal(err)
-	}
-	var tool core.Tool
-	switch *toolName {
-	case "jasan":
-		tool = jasan.New(jasan.Config{UseLiveness: true})
-	case "jmsan":
-		tool = jmsan.New(jmsan.Config{UseLiveness: true})
-	case "jtsan":
-		tool = jtsan.New(jtsan.Config{UseLiveness: true})
-	case "jtsan-elide":
-		tool = jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
-	case "jcfi":
-		tool = jcfi.New(jcfi.DefaultConfig)
-	default:
-		fatal(fmt.Errorf("unknown tool %q", *toolName))
 	}
 	files, err := core.AnalyzeProgram(main, reg, tool)
 	if err != nil {
@@ -71,7 +64,7 @@ func main() {
 	sort.Strings(names)
 	for _, name := range names {
 		f := files[name]
-		path := filepath.Join(*outdir, name+"."+*toolName+".jrw")
+		path := filepath.Join(*outdir, name+"."+entry.Name+".jrw")
 		if err := os.WriteFile(path, f.Marshal(), 0o644); err != nil {
 			fatal(err)
 		}

@@ -16,9 +16,9 @@
 //
 // API:
 //
-//	POST /analyze?tool=jasan|jasan-base|jasan-scev|jcfi|jcfi-forward|
-//	              jmsan|jmsan-elide|jtsan|jtsan-elide|jasan+jmsan|
-//	              comprehensive
+//	POST /analyze?tool=<name>   any internal/registry name or alias with a
+//	    static stage: jasan, jasan-base, jasan-scev, jcfi, jcfi-forward, jmsan,
+//	    jmsan-elide, jtsan, jtsan-elide, jasan+jmsan, jlint, comprehensive, ...
 //	    request body:  a serialized JEF module
 //	    response body: the module's marshaled .jrw rule file
 //	    (X-Cache: local|peer|miss says where the answer came from)

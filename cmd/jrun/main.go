@@ -6,8 +6,10 @@
 //
 // Usage:
 //
-//	jrun [-tool jasan|jmsan|jtsan|jtsan-elide|jcfi|none] [-libdir dir] [-rules dir] [-stats]
-//	     [-profile] [-report] main.jef
+//	jrun [-tool name] [-libdir dir] [-rules dir] [-stats] [-profile] [-report] main.jef
+//
+// -tool takes any internal/registry name or alias (jasan, comprehensive, ...);
+// -rules supplies the <module>.<canonical name>.jrw files janitizer wrote.
 //
 // -profile attributes every executed cycle to its originating rule kind and
 // prints the per-cost-center table to stderr after the run; attribution
@@ -30,17 +32,14 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jefdir"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jtsan-elide, jcfi or none")
+	toolName := flag.String("tool", "jasan", "tool configuration: "+registry.Usage(false))
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	rulesDir := flag.String("rules", "", "directory of .jrw rewrite-rule files")
 	stats := flag.Bool("stats", false, "print cycle and coverage statistics")
@@ -57,6 +56,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: jrun [flags] main.jef")
 		os.Exit(2)
 	}
+	entry, err := registry.Lookup(*toolName)
+	if err != nil {
+		fatal(err)
+	}
+	tool := entry.New()
+	if _, ok := tool.(core.ArtifactTool); ok {
+		fatal(fmt.Errorf("tool %q produces analysis artifacts, not executable rules", *toolName))
+	}
 	main, err := jefdir.ReadModule(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -66,29 +73,6 @@ func main() {
 		fatal(err)
 	}
 
-	var tool core.Tool
-	// report renders the tool's violations, one line each, after the run.
-	var report func() []string
-	switch *toolName {
-	case "jasan":
-		jt := jasan.New(jasan.Config{UseLiveness: true})
-		tool, report = jt, func() []string { return lines(jt.Report.Violations) }
-	case "jmsan":
-		mt := jmsan.New(jmsan.Config{UseLiveness: true})
-		tool, report = mt, func() []string { return lines(mt.Report.Violations) }
-	case "jtsan", "jtsan-elide":
-		tt := jtsan.New(jtsan.Config{UseLiveness: true, Elide: *toolName == "jtsan-elide"})
-		tool, report = tt, func() []string { return lines(tt.Report.Violations) }
-	case "jcfi":
-		ct := jcfi.New(jcfi.DefaultConfig)
-		tool, report = ct, func() []string { return lines(ct.Report.Violations) }
-	case "none":
-		tool = core.NullTool{}
-		report = func() []string { return nil }
-	default:
-		fatal(fmt.Errorf("unknown tool %q", *toolName))
-	}
-
 	files := map[string]*rules.File{}
 	if *rulesDir != "" {
 		entries, err := os.ReadDir(*rulesDir)
@@ -96,7 +80,7 @@ func main() {
 			fatal(err)
 		}
 		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), "."+*toolName+".jrw") {
+			if !strings.HasSuffix(e.Name(), "."+entry.Name+".jrw") {
 				continue
 			}
 			data, err := os.ReadFile(filepath.Join(*rulesDir, e.Name()))
@@ -129,7 +113,7 @@ func main() {
 		diag.Collect(dlog, tool, diag.NewProcessSymbolizer(s.Proc), telemetry.SpanContext{})
 		fmt.Fprint(os.Stderr, diag.Render(dlog))
 	} else {
-		for _, line := range report() {
+		for _, line := range core.ReportLines(tool) {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
@@ -146,15 +130,6 @@ func main() {
 		fatal(runErr)
 	}
 	os.Exit(int(m.ExitStatus & 0xff))
-}
-
-// lines renders each violation as its own report line.
-func lines[V fmt.Stringer](vs []V) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/registry"
 	"repro/internal/rewrite"
 	"repro/internal/spec"
 )
@@ -30,7 +31,7 @@ import (
 func main() {
 	bench := flag.String("bench", "", "comma-separated workload names (default: all)")
 	scheme := flag.String("scheme", "comprehensive",
-		"tool configuration: jasan|jcfi|jmsan|comprehensive")
+		"tool configuration: "+registry.Usage(true))
 	verify := flag.Bool("verify", false, "run the structural verifier over every rewritten module")
 	parity := flag.Bool("parity", false,
 		"run dynamic/static/hybrid and cross-check verdicts and output")
@@ -42,9 +43,9 @@ func main() {
 		return
 	}
 
-	sch, ok := schemes[*scheme]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "jrw: unknown scheme %q\n", *scheme)
+	entry, err := registry.LookupStatic(*scheme)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jrw: %v\n", err)
 		os.Exit(2)
 	}
 	names := spec.Names()
@@ -63,11 +64,11 @@ func main() {
 		if err != nil {
 			fatal(name, err)
 		}
-		files, err := core.AnalyzeProgram(main, reg, newTool(sch))
+		files, err := core.AnalyzeProgram(main, reg, entry.New())
 		if err != nil {
 			fatal(name, err)
 		}
-		plans, err := rewrite.CapturePlans(main, reg, files, newTool(sch))
+		plans, err := rewrite.CapturePlans(main, reg, files, entry.New())
 		if err != nil {
 			fatal(name, err)
 		}
@@ -111,7 +112,7 @@ func main() {
 			}
 		}
 		if *parity {
-			if err := experiments.CheckParity(sch, w); err != nil {
+			if err := experiments.CheckParity(experiments.Scheme(entry.Name), w); err != nil {
 				violations++
 				fmt.Fprintf(os.Stderr, "jrw: VIOLATION: %v\n", err)
 			}
@@ -123,23 +124,6 @@ func main() {
 	if violations > 0 {
 		os.Exit(1)
 	}
-}
-
-// schemes maps each rewrite-capable tool configuration to the evaluation
-// harness's scheme: capture, rewriting and -parity all build their tools
-// from it, so they check one and the same composition.
-var schemes = map[string]experiments.Scheme{
-	"jasan":         experiments.JASanHybrid,
-	"jcfi":          experiments.JCFIHybrid,
-	"jmsan":         experiments.JMSanHybrid,
-	"comprehensive": experiments.Comprehensive,
-}
-
-// newTool returns a fresh instance of the scheme's tool: capture and runs
-// must not share tool state.
-func newTool(sch experiments.Scheme) core.Tool {
-	t, _, _ := experiments.NewTool(sch) // every schemes entry is a known scheme
-	return t
 }
 
 func fatal(workload string, err error) {

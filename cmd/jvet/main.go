@@ -31,15 +31,11 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/isa"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jlint"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/loader"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/rewrite"
 	"repro/internal/spec"
 	"repro/internal/vsa"
@@ -87,17 +83,9 @@ func main() {
 	}
 }
 
-// tools returns fresh instances of every elision-enabled configuration
-// whose proofs jvet replays. Fresh per call: tools carry per-run state.
-func tools() []core.Tool {
-	return []core.Tool{
-		jasan.New(jasan.Config{UseLiveness: true, Elide: true}),
-		jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true, Elide: true}),
-		jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true}),
-		jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}),
-		jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}),
-	}
-}
+// vetSchemes are the elision-enabled configurations whose proofs jvet
+// replays.
+var vetSchemes = []string{"jasan-elide", "jasan-scev-elide", "jcfi-narrow", "jmsan-elide", "jtsan-elide"}
 
 type vetter struct {
 	verbose    bool
@@ -133,7 +121,8 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 
 	for _, mod := range mods {
 		hash := mod.HashString()
-		for _, tool := range tools() {
+		for _, name := range vetSchemes {
+			tool := registry.MustNew(name)
 			key := hash + "/" + core.ToolKey(tool)
 			if v.done[key] {
 				continue
@@ -153,26 +142,19 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 	return v.vetRewrite(w, main, reg)
 }
 
-// rewriteTool is the configuration the rewriting pass vets: the
-// comprehensive jasan+jmsan+jtsan+jcfi composition the bake-off, jrw and
-// the parity check run, so every tool's plan fragments are exercised.
-// Fresh per call: tools carry per-run state.
-func rewriteTool() core.Tool {
-	t, _, _ := experiments.NewTool(experiments.Comprehensive)
-	return t
-}
-
 // vetRewrite statically rewrites the workload's module closure from freshly
 // captured plans and re-derives every structural guarantee with the
 // independent verifier. Memoized by (module hash, plan bytes): a shared
 // module recurs across workloads, but its plan can differ per program
 // placement, so the plan encoding is part of the key.
 func (v *vetter) vetRewrite(w *spec.Workload, main *obj.Module, reg loader.Registry) error {
-	files, err := core.AnalyzeProgram(main, reg, rewriteTool())
+	// The comprehensive composition is the one the bake-off, jrw and the
+	// parity check run, so every tool's plan fragments are exercised.
+	files, err := core.AnalyzeProgram(main, reg, registry.MustNew("comprehensive"))
 	if err != nil {
 		return err
 	}
-	plans, err := rewrite.CapturePlans(main, reg, files, rewriteTool())
+	plans, err := rewrite.CapturePlans(main, reg, files, registry.MustNew("comprehensive"))
 	if err != nil {
 		return err
 	}

@@ -17,12 +17,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jlint"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
 
@@ -35,54 +31,19 @@ const MaxModuleBytes = 64 << 20
 // share the same name/ConfigKey.
 type ToolFactory func() core.Tool
 
-// DefaultTools returns the daemon's built-in tool registry.
+// DefaultTools returns the daemon's tools: every registry entry with a
+// static stage, under its canonical name and each alias.
 func DefaultTools() map[string]ToolFactory {
-	return map[string]ToolFactory{
-		"jasan": func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true})
-		},
-		"jasan-base": func() core.Tool {
-			return jasan.New(jasan.Config{})
-		},
-		"jasan-scev": func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		},
-		"jcfi": func() core.Tool {
-			return jcfi.New(jcfi.DefaultConfig)
-		},
-		"jcfi-forward": func() core.Tool {
-			return jcfi.New(jcfi.Config{Forward: true})
-		},
-		"jmsan": func() core.Tool {
-			return jmsan.New(jmsan.Config{UseLiveness: true})
-		},
-		"jmsan-elide": func() core.Tool {
-			return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})
-		},
-		"jtsan": func() core.Tool {
-			return jtsan.New(jtsan.Config{UseLiveness: true})
-		},
-		"jtsan-elide": func() core.Tool {
-			return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
-		},
-		"jasan+jmsan": func() core.Tool {
-			return core.NewMultiTool(
-				jasan.New(jasan.Config{UseLiveness: true}),
-				jmsan.New(jmsan.Config{UseLiveness: true}),
-			)
-		},
-		"jlint": func() core.Tool {
-			return jlint.New()
-		},
-		"comprehensive": func() core.Tool {
-			return core.NewMultiTool(
-				jasan.New(jasan.Config{UseLiveness: true}),
-				jmsan.New(jmsan.Config{UseLiveness: true}),
-				jtsan.New(jtsan.Config{UseLiveness: true}),
-				jcfi.New(jcfi.DefaultConfig),
-			)
-		},
+	tools := map[string]ToolFactory{}
+	for _, e := range registry.All() {
+		if !e.Static {
+			continue
+		}
+		for _, n := range append([]string{e.Name}, e.Aliases...) {
+			tools[n] = e.New
+		}
 	}
+	return tools
 }
 
 // HandlerOpts configures the service's HTTP API surface.

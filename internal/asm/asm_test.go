@@ -443,6 +443,8 @@ func TestErrors(t *testing.T) {
 		{"two indexes", ".module m\n.entry f\nf: ldxq r1, [r2+r3+r4]", "two index registers"},
 		{"data outside section", ".module m\n.ascii \"x\"", "outside section"},
 		{"reserved section", ".module m\n.entry f\nf: ret\n.section .plt\ng: ret", "reserved"},
+		{"ldpc symbol in pc operand", ".module m\n.entry f\nf: ldpc r1, [pc+far]\nfar: ret", "write it as the operand (ldpc/leapc rd, far)"},
+		{"leapc symbol in pc operand", ".module m\n.entry f\nf: leapc r1, [pc+far]\nfar: ret", "write it as the operand (ldpc/leapc rd, far)"},
 	}
 	for _, tc := range cases {
 		_, err := Assemble(tc.src)

@@ -375,7 +375,9 @@ func parseOperand(s string) (operand, error) {
 }
 
 // parseMem parses the inside of [...]: rb, rb+disp, rb-disp, rb+ri,
-// rb+ri*8, rb+ri+disp, rb+ri*8+disp, pc+disp, pc+sym.
+// rb+ri*8, rb+ri+disp, rb+ri*8+disp, pc+disp. A pc-relative symbol is
+// written as the bare operand (ldpc rd, sym): the [pc+disp] form has no
+// relocation, so a symbol inside it would assemble to the numeric part.
 func parseMem(s string) (operand, error) {
 	parts := splitAddExpr(s)
 	if len(parts) == 0 {
@@ -387,18 +389,14 @@ func parseMem(s string) (operand, error) {
 		op.kind = opPC
 		for _, p := range parts[1:] {
 			p = strings.TrimSpace(p)
-			if v, err := parseInt(p); err == nil {
-				op.val += v
-				continue
-			}
-			name := strings.TrimPrefix(p, "+")
-			if !isIdentStart(name) {
+			v, err := parseInt(p)
+			if err != nil {
+				if name := strings.TrimPrefix(p, "+"); isIdentStart(name) {
+					return operand{}, fmt.Errorf("symbol %q inside [pc…]: write it as the operand (ldpc/leapc rd, %s)", name, name)
+				}
 				return operand{}, fmt.Errorf("bad pc-relative term %q", p)
 			}
-			if op.sym != "" {
-				return operand{}, fmt.Errorf("multiple symbols in %q", s)
-			}
-			op.sym = name
+			op.val += v
 		}
 		return op, nil
 	}

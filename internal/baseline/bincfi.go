@@ -49,6 +49,9 @@ func (t *BinCFITool) Name() string { return "bincfi-sim" }
 // Violations returns the number of CFI violations reported.
 func (t *BinCFITool) Violations() int { return len(t.Report.Violations) }
 
+// Lines returns the violations, one report line each.
+func (t *BinCFITool) Lines() []string { return core.Lines(t.Report.Violations) }
+
 // CheckInput rejects modules whose .text contains bytes that linear
 // disassembly misclassifies relative to sound recovery — static rewriting of
 // such modules produces broken binaries.

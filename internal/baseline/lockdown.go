@@ -73,6 +73,9 @@ func (t *LockdownTool) Name() string {
 // Violations returns the number of CFI violations reported.
 func (t *LockdownTool) Violations() int { return len(t.Report.Violations) }
 
+// Lines returns the violations, one report line each.
+func (t *LockdownTool) Lines() []string { return core.Lines(t.Report.Violations) }
+
 // StaticPass implements core.Tool: Lockdown has no static stage.
 func (t *LockdownTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 

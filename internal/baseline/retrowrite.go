@@ -58,6 +58,9 @@ func (t *RetrowriteTool) Name() string { return "retrowrite-sim" }
 // Violations returns the number of violations reported, dropped ones included.
 func (t *RetrowriteTool) Violations() int { return int(t.Report.Total) }
 
+// Lines returns the stored violations, one report line each.
+func (t *RetrowriteTool) Lines() []string { return core.Lines(t.Report.Violations) }
+
 // StaticPass implements core.Tool: Retrowrite refuses non-PIC modules and
 // otherwise performs the sanitizer's static analysis.
 func (t *RetrowriteTool) StaticPass(sc *core.StaticContext) []rules.Rule {

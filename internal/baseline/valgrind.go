@@ -115,6 +115,19 @@ func (t *ValgrindTool) Violations() int {
 	return n
 }
 
+// Lines returns the stored addressability, definedness and temporal
+// violations, one report line each.
+func (t *ValgrindTool) Lines() []string {
+	out := core.Lines(t.Report.Violations)
+	if t.DefReport != nil {
+		out = append(out, core.Lines(t.DefReport.Violations)...)
+	}
+	if t.TemporalReport != nil {
+		out = append(out, core.Lines(t.TemporalReport.Violations)...)
+	}
+	return out
+}
+
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 

@@ -23,7 +23,8 @@ import (
 )
 
 // testTool returns the tool configuration the test fleet serves as
-// "jasan" — identical to anserve.DefaultTools().
+// "jasan" — the registry's jasan-hybrid, which anserve.DefaultTools serves
+// under that alias.
 func testTool() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) }
 
 // gateTool blocks inside StaticPass until released, keeping an analysis in

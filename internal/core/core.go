@@ -125,6 +125,24 @@ func Violations(tool Tool) int {
 	return 0
 }
 
+// ReportLines returns the violations tool reported, one line each in report
+// order; reporting tools expose Lines() []string next to Violations() int.
+func ReportLines(tool Tool) []string {
+	if r, ok := tool.(interface{ Lines() []string }); ok {
+		return r.Lines()
+	}
+	return nil
+}
+
+// Lines renders each violation as its own report line.
+func Lines[V fmt.Stringer](vs []V) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
 // NullTool is the null client as a Tool (Fig. 8's DynamoRIO baseline): no
 // rules, every block placed unmodified.
 type NullTool struct{}

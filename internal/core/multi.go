@@ -55,6 +55,15 @@ func (m *MultiTool) Violations() int {
 	return n
 }
 
+// Lines joins every sub-tool's report lines in tool order.
+func (m *MultiTool) Lines() []string {
+	var out []string
+	for _, t := range m.Tools {
+		out = append(out, ReportLines(t)...)
+	}
+	return out
+}
+
 // StaticPass implements Tool: the concatenation of every sub-tool's rules.
 func (m *MultiTool) StaticPass(sc *StaticContext) []rules.Rule {
 	var out []rules.Rule

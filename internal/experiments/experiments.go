@@ -5,17 +5,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/anserve"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
@@ -148,67 +142,6 @@ type obsSink struct {
 	tr   *telemetry.Tracer
 	dlog *diag.Log
 	hist *telemetry.Histogram
-}
-
-// NewTool builds the scheme's tool and reports whether its static analysis
-// stage runs. Each call returns a fresh instance — plan capture and the
-// measured run must not share tool state.
-func NewTool(scheme Scheme) (core.Tool, bool, error) {
-	switch scheme {
-	case NullClient:
-		return core.NullTool{}, false, nil
-	case JASanHybrid:
-		return jasan.New(jasan.Config{UseLiveness: true}), true, nil
-	case JASanSCEV:
-		return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}), true, nil
-	case JASanElide:
-		return jasan.New(jasan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JASanHybridBase:
-		return jasan.New(jasan.Config{UseLiveness: false, UseSCEV: false}), true, nil
-	case JASanDyn:
-		return jasan.New(jasan.Config{}), false, nil
-	case Valgrind:
-		return baseline.NewValgrind(), false, nil
-	case Retrowrite:
-		return baseline.NewRetrowrite(), true, nil
-	case JCFIHybrid:
-		return jcfi.New(jcfi.DefaultConfig), true, nil
-	case JCFIForward:
-		return jcfi.New(jcfi.Config{Forward: true}), true, nil
-	case JCFINarrow:
-		return jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true}), true, nil
-	case JCFIDyn:
-		return jcfi.New(jcfi.DefaultConfig), false, nil
-	case Lockdown:
-		return baseline.NewLockdown(baseline.LockdownConfig{}), false, nil
-	case LockdownWeak:
-		return baseline.NewLockdown(baseline.LockdownConfig{Weak: true}), false, nil
-	case BinCFI:
-		return baseline.NewBinCFI(), true, nil
-	case JMSanHybrid:
-		return jmsan.New(jmsan.Config{UseLiveness: true}), true, nil
-	case JMSanElide:
-		return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JMSanDyn:
-		return jmsan.New(jmsan.Config{}), false, nil
-	case ValgrindDef:
-		return baseline.NewValgrindDef(), false, nil
-	case JTSanHybrid:
-		return jtsan.New(jtsan.Config{UseLiveness: true}), true, nil
-	case JTSanElide:
-		return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JTSanDyn:
-		return jtsan.New(jtsan.Config{}), false, nil
-	case ValgrindTemp:
-		return baseline.NewValgrindTemporal(), false, nil
-	case Comprehensive:
-		return core.NewMultiTool(
-			jasan.New(jasan.Config{UseLiveness: true}),
-			jmsan.New(jmsan.Config{UseLiveness: true}),
-			jtsan.New(jtsan.Config{UseLiveness: true}),
-			jcfi.New(jcfi.DefaultConfig)), true, nil
-	}
-	return nil, false, fmt.Errorf("unknown scheme %q", scheme)
 }
 
 // countProofRules tallies the VSA-backed decisions across a program's

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/loader"
+	"repro/internal/registry"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
@@ -202,11 +203,11 @@ func TestStaticGolden(t *testing.T) {
 		}
 		for _, s := range staticGoldenSchemes {
 			for _, mod := range mods {
-				tool, static, err := NewTool(s)
-				if err != nil || !static {
-					t.Fatalf("%s: static=%t err=%v", s, static, err)
+				e, err := registry.LookupStatic(string(s))
+				if err != nil {
+					t.Fatal(err)
 				}
-				f, proofs, err := core.AnalyzeModuleProofs(mod, tool)
+				f, proofs, err := core.AnalyzeModuleProofs(mod, e.New())
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", w.Name, s, mod.Name, err)
 				}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/rewrite"
 	"repro/internal/rules"
 	"repro/internal/spec"
@@ -314,20 +315,21 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 	}
 
 	// Build the tool and decide whether a static stage runs.
-	tool, static, err := NewTool(scheme)
+	entry, err := registry.Lookup(string(scheme))
 	if err != nil {
 		return nil, err
 	}
+	tool := entry.New()
 	if rw, ok := tool.(*baseline.RetrowriteTool); ok {
 		if err := rw.CheckInput(p.main); err != nil {
 			return fail(err.Error())
 		}
 	}
-	if backend != BackendDynamic && !static {
-		return fail("scheme has no static stage to capture rewrite plans from")
+	if backend != BackendDynamic && !entry.Static {
+		return fail(registry.ErrNoStatic.Error())
 	}
 	files := map[string]*rules.File{}
-	if static {
+	if entry.Static {
 		files, err = service.AnalyzeProgram(p.main, p.reg, tool)
 		if err != nil {
 			return nil, fmt.Errorf("%s: static analysis: %w", name, err)
@@ -341,7 +343,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 			telemetry.String("benchmark", w.Name),
 			telemetry.String("scheme", string(scheme)))
 	}
-	rt, out, err := execute(p, scheme, backend, tool, files, prof)
+	rt, out, err := execute(p, entry, backend, tool, files, prof)
 	if err != nil {
 		if sp != nil {
 			sp.SetError(err.Error())
@@ -392,7 +394,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 // DBM runtime, or statically rewritten from the scheme's plans (captured
 // through the shared service once, for both rewriting backends) and run
 // natively (static) or under the failing-over dispatcher (hybrid).
-func execute(p *program, scheme Scheme, backend Backend, tool core.Tool,
+func execute(p *program, entry *registry.Entry, backend Backend, tool core.Tool,
 	files map[string]*rules.File, prof *telemetry.Profile) (*core.Runtime, *bytes.Buffer, error) {
 
 	out := &bytes.Buffer{}
@@ -405,11 +407,7 @@ func execute(p *program, scheme Scheme, backend Backend, tool core.Tool,
 		s.RT.DBM.Prof = prof
 		return s.RT, out, s.Run()
 	}
-	freshTool := func() core.Tool {
-		t, _, _ := NewTool(scheme)
-		return t
-	}
-	plans, err := service.RewritePlans(p.main, p.reg, files, freshTool)
+	plans, err := service.RewritePlans(p.main, p.reg, files, entry.New)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plan capture: %w", err)
 	}

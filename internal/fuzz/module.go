@@ -12,10 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbm"
 	"repro/internal/fuzz/gen"
-	"repro/internal/jasan"
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
+	"repro/internal/registry"
 )
 
 // Domain B: robustness fuzzing of the module pipeline. A mutated byte
@@ -122,7 +122,7 @@ func CheckModule(data []byte, reg loader.Registry, budget uint64) *ModResult {
 
 	// Stage 4: the full static-analysis pipeline of one tool.
 	if err, crash = guard("analyze", func() error {
-		_, e := core.AnalyzeModule(mod, jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}))
+		_, e := core.AnalyzeModule(mod, registry.MustNew("jasan-scev"))
 		return e
 	}); crash != nil {
 		res.Crash = crash

@@ -32,14 +32,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/fuzz/gen"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
@@ -167,18 +164,14 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 				temporal = true
 			}
 		}
-		var plain, elide core.Tool
+		sanitizer := "jasan"
 		switch {
 		case temporal:
-			plain = jtsan.New(jtsan.Config{UseLiveness: true})
-			elide = jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
+			sanitizer = "jtsan"
 		case uninit:
-			plain = jmsan.New(jmsan.Config{UseLiveness: true})
-			elide = jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})
-		default:
-			plain = jasan.New(jasan.Config{UseLiveness: true})
-			elide = jasan.New(jasan.Config{UseLiveness: true, Elide: true})
+			sanitizer = "jmsan"
 		}
+		plain, elide := registry.MustNew(sanitizer), registry.MustNew(sanitizer+"-elide")
 		out, n := run(o2, reg, plain, budget, res.Cov)
 		// A planted store corrupts real memory (allocator metadata
 		// included), so the run may spin to budget exhaustion *after* the
@@ -268,16 +261,16 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 		mod  *obj.Module
 		tool core.Tool
 	}{
-		{"jasan", o2, jasan.New(jasan.Config{UseLiveness: true})},
-		{"jasan-scev", o2, jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})},
-		{"jasan-elide", o2, jasan.New(jasan.Config{UseLiveness: true, Elide: true})},
-		{"jasan-elide-O0", o0, jasan.New(jasan.Config{UseLiveness: true, Elide: true})},
-		{"jcfi", o2, jcfi.New(jcfi.DefaultConfig)},
-		{"jcfi-narrow", o2, jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true})},
-		{"jmsan", o2, jmsan.New(jmsan.Config{UseLiveness: true})},
-		{"jmsan-elide", o2, jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})},
-		{"jtsan", o2, jtsan.New(jtsan.Config{UseLiveness: true})},
-		{"jtsan-elide", o2, jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})},
+		{"jasan", o2, registry.MustNew("jasan")},
+		{"jasan-scev", o2, registry.MustNew("jasan-scev")},
+		{"jasan-elide", o2, registry.MustNew("jasan-elide")},
+		{"jasan-elide-O0", o0, registry.MustNew("jasan-elide")},
+		{"jcfi", o2, registry.MustNew("jcfi")},
+		{"jcfi-narrow", o2, registry.MustNew("jcfi-narrow")},
+		{"jmsan", o2, registry.MustNew("jmsan")},
+		{"jmsan-elide", o2, registry.MustNew("jmsan-elide")},
+		{"jtsan", o2, registry.MustNew("jtsan")},
+		{"jtsan-elide", o2, registry.MustNew("jtsan-elide")},
 	} {
 		got, n := run(tc.mod, reg, tc.tool, budget, res.Cov)
 		if got.overBudget {

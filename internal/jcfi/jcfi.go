@@ -77,6 +77,9 @@ func (t *Tool) Name() string { return "jcfi" }
 // Violations returns the number of CFI violations reported.
 func (t *Tool) Violations() int { return len(t.Report.Violations) }
 
+// Lines returns the violations, one report line each.
+func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key
 // (internal/anserve). HaltOnViolation only affects run-time behaviour, so

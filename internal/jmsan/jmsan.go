@@ -54,6 +54,9 @@ func (t *Tool) Name() string { return "jmsan" }
 // Violations returns the number of violations reported, dropped ones included.
 func (t *Tool) Violations() int { return int(t.Report.Total) }
 
+// Lines returns the stored violations, one report line each.
+func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key
 // (internal/anserve).

@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/baseline"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/libj"
 	"repro/internal/loader"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 )
@@ -76,15 +73,15 @@ func runCase(det Detector, src string) (uint64, error) {
 	return n, err
 }
 
-// detectors builds each detector's tool; every call returns a fresh
-// instance (libj's cached analysis must not share the run's tool state).
-var detectors = map[Detector]func() core.Tool{
-	JASan:      func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}) },
-	JMSan:      func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true}) },
-	JMSanElide: func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}) },
-	JTSan:      func() core.Tool { return jtsan.New(jtsan.Config{UseLiveness: true}) },
-	JTSanElide: func() core.Tool { return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}) },
-	Valgrind:   func() core.Tool { return baseline.NewValgrind() },
+// detectors names each detector's registry configuration. The labels
+// predate the registry: JASan is the SCEV-hoisting configuration here.
+var detectors = map[Detector]string{
+	JASan:      "jasan-scev",
+	JMSan:      "jmsan-hybrid",
+	JMSanElide: "jmsan-elide",
+	JTSan:      "jtsan-hybrid",
+	JTSanElide: "jtsan-elide",
+	Valgrind:   "valgrind",
 }
 
 // RunCaseDiag executes one variant under the detector and returns the raw
@@ -94,8 +91,8 @@ var detectors = map[Detector]func() core.Tool{
 // function) instead of counts alone. The Valgrind baseline reports no
 // structured records (it is not a janitizer trap family).
 func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
-	mkTool, ok := detectors[det]
-	if !ok {
+	entry, err := registry.Lookup(detectors[det])
+	if err != nil {
 		return 0, nil, fmt.Errorf("juliet: unknown detector %q", det)
 	}
 	main, err := cc.Compile(src, cc.Options{Module: "case", O2: true})
@@ -108,10 +105,10 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	}
 	reg := loader.Registry{libj.Name: lj}
 
-	tool := mkTool()
+	tool := entry.New()
 	files := map[string]*rules.File{}
-	if det != Valgrind { // Valgrind has no static stage
-		ljf, err := libjRules(det, mkTool)
+	if entry.Static {
+		ljf, err := libjRules(det, entry.New)
 		if err != nil {
 			return 0, nil, err
 		}

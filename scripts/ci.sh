@@ -64,6 +64,42 @@ for flags in "" "-shared"; do
 done
 rm -rf "$JCC_DIR"
 
+echo "== offline CLI path: janitizer -> jrun =="
+# The analyze-then-run CLIs name tools through internal/registry. The
+# comprehensive composition must analyze and run a heap overflow and report
+# it; a tool analyzed under an alias must find its .jrw files when run
+# under the canonical name (fallback=0: no block ran without rules); and an
+# unknown name must fail.
+CLI_DIR=$(mktemp -d)
+go build -o "$CLI_DIR/" ./cmd/jcc ./cmd/janitizer ./cmd/jrun ./cmd/jrw
+cat > "$CLI_DIR/overflow.c" <<'EOF'
+int main() {
+    char *buf = malloc(16);
+    buf[18] = 7;
+    free(buf);
+    return 0;
+}
+EOF
+"$CLI_DIR/jcc" -O2 -o "$CLI_DIR/overflow.jef" "$CLI_DIR/overflow.c" > /dev/null
+for pair in "comprehensive comprehensive" "jasan jasan-hybrid"; do
+	set -- $pair
+	rm -rf "$CLI_DIR/rules" && mkdir "$CLI_DIR/rules"
+	"$CLI_DIR/janitizer" -tool "$1" -outdir "$CLI_DIR/rules" "$CLI_DIR/overflow.jef" > /dev/null
+	"$CLI_DIR/jrun" -tool "$2" -rules "$CLI_DIR/rules" -stats "$CLI_DIR/overflow.jef" 2> "$CLI_DIR/stderr"
+	if ! grep -q '^jasan: heap-buffer-overflow' "$CLI_DIR/stderr" ||
+		! grep -q ' fallback=0 ' "$CLI_DIR/stderr"; then
+		echo "janitizer -tool $1 | jrun -tool $2: want a violation and no fallback block:" >&2
+		cat "$CLI_DIR/stderr" >&2
+		exit 1
+	fi
+done
+if "$CLI_DIR/jrun" -tool nosuch "$CLI_DIR/overflow.jef" 2> /dev/null ||
+	"$CLI_DIR/jrw" -scheme nosuch 2> /dev/null; then
+	echo "an unknown tool name was accepted" >&2
+	exit 1
+fi
+rm -rf "$CLI_DIR"
+
 echo "== go vet: benchmark module =="
 # benchmark/ is its own module (replace repro => ../), so the vet and build
 # above skip it; vetting it catches a change to any internal API it builds
