@@ -445,6 +445,8 @@ func TestErrors(t *testing.T) {
 		{"reserved section", ".module m\n.entry f\nf: ret\n.section .plt\ng: ret", "reserved"},
 		{"ldpc symbol in pc operand", ".module m\n.entry f\nf: ldpc r1, [pc+far]\nfar: ret", "write it as the operand (ldpc/leapc rd, far)"},
 		{"leapc symbol in pc operand", ".module m\n.entry f\nf: leapc r1, [pc+far]\nfar: ret", "write it as the operand (ldpc/leapc rd, far)"},
+		{"zero past the address space", ".module m\n.entry f\nf: ret\n.section .data\n.zero 30000000000", "line 5: section .data passes the end of the address space"},
+		{"text past the address space", ".module m\n.base 0x7ffffffc\n.entry f\nf: mov r1, 1\nret", "line 4: section .text passes the end of the address space"},
 	}
 	for _, tc := range cases {
 		_, err := Assemble(tc.src)

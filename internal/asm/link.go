@@ -83,6 +83,8 @@ func (u *Unit) Link() (*obj.Module, error) {
 	stableSortSections(secs)
 
 	// Pass 1: layout. Assign addresses to every item and collect symbols.
+	// No item may pass the end of the address space, which also bounds
+	// what pass 2 allocates.
 	symAddr := map[string]uint64{}
 	ends := make([]uint64, len(secs))
 	pltBase, gotBase := uint64(0), uint64(0)
@@ -104,7 +106,12 @@ func (u *Unit) Link() (*obj.Module, error) {
 			case itemGOT:
 				gotBase = addr
 			}
-			addr += u.size(it)
+			next := addr + u.size(it)
+			if next < addr || next > isa.LayoutAddrLimit {
+				return nil, &Error{Line: int(it.line), Msg: fmt.Sprintf(
+					"section %s passes the end of the address space at %#x", sec.name, isa.LayoutAddrLimit)}
+			}
+			addr = next
 		}
 		ends[si] = addr
 	}

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,5 +97,33 @@ func TestDeleteAndRelink(t *testing.T) {
 	edited := strings.Replace(strings.Replace(everyItem, "    push fp\n", "", 1), "    pop fp\n", "", 1)
 	if want := mustAssemble(t, edited).Marshal(); !bytes.Equal(got.Marshal(), want) {
 		t.Fatal("relinked unit differs from its edited source")
+	}
+}
+
+// TestLinkRejectsSectionPastAddressSpace checks that Link refuses, before
+// allocating any section data, a unit whose layout passes the end of the
+// address space or wraps around it.
+func TestLinkRejectsSectionPastAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fill func(*Section)
+	}{
+		{"past the end", func(s *Section) { s.Zero(24 << 30) }},
+		{"wraps", func(s *Section) { s.Zero(1 << 20); s.Zero(-1) }},
+	} {
+		u := NewUnit()
+		u.Name = "m"
+		u.Section(".text").Instr(isa.Instr{Op: isa.OpRet})
+		tc.fill(u.Section(".data"))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := u.Link()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "section .data passes the end of the address space") {
+			t.Errorf("%s: Link error %v", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Link allocated %d bytes", tc.name, grew)
+		}
 	}
 }

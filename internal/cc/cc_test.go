@@ -2,9 +2,12 @@ package cc
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/cfg"
 	"repro/internal/isa"
 	"repro/internal/libj"
@@ -411,6 +414,50 @@ int main(){return f(1,2,3,4,5,6);}`, "parameters unsupported"},
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestOversizedArraysRejected pins the diagnostics for arrays the JVA
+// image cannot hold: a byte size that overflows and a frame past the int32
+// fp displacement are line-numbered compile errors, and a global past the
+// 2 GiB address space fails the link before its section is allocated.
+func TestOversizedArraysRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+		line            int
+	}{
+		{"local past the displacement", "int main() {\n  char a[4294967296];\n  a[0] = 1;\n  return 0;\n}",
+			"frame of main is larger than", 2},
+		{"locals together past the displacement", "int main() {\n  char a[1610612736];\n  char b[1610612736];\n  return 0;\n}",
+			"frame of main is larger than", 3},
+		{"parameter past the displacement", "int f(char a[4294967296]) { return 0; }\nint main() { return 0; }",
+			"frame of f is larger than", 1},
+		{"global size overflows", "int g[2305843009213693952];\nint h;\nint main() { h = 9; g[1] = 1; return h; }",
+			"array int[2305843009213693952] is too large", 1},
+		{"nested size overflows", "int x;\nint main() {\n  int a[4294967296][4294967296];\n  return 0;\n}",
+			"is too large", 3},
+	} {
+		_, err := Compile(tc.src, Options{Module: "p", O2: true})
+		var ce *CompileError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: got %v, want a *CompileError", tc.name, err)
+			continue
+		}
+		if ce.Line != tc.line || !strings.Contains(ce.Msg, tc.want) {
+			t.Errorf("%s: got %v, want line %d: %s...", tc.name, err, tc.line, tc.want)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Compile("int g[3000000000];\nint main() { return g[0]; }", Options{Module: "p", O2: true})
+	runtime.ReadMemStats(&after)
+	var ae *asm.Error
+	if !errors.As(err, &ae) || !strings.Contains(ae.Msg, "section .data passes the end of the address space") {
+		t.Errorf("24 GB global: got %v, want an *asm.Error for .data", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("24 GB global: compiling allocated %d MiB", grew>>20)
 	}
 }
 

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -67,44 +68,30 @@ func GenAsm(src string, opts Options) (string, error) {
 	return u.Text(), nil
 }
 
-// compile generates src's code into an assembler unit once and links it.
-// At -O2 it then deletes the spills ipa-ra proves dead from the unit and,
-// if it deletes any, links the unit again.
+// compile generates src's code into an assembler unit once, deletes the
+// spills ipa-ra proves dead from it, and links it.
 func compile(sp *telemetry.Span, src string, opts Options) (*asm.Unit, *obj.Module, error) {
-	u, spills, err := codegen(sp, src, opts)
+	u, ra, err := codegen(sp, src, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	if dead := ra.dead(); len(dead) > 0 {
+		u.Section(".text").Delete(dead)
+	}
 	asp := sp.Child("cc.assemble")
-	mod, err := link(u)
-	asp.End()
-	if err != nil || len(spills) == 0 {
-		return u, mod, err
-	}
-	isp := sp.Child("cc.ipara")
-	defer isp.End()
-	drop, err := elidable(mod, spills)
-	if err != nil || len(drop) == 0 {
-		return u, mod, err
-	}
-	u.Section(".text").Delete(drop)
-	mod, err = link(u)
-	return u, mod, err
-}
-
-// link lays out and encodes a unit jcc generated; failing is a compiler
-// bug.
-func link(u *asm.Unit) (*obj.Module, error) {
+	defer asp.End()
 	mod, err := u.Link()
 	if err != nil {
-		return nil, fmt.Errorf("cc: internal: emitted bad assembly: %w", err)
+		// A program error codegen does not catch: a name defined twice,
+		// or data past the end of the address space.
+		return nil, nil, fmt.Errorf("cc: %w", err)
 	}
-	return mod, nil
+	return u, mod, nil
 }
 
 // codegen parses src and generates its code into an assembler unit in one
-// pass. At -O2 it also returns the spills ipa-ra may delete from the unit.
-func codegen(sp *telemetry.Span, src string, opts Options) (*asm.Unit, []spill, error) {
+// pass. At -O2 it also returns what it recorded for ipa-ra.
+func codegen(sp *telemetry.Span, src string, opts Options) (*asm.Unit, *ipara, error) {
 	psp := sp.Child("cc.parse")
 	prog, err := Parse(src)
 	psp.End()
@@ -124,12 +111,15 @@ func codegen(sp *telemetry.Span, src string, opts Options) (*asm.Unit, []spill, 
 		opts.EntryName = "main"
 	}
 	g := &gen{prog: prog, opts: opts, globals: map[string]*symbol{}}
+	if opts.O2 && !opts.NoIPARA {
+		g.ra = &ipara{funcs: make([]fnFacts, 0, len(prog.Funcs)+1)}
+	}
 	gsp := sp.Child("cc.codegen")
 	defer gsp.End()
 	if err := g.run(); err != nil {
 		return nil, nil, err
 	}
-	return g.u, g.spills, nil
+	return g.u, g.ra, nil
 }
 
 // tempRegs is the expression-evaluation register stack.
@@ -137,7 +127,7 @@ var tempRegs = []isa.Register{isa.R6, isa.R7, isa.R8, isa.R9, isa.R10, isa.R11}
 
 // gen holds code-generation state.
 type gen struct {
-	prog *gen2Prog
+	prog *Program
 	opts Options
 
 	u    *asm.Unit
@@ -149,9 +139,7 @@ type gen struct {
 	imports map[string]bool
 	strs    map[string]string // literal -> label
 	label   int
-	// spills records every caller-saved push and pop around a direct call
-	// when ipa-ra applies (-O2 without NoIPARA).
-	spills []spill
+	ra      *ipara // what ipa-ra needs; nil unless it applies
 
 	// per-function state
 	fn        *FuncDecl
@@ -164,9 +152,6 @@ type gen struct {
 	contLbl   []string
 	retLbl    string
 }
-
-// gen2Prog aliases Program (avoids a confusing field/type name clash).
-type gen2Prog = Program
 
 func (g *gen) errf(line int, format string, args ...interface{}) error {
 	panic(&CompileError{Line: line, Msg: fmt.Sprintf(format, args...)})
@@ -190,6 +175,7 @@ func (g *gen) run() (err error) {
 	withRuntime := !g.opts.Shared && !g.opts.NoRuntime
 	if withRuntime {
 		// _start: call main; exit(result)
+		g.ra.begin("_start")
 		g.emitLabel("_start")
 		g.emitJump(isa.OpCall, g.opts.EntryName)
 		g.emitRR(isa.OpMovRR, isa.R1, isa.R0)
@@ -292,11 +278,11 @@ func (g *gen) emitGlobal(d *VarDecl) {
 	w := g.data
 	w.Align(8)
 	w.Label(d.Name)
-	t := d.Type
+	t, size := d.Type, g.size(d.Type, d.Line)
 	switch {
 	case d.InitStr != "" && t.Kind == TArray && t.Elem.Kind == TChar:
 		w.Ascii(d.InitStr)
-		if pad := t.Size() - int64(len(d.InitStr)); pad > 0 {
+		if pad := size - int64(len(d.InitStr)); pad > 0 {
 			w.Zero(pad)
 		}
 	case len(d.InitList) > 0:
@@ -314,7 +300,7 @@ func (g *gen) emitGlobal(d *VarDecl) {
 				g.errf(d.Line, "global initialiser for %s must be constant", d.Name)
 			}
 		}
-		if pad := t.Size() - int64(len(d.InitList))*8; pad > 0 && t.Kind == TArray {
+		if pad := size - int64(len(d.InitList))*8; pad > 0 && t.Kind == TArray {
 			w.Zero(pad)
 		}
 	case d.Init != nil:
@@ -332,15 +318,8 @@ func (g *gen) emitGlobal(d *VarDecl) {
 			g.errf(d.Line, "global initialiser for %s must be constant", d.Name)
 		}
 	default:
-		w.Zero(max64(t.Size(), 8))
+		w.Zero(max(size, 8))
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // frameHasArrays reports whether any local is an array (stack-protector
@@ -393,9 +372,41 @@ func countFrame(body []*Stmt) int64 {
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
-// Emission helpers: each appends one item to .text.
+// maxFrame bounds a frame's slots: each must lie within the int32
+// displacement of an fp-relative access.
+const maxFrame = math.MaxInt32
 
-func (g *gen) emit(in isa.Instr) { g.text.Instr(in) }
+// size returns the size in bytes of a value of type t declared at line,
+// failing if it overflows.
+func (g *gen) size(t *Type, line int) int64 {
+	if t.Kind != TArray {
+		return t.Size()
+	}
+	es := g.size(t.Elem, line)
+	if es > 0 && t.ArrayLen > math.MaxInt64/es {
+		g.errf(line, "array %s is too large: its size overflows", t)
+	}
+	return t.ArrayLen * es
+}
+
+// slot reserves the next frame slot for a value of type t declared at line
+// and returns its offset from fp, failing if the frame outgrows maxFrame.
+func (g *gen) slot(t *Type, line int) int32 {
+	n := g.size(t, line)
+	if n > maxFrame || g.nextSlot+align8(n) > maxFrame {
+		g.errf(line, "frame of %s is larger than %d bytes", g.fn.Name, maxFrame)
+	}
+	g.nextSlot += align8(n)
+	return int32(-g.nextSlot)
+}
+
+// Emission helpers: each appends one item to .text. The three that append
+// instructions record them for ipa-ra.
+
+func (g *gen) emit(in isa.Instr) {
+	g.ra.instr(&in)
+	g.text.Instr(in)
+}
 
 func (g *gen) emitLabel(l string) { g.text.Label(l) }
 
@@ -418,10 +429,17 @@ func (g *gen) emitMem(op isa.Op, rd, rb isa.Register, disp int32) {
 }
 
 // emitJump emits a direct branch or call to sym.
-func (g *gen) emitJump(op isa.Op, sym string) { g.text.Ref(op, 0, sym, 0) }
+func (g *gen) emitJump(op isa.Op, sym string) {
+	g.ra.transfer(sym)
+	g.text.Ref(op, 0, sym, 0)
+}
 
-// emitLa materialises the address of sym in rd.
-func (g *gen) emitLa(rd isa.Register, sym string) { g.text.La(rd, sym, 0) }
+// emitLa materialises the address of sym in rd. ipa-ra records it as the
+// mov la becomes outside PIC: both forms write rd alone.
+func (g *gen) emitLa(rd isa.Register, sym string) {
+	g.ra.instr(&isa.Instr{Op: isa.OpMovRI, Rd: rd})
+	g.text.La(rd, sym, 0)
+}
 
 // alloc takes the next temp register.
 func (g *gen) alloc(line int) isa.Register {
@@ -462,14 +480,14 @@ func (g *gen) emitFunc(f *FuncDecl) {
 	}
 	var paramSyms []*symbol
 	for _, p := range f.Params {
-		g.nextSlot += align8(p.Type.Size())
-		sym := &symbol{name: p.Name, typ: p.Type, frameOff: int32(-g.nextSlot)}
+		sym := &symbol{name: p.Name, typ: p.Type, frameOff: g.slot(p.Type, f.Line)}
 		g.scopes[0][p.Name] = sym
 		paramSyms = append(paramSyms, sym)
 	}
 	g.frameSize = g.nextSlot + countFrame(f.Body)
 	g.frameSize = (g.frameSize + 15) &^ 15
 
+	g.ra.begin(f.Name)
 	g.emitLabel(f.Name)
 	g.emitR(isa.OpPush, isa.FP)
 	g.emitRR(isa.OpMovRR, isa.FP, isa.SP)
@@ -666,8 +684,7 @@ func (g *gen) popLoop() {
 
 // genDecl allocates and initialises a local.
 func (g *gen) genDecl(d *VarDecl) {
-	g.nextSlot += align8(d.Type.Size())
-	sym := &symbol{name: d.Name, typ: d.Type, frameOff: int32(-g.nextSlot)}
+	sym := &symbol{name: d.Name, typ: d.Type, frameOff: g.slot(d.Type, d.Line)}
 	g.scopes[len(g.scopes)-1][d.Name] = sym
 	if d.Init != nil {
 		r, _ := g.genExpr(d.Init)

@@ -454,12 +454,12 @@ func (g *gen) genCall(e *Expr) (isa.Register, *Type) {
 	// expressions may hold earlier temps. Those are tempRegs[0:depthBase]
 	// where depthBase = g.depth - len(argRegs). Under ipa-ra, each spill
 	// around a direct call is recorded, and the ones the callee's
-	// transitive extent provably never clobbers are dropped after
-	// assembly — the §4.1.2 calling-convention break.
+	// transitive extent provably never clobbers are deleted before the
+	// unit is linked — the §4.1.2 calling-convention break.
 	depthBase := g.depth - len(argRegs)
 	saved := tempRegs[:depthBase]
 	for _, r := range saved {
-		g.spill(direct, r)
+		g.ra.spill(g.text.Len(), direct, r)
 		g.emitR(isa.OpPush, r)
 	}
 	// Marshal arguments. Args currently occupy tempRegs[depthBase...];
@@ -479,16 +479,8 @@ func (g *gen) genCall(e *Expr) (isa.Register, *Type) {
 	res := g.alloc(e.Line)
 	g.emitRR(isa.OpMovRR, res, isa.R0)
 	for i := len(saved) - 1; i >= 0; i-- {
-		g.spill(direct, saved[i])
+		g.ra.spill(g.text.Len(), direct, saved[i])
 		g.emitR(isa.OpPop, saved[i])
 	}
 	return res, resultT
-}
-
-// spill records that the next instruction emitted pushes or pops r around
-// a direct call to callee, when ipa-ra applies.
-func (g *gen) spill(callee string, r isa.Register) {
-	if callee != "" && g.opts.O2 && !g.opts.NoIPARA {
-		g.spills = append(g.spills, spill{at: g.text.Len(), callee: callee, reg: r})
-	}
 }

@@ -1,11 +1,6 @@
 package cc
 
-import (
-	"repro/internal/analysis"
-	"repro/internal/cfg"
-	"repro/internal/isa"
-	"repro/internal/obj"
-)
+import "repro/internal/isa"
 
 // ipa-ra (inter-procedural register allocation, gcc's -fipa-ra): at -O2 the
 // compiler elides caller-saved spills around direct calls to same-unit
@@ -14,11 +9,41 @@ import (
 // describes — and is what the reliance-aware inter-procedural liveness in
 // package analysis exists to survive.
 //
-// Codegen runs once: it emits every spill and records each one around a
-// direct call. The clobber facts come from the module linked from that
-// full unit; the spills they prove dead are then deleted from the unit,
-// which is linked again. Leaving out a pop only removes a register write,
-// so the facts stay sound, if conservative, for the final code.
+// Codegen runs once and emits every spill. As it emits each function, it
+// records the facts ipa-ra needs: the registers the function writes, the
+// functions it calls or tail-jumps to, whether it escapes the unit, and
+// each spill around a direct call. After codegen, one fixpoint over these
+// facts picks the dead spills, which are deleted from the unit before it
+// is linked.
+
+// ipara is what codegen records for ipa-ra. A nil *ipara records nothing:
+// ipa-ra applies only at -O2 without NoIPARA.
+type ipara struct {
+	funcs  []fnFacts // in emission order; the last is being emitted
+	calls  []call
+	spills []spill
+}
+
+// fnFacts is what ipa-ra knows of one function.
+type fnFacts struct {
+	name string
+	// writes has bit r set if the function may write register r. Its own
+	// instructions set bits; ipa-ra's fixpoint adds its callees'. A
+	// function whose extent escapes the unit, by a calli or jmpi (jump
+	// tables included) or a call or jump to an import, writes every
+	// register. Spills only ever ask about the temps r6–r11.
+	writes uint16
+}
+
+// escapes is the writes of a function whose extent escapes the unit.
+const escapes = ^uint16(0)
+
+// call is a direct call or tail jump out of funcs[from] to the symbol to:
+// a unit function or an import.
+type call struct {
+	from int
+	to   string
+}
 
 // spill is one push or pop of a caller-saved temp that genCall emitted
 // around a direct call.
@@ -28,103 +53,73 @@ type spill struct {
 	reg    isa.Register
 }
 
-// elidable returns the ascending .text item indices of the spills ipa-ra
-// drops: those around calls to same-unit functions whose transitive
-// extent, as mod shows it, never writes the spilled register.
-func elidable(mod *obj.Module, spills []spill) ([]int, error) {
-	clob, err := unitClobbers(mod)
-	if err != nil {
-		return nil, err
+// begin starts recording the function called name.
+func (ra *ipara) begin(name string) {
+	if ra != nil {
+		ra.funcs = append(ra.funcs, fnFacts{name: name})
 	}
-	var drop []int
-	for _, s := range spills {
-		if m, ok := clob[s.callee]; ok && !m.Has(s.reg) {
-			drop = append(drop, s.at)
-		}
-	}
-	return drop, nil
 }
 
-// unitClobbers computes, per function name, the caller-saved registers the
-// function's transitive extent may write. Functions whose extent escapes the
-// unit (indirect calls, PLT calls, calls into unrecovered code) clobber
-// everything, so ipa-ra never applies across them.
-func unitClobbers(mod *obj.Module) (map[string]analysis.RegMask, error) {
-	g, err := cfg.Build(mod)
-	if err != nil {
-		return nil, err
+// instr records an instruction without a symbolic operand.
+func (ra *ipara) instr(in *isa.Instr) {
+	if ra == nil {
+		return
 	}
+	f := &ra.funcs[len(ra.funcs)-1]
+	if in.Op == isa.OpCallI || in.Op == isa.OpJmpI {
+		f.writes = escapes
+	}
+	var buf [2]isa.Register
+	for _, d := range in.RegDefs(buf[:0]) {
+		f.writes |= 1 << d
+	}
+}
 
-	type info struct {
-		own     analysis.RegMask
-		callees []uint64
-		escapes bool
+// transfer records a direct call or jump to sym; a jump to an
+// assembly-local label stays inside the function.
+func (ra *ipara) transfer(sym string) {
+	if ra != nil && sym[0] != '.' {
+		ra.calls = append(ra.calls, call{from: len(ra.funcs) - 1, to: sym})
 	}
-	infos := map[uint64]*info{}
-	pltSec := mod.Section(".plt")
-	for _, fn := range g.Funcs {
-		in := &info{}
-		for _, blk := range fn.Blocks {
-			for i := range blk.Instrs {
-				ins := &blk.Instrs[i]
-				for _, d := range ins.RegDefs(nil) {
-					in.own = in.own.With(d)
-				}
-				switch ins.Op {
-				case isa.OpCallI, isa.OpJmpI:
-					// Indirect transfers (calls and indirect tail
-					// calls) leave the analysable extent.
-					in.escapes = true
-				case isa.OpCall, isa.OpJmp:
-					t := ins.Target()
-					if ins.Op == isa.OpJmp && g.FuncAt(t) == fn {
-						break // intra-function jump: no transfer
-					}
-					if pltSec != nil && pltSec.Contains(t) {
-						in.escapes = true
-					} else if g.FuncAt(t) == nil {
-						in.escapes = true
-					} else {
-						in.callees = append(in.callees, g.FuncAt(t).Entry)
-					}
-				case isa.OpSyscall, isa.OpTrap:
-					// Services clobber r0 and read args; model as
-					// writing r0 only (they preserve the rest).
-					in.own = in.own.With(isa.R0)
-				}
-			}
-		}
-		infos[fn.Entry] = in
+}
+
+// spill records that the item at index at pushes or pops r around a direct
+// call to callee.
+func (ra *ipara) spill(at int, callee string, r isa.Register) {
+	if ra != nil && callee != "" {
+		ra.spills = append(ra.spills, spill{at: at, callee: callee, reg: r})
 	}
-	// Fixpoint over the unit call graph.
-	clob := map[uint64]analysis.RegMask{}
-	for e, in := range infos {
-		if in.escapes {
-			clob[e] = analysis.AllRegs
-		} else {
-			clob[e] = in.own & analysis.CallerSaved
-		}
+}
+
+// dead returns the ascending .text item indices of the spills ipa-ra
+// drops: those around calls to unit functions whose transitive extent never
+// writes the spilled register.
+func (ra *ipara) dead() []int {
+	if ra == nil || len(ra.spills) == 0 {
+		return nil
+	}
+	idx := make(map[string]int, len(ra.funcs))
+	for i, f := range ra.funcs {
+		idx[f.name] = i
 	}
 	for changed := true; changed; {
 		changed = false
-		for e, in := range infos {
-			if clob[e] == analysis.AllRegs {
-				continue
+		for _, c := range ra.calls {
+			m := escapes // an import
+			if i, ok := idx[c.to]; ok {
+				m = ra.funcs[i].writes
 			}
-			m := clob[e]
-			for _, c := range in.callees {
-				m |= clob[c]
-			}
-			m &= analysis.AllRegs
-			if m != clob[e] {
-				clob[e] = m
+			if f := &ra.funcs[c.from]; f.writes|m != f.writes {
+				f.writes |= m
 				changed = true
 			}
 		}
 	}
-	out := map[string]analysis.RegMask{}
-	for _, fn := range g.Funcs {
-		out[fn.Name] = clob[fn.Entry]
+	var drop []int
+	for _, s := range ra.spills {
+		if i, ok := idx[s.callee]; ok && ra.funcs[i].writes&(1<<s.reg) == 0 {
+			drop = append(drop, s.at)
+		}
 	}
-	return out, nil
+	return drop
 }

@@ -88,3 +88,61 @@ int main() {
 		t.Fatalf("ipa-ra elided a spill across an escaping call:\n%s", with)
 	}
 }
+
+// TestIpaRaKeepsSpillsAroundEscapingCallees holds five temps across a
+// direct call (r6–r10 are spilled around it) to callees that write none of
+// r10 themselves. Each callee but the clean control reaches code that may
+// write it: through a jump table, a tail call into libj, a call through a
+// function pointer, or a call or tail call to a unit function that writes
+// every temp. Their spills must all stay.
+func TestIpaRaKeepsSpillsAroundEscapingCallees(t *testing.T) {
+	const callees = `
+int dirty(int x) { return x + (x + (x + (x + (x + x)))); }
+int leafy(int x) { return x * 2 + 1; }
+int table(int x) {
+    switch (x) {
+    case 0: return 5;
+    case 1: return 7;
+    case 2: return 11;
+    case 3: return 13;
+    }
+    return 0;
+}
+int taillib(int x) { return rand(); }
+int viaptr(int x) { int (*f)(int) = leafy; int r = f(x); return r; }
+int viacall(int x) { int r = dirty(x); return r; }
+int viatail(int x) { return dirty(x); }
+`
+	for _, c := range []struct {
+		callee string
+		clean  bool
+	}{
+		{"leafy", true}, {"table", false}, {"taillib", false}, {"viaptr", false},
+		{"viacall", false}, {"viatail", false},
+	} {
+		src := callees + `
+int main() {
+    int a = 1; int b = 2; int c = 3; int d = 4; int e = 5; int acc = 0;
+    for (int i = 0; i < 4; i++) {
+        int v = a + (b + (c + (d + (e - ` + c.callee + `(i)))));
+        acc = acc + v;
+    }
+    return acc & 127;
+}`
+		with, err := GenAsm(src, Options{Module: "p", O2: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.callee, err)
+		}
+		without, err := GenAsm(src, Options{Module: "p", O2: true, NoIPARA: true})
+		if err != nil {
+			t.Fatalf("%s: NoIPARA: %v", c.callee, err)
+		}
+		pw, pwo := countOps(with, "push"), countOps(without, "push")
+		if c.clean && pw >= pwo {
+			t.Errorf("%s: ipa-ra dropped no spill around a clean callee (%d pushes, %d without)", c.callee, pw, pwo)
+		}
+		if !c.clean && pw != pwo {
+			t.Errorf("%s: ipa-ra dropped a spill around an escaping callee (%d pushes, %d without)", c.callee, pw, pwo)
+		}
+	}
+}

@@ -58,13 +58,16 @@ var keywords = map[string]bool{
 	"sizeof": true, "static": true, "extern": true,
 }
 
-// multi-character operators, longest first.
-var punctuations = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=",
-	"%=", "&=", "|=", "^=", "++", "--", "->",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=", "(",
-	")", "{", "}", "[", "]", ";", ",", ":", "?",
+// punctuations is the set of operator and punctuation spellings, at most
+// three bytes long.
+var punctuations = map[string]bool{
+	"<<=": true, ">>=": true, "...": true, "==": true, "!=": true, "<=": true,
+	">=": true, "&&": true, "||": true, "<<": true, ">>": true, "+=": true,
+	"-=": true, "*=": true, "/=": true, "%=": true, "&=": true, "|=": true,
+	"^=": true, "++": true, "--": true, "->": true, "+": true, "-": true,
+	"*": true, "/": true, "%": true, "&": true, "|": true, "^": true, "~": true,
+	"!": true, "<": true, ">": true, "=": true, "(": true, ")": true, "{": true,
+	"}": true, "[": true, "]": true, ";": true, ",": true, ":": true, "?": true,
 }
 
 // lexError is a scanning diagnostic.
@@ -163,18 +166,16 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{kind: k, val: word, line: line})
 			i = j
 		default:
-			matched := false
-			for _, p := range punctuations {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, token{kind: tPunct, val: p, line: line})
-					i += len(p)
-					matched = true
-					break
-				}
+			// The longest spelling wins: a<<=b is a, <<=, b.
+			k := min(3, n-i)
+			for k > 0 && !punctuations[src[i:i+k]] {
+				k--
 			}
-			if !matched {
+			if k == 0 {
 				return nil, &lexError{line, fmt.Sprintf("unexpected character %q", c)}
 			}
+			toks = append(toks, token{kind: tPunct, val: src[i : i+k], line: line})
+			i += k
 		}
 	}
 	toks = append(toks, token{kind: tEOF, line: line})

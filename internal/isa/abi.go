@@ -94,6 +94,9 @@ const (
 	// Like the definedness bitmap, it covers application addresses below
 	// LayoutShadowBase; tool-runtime regions are never checked.
 	LayoutGenShadowBase uint64 = 0x7400_0000
+	// LayoutAddrLimit is the exclusive upper bound of the address space
+	// (2 GiB): every segment, and every section of a module, lies below it.
+	LayoutAddrLimit uint64 = 0x8000_0000
 )
 
 // ShadowAddr returns the shadow-memory byte address covering application

@@ -11,11 +11,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/isa"
 )
 
 // AddrLimit is the exclusive upper bound of the address space (2 GiB). The
 // canonical layout in package isa places all segments below this.
-const AddrLimit uint64 = 0x8000_0000
+const AddrLimit = isa.LayoutAddrLimit
 
 const (
 	pageShift = 12 // 4 KiB pages
