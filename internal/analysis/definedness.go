@@ -151,14 +151,8 @@ func isSinkUse(in *isa.Instr, tainted RegMask, flagsReachBranch bool) bool {
 	}
 	if in.IsMemAccess() {
 		// Address computation from an undefined value.
-		if tainted.Has(in.Rb) {
+		if tainted.Has(in.Rb) || in.MemAddr().Indexed() && tainted.Has(in.Ri) {
 			return true
-		}
-		switch in.Op {
-		case isa.OpLdXQ, isa.OpStXQ, isa.OpLdXB, isa.OpStXB:
-			if tainted.Has(in.Ri) {
-				return true
-			}
 		}
 		// A store of a tainted *value* is not a sink (no memory V-bit
 		// propagation; the write defines the target bytes).

@@ -261,13 +261,13 @@ func findInduction(inFunc map[uint64]*cfg.BasicBlock, loop *Loop) *Induction {
 
 // classify determines the access class of one loop memory access.
 func classify(in *isa.Instr, loop *Loop, loopDefs RegMask) AccessClass {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
+	switch in.MemAddr() {
+	case isa.AddrBase:
 		// [rb+disp]: invariant iff rb is not redefined in the loop.
 		if !loopDefs.Has(in.Rb) {
 			return AccessInvariant
 		}
-	case isa.OpLdXQ, isa.OpStXQ, isa.OpLdXB, isa.OpStXB:
+	case isa.AddrIndex8, isa.AddrIndex1:
 		// [rb+ri*s+disp]: induction-linked iff rb invariant and ri is
 		// the bounded induction variable.
 		if loopDefs.Has(in.Rb) {

@@ -443,53 +443,15 @@ func splitAddExpr(s string) []string {
 	return out
 }
 
-// mnemonic tables. RR-vs-RI ALU selection happens on operand shape.
-var aluRR = map[string]isa.Op{
-	"add": isa.OpAddRR, "sub": isa.OpSubRR, "mul": isa.OpMulRR,
-	"div": isa.OpDivRR, "rem": isa.OpRemRR, "and": isa.OpAndRR,
-	"or": isa.OpOrRR, "xor": isa.OpXorRR, "shl": isa.OpShlRR,
-	"shr": isa.OpShrRR, "cmp": isa.OpCmpRR, "test": isa.OpTestRR,
-}
-
-var aluRI = map[string]isa.Op{
-	"add": isa.OpAddRI, "sub": isa.OpSubRI, "mul": isa.OpMulRI,
-	"and": isa.OpAndRI, "or": isa.OpOrRI, "xor": isa.OpXorRI,
-	"shl": isa.OpShlRI, "shr": isa.OpShrRI, "cmp": isa.OpCmpRI,
-}
-
-var branches = map[string]isa.Op{
-	"jmp": isa.OpJmp, "je": isa.OpJe, "jne": isa.OpJne, "jl": isa.OpJl,
-	"jle": isa.OpJle, "jg": isa.OpJg, "jge": isa.OpJge, "jb": isa.OpJb,
-	"jae": isa.OpJae, "call": isa.OpCall,
-}
-
-var loads = map[string]isa.Op{
-	"ldq": isa.OpLdQ, "ldb": isa.OpLdB, "lea": isa.OpLea,
-}
-
-var stores = map[string]isa.Op{
-	"stq": isa.OpStQ, "stb": isa.OpStB,
-}
-
-var loadsX = map[string]isa.Op{
-	"ldxq": isa.OpLdXQ, "ldxb": isa.OpLdXB,
-	"leax": isa.OpLeaX, "leaxb": isa.OpLeaXB,
-}
-
-var storesX = map[string]isa.Op{
-	"stxq": isa.OpStXQ, "stxb": isa.OpStXB,
-}
-
-var nullary = map[string]isa.Op{
-	"ret": isa.OpRet, "syscall": isa.OpSyscall, "nop": isa.OpNop,
-	"hlt": isa.OpHlt, "pushf": isa.OpPushF, "popf": isa.OpPopF,
-}
-
-var unaryReg = map[string]isa.Op{
-	"push": isa.OpPush, "pop": isa.OpPop, "not": isa.OpNot,
-	"neg": isa.OpNeg, "jmpi": isa.OpJmpI, "calli": isa.OpCallI,
-	"ldg": isa.OpLdG,
-}
+// mnemonics maps each mnemonic to its opcodes in table order; the operand
+// shape picks among them (mov rd, rs or mov rd, imm).
+var mnemonics = func() map[string][]isa.Op {
+	m := map[string][]isa.Op{}
+	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
+		m[op.String()] = append(m[op.String()], op)
+	}
+	return m
+}()
 
 // parseInstr parses one instruction line and appends it to the current
 // section.
@@ -504,124 +466,111 @@ func (p *parser) parseInstr(line string) error {
 		ops = append(ops, op)
 	}
 	s := p.text()
-
-	bad := func() error {
-		return p.errf("%s: unsupported operand combination", mn)
-	}
-	nOps := func(n int) bool { return len(ops) == n }
-	// asSym reinterprets an operand in a symbol-only position: names that
-	// happen to look like registers (a function called "fp", say) are
-	// symbols there.
-	asSym := func(op operand) operand {
-		if op.kind == opReg {
-			return operand{kind: opSym, sym: op.reg.String()}
-		}
-		return op
-	}
-
-	switch {
-	case mn == "la":
-		if !nOps(2) || ops[0].kind != opReg {
-			return bad()
+	if mn == "la" {
+		if len(ops) != 2 || ops[0].kind != opReg || asSym(ops[1]).kind != opSym {
+			return p.errf("%s: unsupported operand combination", mn)
 		}
 		t := asSym(ops[1])
-		if t.kind != opSym {
-			return bad()
-		}
 		s.La(ops[0].reg, t.sym, t.val)
-	case mn == "mov":
-		if !nOps(2) || ops[0].kind != opReg {
-			return bad()
-		}
-		switch ops[1].kind {
-		case opReg:
-			s.Instr(isa.Instr{Op: isa.OpMovRR, Rd: ops[0].reg, Rb: ops[1].reg})
-		case opImm:
-			s.Instr(isa.Instr{Op: isa.OpMovRI, Rd: ops[0].reg, Imm: ops[1].val})
-		default:
-			return bad()
-		}
-	case mn == "trap":
-		if !nOps(1) || ops[0].kind != opImm {
-			return bad()
-		}
-		s.Instr(isa.Instr{Op: isa.OpTrap, Imm: ops[0].val})
-	case nullary[mn] != 0:
-		if !nOps(0) {
-			return bad()
-		}
-		s.Instr(isa.Instr{Op: nullary[mn]})
-	case unaryReg[mn] != 0:
-		if !nOps(1) || ops[0].kind != opReg {
-			return bad()
-		}
-		s.Instr(isa.Instr{Op: unaryReg[mn], Rd: ops[0].reg})
-	case mn == "ldpc" || mn == "leapc":
-		op := isa.OpLdPC
-		if mn == "leapc" {
-			op = isa.OpLeaPC
-		}
-		if !nOps(2) || ops[0].kind != opReg {
-			return bad()
-		}
-		if ops[1].kind == opPC {
-			s.Instr(isa.Instr{Op: op, Rd: ops[0].reg, Disp: int32(ops[1].val)})
-		} else if t := asSym(ops[1]); t.kind == opSym {
-			s.Ref(op, ops[0].reg, t.sym, t.val)
-		} else {
-			return bad()
-		}
-	case loads[mn] != 0 || loadsX[mn] != 0:
-		if !nOps(2) || ops[0].kind != opReg {
-			return bad()
-		}
-		switch {
-		case ops[1].kind == opMem && loads[mn] != 0:
-			s.Instr(isa.Instr{Op: loads[mn], Rd: ops[0].reg,
-				Rb: ops[1].rb, Disp: int32(ops[1].val)})
-		case ops[1].kind == opMemX && loadsX[mn] != 0:
-			s.Instr(isa.Instr{Op: loadsX[mn], Rd: ops[0].reg,
-				Rb: ops[1].rb, Ri: ops[1].ri, Disp: int32(ops[1].val)})
-		default:
-			return bad()
-		}
-	case stores[mn] != 0 || storesX[mn] != 0:
-		if !nOps(2) || ops[1].kind != opReg {
-			return bad()
-		}
-		switch {
-		case ops[0].kind == opMem && stores[mn] != 0:
-			s.Instr(isa.Instr{Op: stores[mn], Rd: ops[1].reg,
-				Rb: ops[0].rb, Disp: int32(ops[0].val)})
-		case ops[0].kind == opMemX && storesX[mn] != 0:
-			s.Instr(isa.Instr{Op: storesX[mn], Rd: ops[1].reg,
-				Rb: ops[0].rb, Ri: ops[0].ri, Disp: int32(ops[0].val)})
-		default:
-			return bad()
-		}
-	case aluRR[mn] != 0 || aluRI[mn] != 0:
-		if !nOps(2) || ops[0].kind != opReg {
-			return bad()
-		}
-		switch {
-		case ops[1].kind == opReg && aluRR[mn] != 0:
-			s.Instr(isa.Instr{Op: aluRR[mn], Rd: ops[0].reg, Rb: ops[1].reg})
-		case ops[1].kind == opImm && aluRI[mn] != 0:
-			s.Instr(isa.Instr{Op: aluRI[mn], Rd: ops[0].reg, Imm: ops[1].val})
-		default:
-			return bad()
-		}
-	case branches[mn] != 0:
-		if !nOps(1) {
-			return bad()
-		}
-		t := asSym(ops[0])
-		if t.kind != opSym {
-			return bad()
-		}
-		s.Ref(branches[mn], 0, t.sym, t.val)
-	default:
+		return nil
+	}
+	cands, ok := mnemonics[mn]
+	if !ok {
 		return p.errf("unknown mnemonic %q", mn)
 	}
-	return nil
+	for _, op := range cands {
+		if appendInstr(s, op, ops) {
+			return nil
+		}
+	}
+	return p.errf("%s: unsupported operand combination", mn)
+}
+
+// asSym reinterprets an operand in a symbol-only position: names that
+// happen to look like registers (a function called "fp", say) are symbols
+// there.
+func asSym(op operand) operand {
+	if op.kind == opReg {
+		return operand{kind: opSym, sym: op.reg.String()}
+	}
+	return op
+}
+
+// appendInstr appends op with the operands ops to s, laid out by op's
+// encoding form, and reports whether the operands fit that form.
+func appendInstr(s *Section, op isa.Op, ops []operand) bool {
+	o := op.Info()
+	in := isa.Instr{Op: op}
+	shape := func(kinds ...opKind) bool {
+		if len(ops) != len(kinds) {
+			return false
+		}
+		for i, k := range kinds {
+			if ops[i].kind != k {
+				return false
+			}
+		}
+		return true
+	}
+	switch o.Form {
+	case isa.FormNone:
+		if !shape() {
+			return false
+		}
+	case isa.FormR:
+		if !shape(opReg) {
+			return false
+		}
+		in.Rd = ops[0].reg
+	case isa.FormRR:
+		if !shape(opReg, opReg) {
+			return false
+		}
+		in.Rd, in.Rb = ops[0].reg, ops[1].reg
+	case isa.FormRI64, isa.FormRI32:
+		if !shape(opReg, opImm) {
+			return false
+		}
+		in.Rd, in.Imm = ops[0].reg, ops[1].val
+	case isa.FormImm:
+		if !shape(opImm) {
+			return false
+		}
+		in.Imm = ops[0].val
+	case isa.FormMem, isa.FormMemX:
+		mem := opMem
+		if o.Form == isa.FormMemX {
+			mem = opMemX
+		}
+		reg, m := 0, 1 // a load or lea: rd, [mem]
+		if o.Mem == isa.MemStore {
+			reg, m = 1, 0 // a store: [mem], rs
+		}
+		if len(ops) != 2 || ops[reg].kind != opReg || ops[m].kind != mem {
+			return false
+		}
+		in.Rd, in.Rb, in.Ri, in.Disp = ops[reg].reg, ops[m].rb, ops[m].ri, int32(ops[m].val)
+	case isa.FormPC:
+		if len(ops) != 2 || ops[0].kind != opReg {
+			return false
+		}
+		if ops[1].kind != opPC {
+			t := asSym(ops[1])
+			if t.kind != opSym {
+				return false
+			}
+			s.Ref(op, ops[0].reg, t.sym, t.val)
+			return true
+		}
+		in.Rd, in.Disp = ops[0].reg, int32(ops[1].val)
+	case isa.FormBr:
+		if len(ops) != 1 || asSym(ops[0]).kind != opSym {
+			return false
+		}
+		t := asSym(ops[0])
+		s.Ref(op, 0, t.sym, t.val)
+		return true
+	}
+	s.Instr(in)
+	return true
 }

@@ -69,13 +69,14 @@ func writeItem(b *strings.Builder, it *item) {
 	case itemInstr:
 		in := isa.Instr{Op: it.op, Rd: it.rd, Rb: it.rb, Ri: it.ri, Disp: it.disp, Imm: it.val}
 		text := isa.Disasm(&in)
-		if isIndexed(it.op) && it.disp == 0 {
+		if it.op.Info().Addr.Indexed() && it.disp == 0 {
+			// [rb+ri] leaves a zero displacement out.
 			text = strings.Replace(text, "+0]", "]", 1)
 		}
 		b.WriteString(text)
 	case itemRef:
 		b.WriteString(it.op.String() + " ")
-		if it.op == isa.OpLdPC || it.op == isa.OpLeaPC {
+		if it.op.Info().Form == isa.FormPC {
 			b.WriteString(it.rd.String() + ", ")
 		}
 		b.WriteString(symExpr(it.str, it.val))
@@ -101,16 +102,6 @@ func writeItem(b *strings.Builder, it *item) {
 		b.WriteString(".zero " + strconv.FormatInt(it.val, 10))
 	}
 	b.WriteByte('\n')
-}
-
-// isIndexed reports whether op takes an [rb+ri] operand; a zero
-// displacement is left out of it.
-func isIndexed(op isa.Op) bool {
-	switch op {
-	case isa.OpLdXQ, isa.OpStXQ, isa.OpLdXB, isa.OpStXB, isa.OpLeaX, isa.OpLeaXB:
-		return true
-	}
-	return false
 }
 
 // symExpr prints sym+addend, or the addend alone if sym is "".

@@ -8,39 +8,40 @@ import (
 // Disasm formats in as human-readable assembly in the syntax accepted by the
 // jas assembler. Direct branch targets are printed as absolute addresses.
 func Disasm(in *Instr) string {
-	switch opForms[in.Op] {
-	case formNone:
+	o := &opTable[in.Op]
+	switch o.Form {
+	case FormNone:
 		return in.Op.String()
-	case formR:
+	case FormR:
 		return fmt.Sprintf("%s %s", in.Op, in.Rd)
-	case formRR:
+	case FormRR:
 		return fmt.Sprintf("%s %s, %s", in.Op, in.Rd, in.Rb)
-	case formRI64, formRI32:
+	case FormRI64, FormRI32:
 		return fmt.Sprintf("%s %s, %d", in.Op, in.Rd, in.Imm)
-	case formMem:
-		if in.IsStore() {
+	case FormMem:
+		if o.Mem == MemStore {
 			return fmt.Sprintf("%s [%s%+d], %s", in.Op, in.Rb, in.Disp, in.Rd)
 		}
 		return fmt.Sprintf("%s %s, [%s%+d]", in.Op, in.Rd, in.Rb, in.Disp)
-	case formMemX:
+	case FormMemX:
 		scale := ""
-		if in.Op == OpLdXQ || in.Op == OpStXQ || in.Op == OpLeaX {
+		if o.Addr == AddrIndex8 {
 			scale = "*8"
 		}
-		if in.IsStore() {
+		if o.Mem == MemStore {
 			return fmt.Sprintf("%s [%s+%s%s%+d], %s",
 				in.Op, in.Rb, in.Ri, scale, in.Disp, in.Rd)
 		}
 		return fmt.Sprintf("%s %s, [%s+%s%s%+d]",
 			in.Op, in.Rd, in.Rb, in.Ri, scale, in.Disp)
-	case formPC:
+	case FormPC:
 		return fmt.Sprintf("%s %s, [pc%+d]", in.Op, in.Rd, in.Disp)
-	case formBr:
+	case FormBr:
 		if in.Addr != 0 || in.Size != 0 {
 			return fmt.Sprintf("%s %#x", in.Op, in.Target())
 		}
 		return fmt.Sprintf("%s %+d", in.Op, in.Disp)
-	case formImm:
+	case FormImm:
 		return fmt.Sprintf("%s %d", in.Op, in.Imm)
 	}
 	return in.Op.String()

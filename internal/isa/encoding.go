@@ -6,100 +6,37 @@ import (
 	"fmt"
 )
 
-// Encoding forms. Every opcode belongs to exactly one form, which fixes its
-// encoded length. Lengths range from 1 to 10 bytes, so JVA is genuinely
-// variable-length: decoding from a misaligned offset yields a different —
-// and usually invalid — instruction stream, exactly like x86.
-type form uint8
+// Form is an encoding form. Every opcode belongs to exactly one form, its
+// row's, which fixes its encoded length. Lengths range from 1 to 10 bytes,
+// so JVA is genuinely variable-length: decoding from a misaligned offset
+// yields a different — and usually invalid — instruction stream, exactly
+// like x86.
+type Form uint8
 
 const (
-	formNone form = iota // op                          1 byte
-	formR                // op rd                       2 bytes
-	formRR               // op rd rb                    3 bytes
-	formRI64             // op rd imm64                 10 bytes
-	formRI32             // op rd imm32                 6 bytes
-	formMem              // op rd rb disp32             7 bytes
-	formMemX             // op rd rb ri disp32          8 bytes
-	formPC               // op rd disp32                6 bytes
-	formBr               // op disp32                   5 bytes
-	formImm              // op imm32                    5 bytes
+	FormNone Form = iota // op                          1 byte
+	FormR                // op rd                       2 bytes
+	FormRR               // op rd rb                    3 bytes
+	FormRI64             // op rd imm64                 10 bytes
+	FormRI32             // op rd imm32                 6 bytes
+	FormMem              // op rd rb disp32             7 bytes
+	FormMemX             // op rd rb ri disp32          8 bytes
+	FormPC               // op rd disp32                6 bytes
+	FormBr               // op disp32                   5 bytes
+	FormImm              // op imm32                    5 bytes
 )
 
-var opForms = [NumOps]form{
-	OpInvalid: formNone,
-	OpMovRI:   formRI64,
-	OpMovRR:   formRR,
-	OpLdQ:     formMem,
-	OpStQ:     formMem,
-	OpLdB:     formMem,
-	OpStB:     formMem,
-	OpLdXQ:    formMemX,
-	OpStXQ:    formMemX,
-	OpLdXB:    formMemX,
-	OpStXB:    formMemX,
-	OpLea:     formMem,
-	OpLdPC:    formPC,
-	OpLeaPC:   formPC,
-	OpLdG:     formR,
-	OpAddRR:   formRR,
-	OpSubRR:   formRR,
-	OpMulRR:   formRR,
-	OpDivRR:   formRR,
-	OpRemRR:   formRR,
-	OpAndRR:   formRR,
-	OpOrRR:    formRR,
-	OpXorRR:   formRR,
-	OpShlRR:   formRR,
-	OpShrRR:   formRR,
-	OpAddRI:   formRI32,
-	OpSubRI:   formRI32,
-	OpMulRI:   formRI32,
-	OpAndRI:   formRI32,
-	OpOrRI:    formRI32,
-	OpXorRI:   formRI32,
-	OpShlRI:   formRI32,
-	OpShrRI:   formRI32,
-	OpCmpRR:   formRR,
-	OpCmpRI:   formRI32,
-	OpTestRR:  formRR,
-	OpNot:     formR,
-	OpNeg:     formR,
-	OpPush:    formR,
-	OpPop:     formR,
-	OpPushF:   formNone,
-	OpPopF:    formNone,
-	OpJmp:     formBr,
-	OpJmpI:    formR,
-	OpJe:      formBr,
-	OpJne:     formBr,
-	OpJl:      formBr,
-	OpJle:     formBr,
-	OpJg:      formBr,
-	OpJge:     formBr,
-	OpJb:      formBr,
-	OpJae:     formBr,
-	OpCall:    formBr,
-	OpCallI:   formR,
-	OpRet:     formNone,
-	OpSyscall: formNone,
-	OpTrap:    formImm,
-	OpNop:     formNone,
-	OpHlt:     formNone,
-	OpLeaX:    formMemX,
-	OpLeaXB:   formMemX,
-}
-
 var formSizes = [...]uint32{
-	formNone: 1,
-	formR:    2,
-	formRR:   3,
-	formRI64: 10,
-	formRI32: 6,
-	formMem:  7,
-	formMemX: 8,
-	formPC:   6,
-	formBr:   5,
-	formImm:  5,
+	FormNone: 1,
+	FormR:    2,
+	FormRR:   3,
+	FormRI64: 10,
+	FormRI32: 6,
+	FormMem:  7,
+	FormMemX: 8,
+	FormPC:   6,
+	FormBr:   5,
+	FormImm:  5,
 }
 
 // MaxInstrLen is the longest possible encoded instruction.
@@ -111,7 +48,7 @@ func EncodedSize(op Op) uint32 {
 	if op == OpInvalid || int(op) >= NumOps {
 		return 0
 	}
-	return formSizes[opForms[op]]
+	return formSizes[opTable[op].Form]
 }
 
 // Errors returned by Decode.
@@ -129,30 +66,30 @@ func Encode(dst []byte, in *Instr) []byte {
 		panic(fmt.Sprintf("isa.Encode: invalid opcode %d", in.Op))
 	}
 	dst = append(dst, byte(in.Op))
-	switch opForms[in.Op] {
-	case formNone:
-	case formR:
+	switch opTable[in.Op].Form {
+	case FormNone:
+	case FormR:
 		dst = append(dst, byte(in.Rd))
-	case formRR:
+	case FormRR:
 		dst = append(dst, byte(in.Rd), byte(in.Rb))
-	case formRI64:
+	case FormRI64:
 		dst = append(dst, byte(in.Rd))
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(in.Imm))
-	case formRI32:
+	case FormRI32:
 		dst = append(dst, byte(in.Rd))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(in.Imm)))
-	case formMem:
+	case FormMem:
 		dst = append(dst, byte(in.Rd), byte(in.Rb))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(in.Disp))
-	case formMemX:
+	case FormMemX:
 		dst = append(dst, byte(in.Rd), byte(in.Rb), byte(in.Ri))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(in.Disp))
-	case formPC:
+	case FormPC:
 		dst = append(dst, byte(in.Rd))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(in.Disp))
-	case formBr:
+	case FormBr:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(in.Disp))
-	case formImm:
+	case FormImm:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(in.Imm)))
 	}
 	return dst
@@ -172,7 +109,7 @@ func Decode(buf []byte, addr uint64) (Instr, error) {
 	if op == OpInvalid || int(op) >= NumOps {
 		return in, fmt.Errorf("%w: byte %#x at %#x", ErrBadOpcode, buf[0], addr)
 	}
-	f := opForms[op]
+	f := opTable[op].Form
 	size := formSizes[f]
 	if uint32(len(buf)) < size {
 		return in, fmt.Errorf("%w: need %d bytes at %#x, have %d",
@@ -182,29 +119,29 @@ func Decode(buf []byte, addr uint64) (Instr, error) {
 	in.Addr = addr
 	in.Size = size
 	switch f {
-	case formNone:
-	case formR:
+	case FormNone:
+	case FormR:
 		in.Rd = Register(buf[1])
-	case formRR:
+	case FormRR:
 		in.Rd, in.Rb = Register(buf[1]), Register(buf[2])
-	case formRI64:
+	case FormRI64:
 		in.Rd = Register(buf[1])
 		in.Imm = int64(binary.LittleEndian.Uint64(buf[2:]))
-	case formRI32:
+	case FormRI32:
 		in.Rd = Register(buf[1])
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(buf[2:])))
-	case formMem:
+	case FormMem:
 		in.Rd, in.Rb = Register(buf[1]), Register(buf[2])
 		in.Disp = int32(binary.LittleEndian.Uint32(buf[3:]))
-	case formMemX:
+	case FormMemX:
 		in.Rd, in.Rb, in.Ri = Register(buf[1]), Register(buf[2]), Register(buf[3])
 		in.Disp = int32(binary.LittleEndian.Uint32(buf[4:]))
-	case formPC:
+	case FormPC:
 		in.Rd = Register(buf[1])
 		in.Disp = int32(binary.LittleEndian.Uint32(buf[2:]))
-	case formBr:
+	case FormBr:
 		in.Disp = int32(binary.LittleEndian.Uint32(buf[1:]))
-	case formImm:
+	case FormImm:
 		in.Imm = int64(int32(binary.LittleEndian.Uint32(buf[1:])))
 	}
 	if in.Rd >= NumRegs || in.Rb >= NumRegs || in.Ri >= NumRegs {

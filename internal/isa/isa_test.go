@@ -43,32 +43,32 @@ func randInstr(r *rand.Rand, op Op) Instr {
 		Ri:   Register(r.Intn(NumRegs)),
 		Disp: int32(r.Uint32()),
 	}
-	switch opForms[op] {
-	case formRI64:
+	switch opTable[op].Form {
+	case FormRI64:
 		in.Imm = int64(r.Uint64())
-	case formRI32, formImm:
+	case FormRI32, FormImm:
 		in.Imm = int64(int32(r.Uint32()))
 	}
 	// Zero out fields the form does not encode, so the decoded value
 	// compares equal to the input.
-	switch opForms[op] {
-	case formNone:
+	switch opTable[op].Form {
+	case FormNone:
 		in.Rd, in.Rb, in.Ri, in.Disp, in.Imm = 0, 0, 0, 0, 0
-	case formR:
+	case FormR:
 		in.Rb, in.Ri, in.Disp, in.Imm = 0, 0, 0, 0
-	case formRR:
+	case FormRR:
 		in.Ri, in.Disp, in.Imm = 0, 0, 0
-	case formRI64, formRI32:
+	case FormRI64, FormRI32:
 		in.Rb, in.Ri, in.Disp = 0, 0, 0
-	case formMem:
+	case FormMem:
 		in.Ri, in.Imm = 0, 0
-	case formMemX:
+	case FormMemX:
 		in.Imm = 0
-	case formPC:
+	case FormPC:
 		in.Rb, in.Ri, in.Imm = 0, 0, 0
-	case formBr:
+	case FormBr:
 		in.Rd, in.Rb, in.Ri, in.Imm = 0, 0, 0, 0
-	case formImm:
+	case FormImm:
 		in.Rd, in.Rb, in.Ri, in.Disp = 0, 0, 0, 0
 	}
 	return in

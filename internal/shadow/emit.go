@@ -42,25 +42,25 @@ func AccessPlan(in *isa.Instr, dead []isa.Register, saveFlags bool) *CheckPlan {
 	}
 }
 
+// leaOf is the lea forming each memory-access addressing's address.
+var leaOf = [...]isa.Op{isa.AddrBase: isa.OpLea, isa.AddrIndex8: isa.OpLeaX,
+	isa.AddrIndex1: isa.OpLeaXB}
+
 // AddrOf returns an address-computation closure for a memory-access
 // instruction's operand.
 func AddrOf(in *isa.Instr) func(e *dbm.Emitter, s1 isa.Register) {
 	op := *in // copy: the closure outlives the caller's loop variable
+	a := in.MemAddr()
 	return func(e *dbm.Emitter, s1 isa.Register) {
-		switch op.Op {
-		case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-			e.Meta(mk(isa.OpLea, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Disp = s1, op.Rb, op.Disp
-			}))
-		case isa.OpLdXQ, isa.OpStXQ:
-			e.Meta(mk(isa.OpLeaX, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
-		case isa.OpLdXB, isa.OpStXB:
-			e.Meta(mk(isa.OpLeaXB, func(i *isa.Instr) {
-				i.Rd, i.Rb, i.Ri, i.Disp = s1, op.Rb, op.Ri, op.Disp
-			}))
+		if a == isa.AddrNone {
+			return
 		}
+		e.Meta(mk(leaOf[a], func(i *isa.Instr) {
+			i.Rd, i.Rb, i.Disp = s1, op.Rb, op.Disp
+			if a.Indexed() {
+				i.Ri = op.Ri
+			}
+		}))
 	}
 }
 

@@ -50,7 +50,7 @@ func (d *Dedup) Plan(sc *core.StaticContext, blk *cfg.BasicBlock,
 		return
 	}
 	type anchorKey struct {
-		shape  int
+		shape  isa.Addressing
 		rb, ri isa.Register
 		disp   int32
 	}
@@ -69,12 +69,9 @@ func (d *Dedup) Plan(sc *core.StaticContext, blk *cfg.BasicBlock,
 		if !in.IsMemAccess() || d.Skip != nil && d.Skip(in) {
 			continue
 		}
-		shape, ok := accessShape(in)
-		if !ok {
-			continue
-		}
+		shape := in.MemAddr()
 		k := anchorKey{shape: shape, rb: in.Rb, disp: in.Disp}
-		if shape != shapePlain {
+		if shape.Indexed() {
 			k.ri = in.Ri
 		}
 		self := anchorInfo{idx: i, addr: in.Addr, width: in.AccessWidth()}
@@ -102,10 +99,10 @@ func (d *Dedup) Plan(sc *core.StaticContext, blk *cfg.BasicBlock,
 // (belt and braces, via the reaching-definition analysis) the same
 // definitions reach both uses.
 func sameAddress(sc *core.StaticContext, blk *cfg.BasicBlock,
-	anchorIdx, curIdx, shape int) bool {
+	anchorIdx, curIdx int, shape isa.Addressing) bool {
 	in := &blk.Instrs[curIdx]
 	regs := []isa.Register{in.Rb, in.Ri}
-	if shape == shapePlain {
+	if !shape.Indexed() {
 		regs = regs[:1]
 	}
 	for j := anchorIdx + 1; j < curIdx; j++ {
@@ -141,24 +138,4 @@ func sameDefs(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Address-shape classes for dedup matching (the verifier in internal/vsa
-// keeps its own classification).
-const (
-	shapePlain = iota // [rb+disp]
-	shapeX8           // [rb+ri*8+disp]
-	shapeX1           // [rb+ri+disp]
-)
-
-func accessShape(in *isa.Instr) (int, bool) {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-		return shapePlain, true
-	case isa.OpLdXQ, isa.OpStXQ:
-		return shapeX8, true
-	case isa.OpLdXB, isa.OpStXB:
-		return shapeX1, true
-	}
-	return 0, false
 }

@@ -22,23 +22,21 @@ var Costs = struct {
 	ALU: 1, Mem: 2, Branch: 1, CallRet: 2, Syscall: 30, Trap: 40, Nop: 1,
 }
 
-// instrCost returns the weighted cost of one instruction.
+// instrCost returns the weighted cost of one instruction: the cost of the
+// class its opcode's row puts it in.
 func instrCost(op isa.Op) uint64 {
-	switch op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB, isa.OpLdXQ, isa.OpStXQ,
-		isa.OpLdXB, isa.OpStXB, isa.OpPush, isa.OpPop, isa.OpPushF,
-		isa.OpPopF, isa.OpLdPC:
-		return Costs.Mem
-	case isa.OpJmp, isa.OpJmpI, isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle,
-		isa.OpJg, isa.OpJge, isa.OpJb, isa.OpJae:
-		return Costs.Branch
-	case isa.OpCall, isa.OpCallI, isa.OpRet:
+	switch o := op.Info(); {
+	case o.Flow == isa.FlowCall || o.Flow == isa.FlowCallIndirect || o.Flow == isa.FlowRet:
 		return Costs.CallRet
-	case isa.OpSyscall:
+	case o.Flow != isa.FlowNone && o.Flow != isa.FlowHalt:
+		return Costs.Branch
+	case o.Mem != isa.MemNone:
+		return Costs.Mem
+	case op == isa.OpSyscall:
 		return Costs.Syscall
-	case isa.OpTrap:
+	case op == isa.OpTrap:
 		return Costs.Trap
-	case isa.OpNop:
+	case op == isa.OpNop:
 		return Costs.Nop
 	}
 	return Costs.ALU

@@ -257,11 +257,10 @@ func (v *verifier) checkDedup(fp *FuncProof, c *Claim, blk *cfg.BasicBlock, in *
 		v.failc(fp.Entry, c, "anchor is not a memory access")
 		return
 	}
-	aScale, aOK := addrShape(anchor)
-	dScale, dOK := addrShape(in)
-	if !aOK || !dOK || aScale != dScale ||
+	shape := in.MemAddr()
+	if shape == isa.AddrNone || anchor.MemAddr() != shape ||
 		anchor.Rb != in.Rb || anchor.Disp != in.Disp ||
-		(aScale != scalePlain && anchor.Ri != in.Ri) {
+		(shape.Indexed() && anchor.Ri != in.Ri) {
 		v.failc(fp.Entry, c, "anchor addressing form differs")
 		return
 	}
@@ -271,7 +270,7 @@ func (v *verifier) checkDedup(fp *FuncProof, c *Claim, blk *cfg.BasicBlock, in *
 	}
 	for i := prevIdx + 1; i < curIdx; i++ {
 		for _, d := range blk.Instrs[i].RegDefs(nil) {
-			if d == in.Rb || (dScale != scalePlain && d == in.Ri) {
+			if d == in.Rb || (shape.Indexed() && d == in.Ri) {
 				v.failc(fp.Entry, c, "address register redefined at %#x",
 					blk.Instrs[i].Addr)
 				return
@@ -322,11 +321,10 @@ func (v *verifier) checkDefInit(fp *FuncProof, c *Claim, blk *cfg.BasicBlock, in
 		v.failc(fp.Entry, c, "anchor is not a store")
 		return
 	}
-	aScale, aOK := addrShape(anchor)
-	dScale, dOK := addrShape(in)
-	if !aOK || !dOK || aScale != dScale ||
+	shape := in.MemAddr()
+	if shape == isa.AddrNone || anchor.MemAddr() != shape ||
 		anchor.Rb != in.Rb || anchor.Disp != in.Disp ||
-		(aScale != scalePlain && anchor.Ri != in.Ri) {
+		(shape.Indexed() && anchor.Ri != in.Ri) {
 		v.failc(fp.Entry, c, "anchor addressing form differs")
 		return
 	}
@@ -337,7 +335,7 @@ func (v *verifier) checkDefInit(fp *FuncProof, c *Claim, blk *cfg.BasicBlock, in
 	for i := prevIdx + 1; i < curIdx; i++ {
 		between := &blk.Instrs[i]
 		for _, d := range between.RegDefs(nil) {
-			if d == in.Rb || (dScale != scalePlain && d == in.Ri) {
+			if d == in.Rb || (shape.Indexed() && d == in.Ri) {
 				v.failc(fp.Entry, c, "address register redefined at %#x",
 					between.Addr)
 				return
@@ -437,11 +435,10 @@ func (v *verifier) checkNoEscapeDedup(fp *FuncProof, c *Claim, blk *cfg.BasicBlo
 		v.failc(fp.Entry, c, "anchor is not a memory access")
 		return
 	}
-	aScale, aOK := addrShape(anchor)
-	dScale, dOK := addrShape(in)
-	if !aOK || !dOK || aScale != dScale ||
+	shape := in.MemAddr()
+	if shape == isa.AddrNone || anchor.MemAddr() != shape ||
 		anchor.Rb != in.Rb || anchor.Disp != in.Disp ||
-		(aScale != scalePlain && anchor.Ri != in.Ri) {
+		(shape.Indexed() && anchor.Ri != in.Ri) {
 		v.failc(fp.Entry, c, "anchor addressing form differs")
 		return
 	}
@@ -452,7 +449,7 @@ func (v *verifier) checkNoEscapeDedup(fp *FuncProof, c *Claim, blk *cfg.BasicBlo
 	for i := prevIdx + 1; i < curIdx; i++ {
 		between := &blk.Instrs[i]
 		for _, d := range between.RegDefs(nil) {
-			if d == in.Rb || (dScale != scalePlain && d == in.Ri) {
+			if d == in.Rb || (shape.Indexed() && d == in.Ri) {
 				v.failc(fp.Entry, c, "address register redefined at %#x",
 					between.Addr)
 				return
@@ -465,25 +462,6 @@ func (v *verifier) checkNoEscapeDedup(fp *FuncProof, c *Claim, blk *cfg.BasicBlo
 			return
 		}
 	}
-}
-
-// Address-shape classes for dedup matching.
-const (
-	scalePlain = iota // [rb+disp]
-	scaleX8           // [rb+ri*8+disp]
-	scaleX1           // [rb+ri+disp]
-)
-
-func addrShape(in *isa.Instr) (int, bool) {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
-		return scalePlain, true
-	case isa.OpLdXQ, isa.OpStXQ:
-		return scaleX8, true
-	case isa.OpLdXB, isa.OpStXB:
-		return scaleX1, true
-	}
-	return 0, false
 }
 
 func (v *verifier) checkJump(fp *FuncProof, c *Claim, blk *cfg.BasicBlock, in *isa.Instr) {

@@ -975,15 +975,15 @@ func (e *engine) storeTo(st *State, addr, v Value, width int64, quad bool) {
 }
 
 // AddrValue evaluates the abstract address of the memory operand of in
-// under st (any of the eight load/store forms).
+// under st; Top if in is no load or store.
 func AddrValue(st *State, in *isa.Instr) Value {
-	switch in.Op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB:
+	switch in.MemAddr() {
+	case isa.AddrBase:
 		return st.Regs[in.Rb].AddConst(int64(in.Disp))
-	case isa.OpLdXQ, isa.OpStXQ:
+	case isa.AddrIndex8:
 		return Add(st.Regs[in.Rb], st.Regs[in.Ri].MulConst(8)).
 			AddConst(int64(in.Disp))
-	case isa.OpLdXB, isa.OpStXB:
+	case isa.AddrIndex1:
 		return Add(st.Regs[in.Rb], st.Regs[in.Ri]).AddConst(int64(in.Disp))
 	}
 	return Top()
