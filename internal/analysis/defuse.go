@@ -155,8 +155,6 @@ func flowDefs(b *cfg.BasicBlock, state *regDefs, du *DefUse) {
 			for _, r := range CallerSaved.Regs() {
 				state[r] = []uint64{in.Addr}
 			}
-		case isa.OpSyscall, isa.OpTrap:
-			state[isa.R0] = []uint64{in.Addr}
 		default:
 			for _, d := range in.RegDefs(defsBuf[:0]) {
 				state[d] = []uint64{in.Addr}

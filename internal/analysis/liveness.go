@@ -299,12 +299,6 @@ func (l *Liveness) flowBlock(b *cfg.BasicBlock, out LivePoint) LivePoint {
 				cur.Regs = cur.Regs.With(in.Rd) // the call target register
 			}
 			cur.Flags = false // calls are flag boundaries
-		case isa.OpSyscall:
-			cur.Regs = (cur.Regs &^ maskOf(isa.R0)) |
-				maskOf(isa.R0, isa.R1, isa.R2, isa.R3, isa.R4, isa.R5)
-		case isa.OpTrap:
-			cur.Regs = (cur.Regs &^ maskOf(isa.R0)) |
-				maskOf(isa.R1, isa.R2, isa.R3, isa.R4, isa.R5).With(isa.R11)
 		default:
 			for _, d := range in.RegDefs(defsBuf[:0]) {
 				cur.Regs = cur.Regs.Without(d)
