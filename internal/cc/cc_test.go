@@ -404,6 +404,14 @@ int main(){return f(1,2,3,4,5,6);}`, "parameters unsupported"},
 		{"syntax", `int main() { return ; `, "expected"},
 		{"bad global init", `int g = f(); int main(){return 0;}`, "constant"},
 		{"deref int", `int main() { int x; return *x; }`, "non-pointer"},
+		{"function defined twice", "int f() { return 1; }\nint f() { return 2; }\nint main() { return f(); }",
+			"line 2: redefinition of f (first defined on line 1)"},
+		{"global defined twice", "int g;\nint main() { return g; }\nint g = 3;",
+			"line 3: redefinition of g (first defined on line 1)"},
+		{"global and function", "int main() { return 0; }\nint h() { return 1; }\nchar h[4];",
+			"line 3: redefinition of h (first defined on line 2)"},
+		{"function after global", "int h;\nint h() { return 1; }\nint main() { return 0; }",
+			"line 2: redefinition of h (first defined on line 1)"},
 	}
 	for _, tc := range cases {
 		_, err := GenAsm(tc.src, Options{Module: "p"})

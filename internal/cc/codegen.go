@@ -183,6 +183,22 @@ func (g *gen) run() (err error) {
 		g.emit(isa.Instr{Op: isa.OpHlt})
 	}
 
+	// A name defined twice is an error at the later definition.
+	defLine := map[string]int{}
+	define := func(name string, line int) {
+		if prev, ok := defLine[name]; ok {
+			g.errf(max(prev, line), "redefinition of %s (first defined on line %d)",
+				name, min(prev, line))
+		}
+		defLine[name] = line
+	}
+	for _, f := range g.prog.Funcs {
+		define(f.Name, f.Line)
+	}
+	for _, d := range g.prog.Globals {
+		define(d.Name, d.Line)
+	}
+
 	// Register global symbols first (mutual recursion, fn pointers).
 	for _, f := range g.prog.Funcs {
 		var params []*Type
