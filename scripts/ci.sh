@@ -119,12 +119,12 @@ echo "== executor and per-layer benchmarks (one iteration) =="
 # under the DBM (null client, jasan-hybrid, comprehensive) and through the
 # hybrid rewriting backend, reporting ns/instr and allocs/op; the per-run
 # fixed cost of a short comprehensive session (B/op); the static layers
-# over one spec program: cc.Compile, cfg.Build, the VSA fixpoint and
-# rewrite.Apply; and spec.Build over every spec program, the stage the
+# over one spec program: cc.Compile, cfg.Build, liveness, the VSA fixpoint
+# and rewrite.Apply; and spec.Build over every spec program, the stage the
 # benchmark's analyze workload times as cc.build. One iteration only
 # proves they still run; measure with a larger -benchtime.
 go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm ./internal/rewrite \
-	./internal/core ./internal/cc ./internal/cfg ./internal/vsa ./internal/spec
+	./internal/core ./internal/cc ./internal/cfg ./internal/analysis ./internal/vsa ./internal/spec
 
 echo "== study golden at 1 and 4 CPUs =="
 # Every study's rendered output must be byte-identical at any parallelism:
