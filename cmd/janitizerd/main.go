@@ -10,7 +10,7 @@
 //
 //	janitizerd [-addr host:port] [-cachedir dir] [-mem MiB] [-disk MiB]
 //	           [-workers n] [-maxqueue n] [-maxbody MiB] [-timeout d]
-//	           [-tenant-qps r] [-tenant-burst n] [-service-time d]
+//	           [-tenant-qps r] [-tenant-burst n]
 //	           [-peers a:1,b:2,...] [-self host:port]
 //	           [-debug] [-quiet]
 //
@@ -89,7 +89,6 @@ func main() {
 	maxqueue := flag.Int("maxqueue", 256, "admitted requests beyond the worker pool before 429 (0: unlimited)")
 	maxbody := flag.Int64("maxbody", 0, "request body limit in MiB (0: default 64)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request analysis timeout (0: unbounded)")
-	serviceTime := flag.Duration("service-time", 0, "bench knob: minimum per-request service latency under the admission slot, modeling per-machine capacity when a fleet is colocated on one host (0: off)")
 	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant request rate (X-Tenant header; 0: no quotas)")
 	tenantBurst := flag.Int("tenant-burst", 20, "per-tenant burst capacity")
 	peers := flag.String("peers", "", "comma-separated fleet member list, self included (empty: single node)")
@@ -130,7 +129,6 @@ func main() {
 		MaxBodyBytes: *maxbody << 20,
 		Timeout:      *timeout,
 		Quota:        anserve.NewTenantLimiter(*tenantQPS, *tenantBurst),
-		ServiceTime:  *serviceTime,
 	}
 	var clu *cluster.Cluster
 	if *peers != "" {

@@ -65,15 +65,6 @@ type HandlerOpts struct {
 	BatchFanout int
 	// Quota rate-limits tenants (X-Tenant header); nil disables quotas.
 	Quota *TenantLimiter
-	// ServiceTime is a benchmarking knob: a minimum per-request service
-	// latency on POST /analyze, spent while the admission slot is held.
-	// It models the fixed per-machine serving cost when an entire fleet is
-	// colocated on one host (where wall-clock CPU cannot distinguish one
-	// node from three) — each node's capacity becomes its in-flight window
-	// divided by this duration, which is per-process exactly like a real
-	// machine's capacity is per-machine. 0 (the default) disables it;
-	// production deployments never set it.
-	ServiceTime time.Duration
 	// Diag is the violation log behind GET /violations, fed by POST /run
 	// executions. Nil creates a fresh log per handler, so the endpoints
 	// always work; daemons that want to inspect the log in-process pass
@@ -242,9 +233,6 @@ func (s *Service) HandlerWith(tools map[string]ToolFactory, opts HandlerOpts) ht
 		reqAn := an
 		if peerFill {
 			reqAn = s // peer fills are terminal: never re-forwarded
-		}
-		if opts.ServiceTime > 0 {
-			time.Sleep(opts.ServiceTime) // bench knob: slot held, see HandlerOpts
 		}
 		// The analysis outlives an abandoned wait, so it carries a detached
 		// context holding only the request span — never r.Context().

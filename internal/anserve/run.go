@@ -121,6 +121,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 			"scheduler queue full", 1)
 		return
 	}
+	defer s.Finish(1)
 	sp.AddEvent("admitted")
 
 	// Analyze the program and its libj dependency through the analyzer so
@@ -130,7 +131,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 	actx := telemetry.ContextWithSpan(context.Background(), sp)
 	lj, err := libj.Module()
 	if err != nil {
-		s.Finish(1)
 		fail(http.StatusInternalServerError, ErrCodeRunFailed,
 			"libj: "+err.Error(), 0)
 		return
@@ -142,20 +142,17 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 			goAnalyze(actx, an, name, dep, factory(), func() {}),
 			opts.Timeout)
 		if timedOut {
-			s.Finish(1)
 			fail(http.StatusGatewayTimeout, ErrCodeTimeout,
 				fmt.Sprintf("analysis exceeded %s", opts.Timeout), 0)
 			return
 		}
 		if res.err != nil {
-			s.Finish(1)
 			fail(http.StatusInternalServerError, ErrCodeAnalysisFailed,
 				res.err.Error(), 0)
 			return
 		}
 		f, err := rules.Unmarshal(res.b)
 		if err != nil {
-			s.Finish(1)
 			fail(http.StatusInternalServerError, ErrCodeAnalysisFailed,
 				"bad rules for "+dep.Name+": "+err.Error(), 0)
 			return
@@ -176,14 +173,12 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 	sess, err := core.Load(mod, loader.Registry{libj.Name: lj}, tool, files,
 		core.Options{MaxInstrs: maxInstrs, Out: &out})
 	if err != nil {
-		s.Finish(1)
 		fail(http.StatusInternalServerError, ErrCodeRunFailed,
 			"load: "+err.Error(), 0)
 		return
 	}
 	runErr := sess.Run()
 	m := sess.M
-	s.Finish(1)
 	sp.AddEvent("run-complete",
 		telemetry.Int("instrs", int64(m.Instrs)))
 	if runErr != nil {

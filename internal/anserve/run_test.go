@@ -164,9 +164,10 @@ int main() {
 	}
 }
 
-// TestRunEndpointErrors covers the /run request-validation surface.
+// TestRunEndpointErrors covers the /run request-validation surface, and
+// that a run failing after admission gives its admission slot back.
 func TestRunEndpointErrors(t *testing.T) {
-	svc := New(Config{Workers: 2})
+	svc := New(Config{Workers: 1, MaxQueue: 1}) // admit limit = 2
 	h := svc.Handler(DefaultTools())
 
 	w := doReq(t, h, "POST", "/run?tool=nope", []byte("x"))
@@ -181,6 +182,36 @@ func TestRunEndpointErrors(t *testing.T) {
 	w = doReq(t, h, "POST", "/run?tool=jasan", []byte("not a module"))
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), ErrCodeBadModule) {
 		t.Fatalf("bad module: %d %s", w.Code, w.Body.String())
+	}
+
+	// A module needing a library the daemon does not have is admitted and
+	// analyzed, then fails to load. More such runs than the admission
+	// window holds must each release their slot, or the clean run after
+	// them would answer 429.
+	missing, err := asm.Assemble(`
+.module needsmissing
+.entry _start
+.needs nosuch.jef
+.section .text
+_start:
+    mov r1, 0
+    mov r0, 1
+    syscall
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		w = doReq(t, h, "POST", "/run?tool=jasan", missing.Marshal())
+		if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), ErrCodeRunFailed) {
+			t.Fatalf("load failure %d: %d %s", i, w.Code, w.Body.String())
+		}
+	}
+	if w = doReq(t, h, "POST", "/run?tool=jasan", floodModule(t, 1)); w.Code != http.StatusOK {
+		t.Fatalf("clean run after failed runs: %d %s", w.Code, w.Body.String())
+	}
+	if got := svc.admitCur.Load(); got != 0 {
+		t.Fatalf("%d admission slots held after every run finished", got)
 	}
 }
 

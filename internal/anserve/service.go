@@ -45,7 +45,7 @@ type Config struct {
 }
 
 // Tier says where an analysis response came from. The HTTP layer echoes it
-// in the X-Cache response header and cmd/jload aggregates it per request.
+// in the X-Cache response header.
 type Tier string
 
 const (

@@ -164,7 +164,7 @@ func (c *Cluster) registerMetrics() {
 			0.1, 0.25, 0.5, 1, 2.5, 5, 10})
 }
 
-// Ring exposes the placement ring (for tests and jload shard accounting).
+// Ring exposes the placement ring (janitizerd reports the fleet size from it).
 func (c *Cluster) Ring() *Ring { return c.ring }
 
 // Owner returns the home shard for a cache key.

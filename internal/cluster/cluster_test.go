@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"sync"
@@ -15,17 +17,17 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/jasan"
-	"repro/internal/jlint"
 	"repro/internal/obj"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 )
 
-// testTool returns the tool configuration the test fleet serves as
-// "jasan" — the registry's jasan-hybrid, which anserve.DefaultTools serves
-// under that alias.
-func testTool() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) }
+// newTool builds the tool every test node serves under name: the fleet
+// serves anserve.DefaultTools, as janitizerd does.
+func newTool(name string) core.Tool { return anserve.DefaultTools()[name]() }
+
+// fleetTools are the tool configurations the fleet tests send traffic for.
+var fleetTools = []string{"jasan", "jcfi", "jmsan"}
 
 // gateTool blocks inside StaticPass until released, keeping an analysis in
 // flight on the node that owns it.
@@ -63,8 +65,9 @@ func (n *testNode) kill(t *testing.T) {
 }
 
 // startFleet brings up n janitizerd-equivalent nodes on loopback
-// listeners, all placing against the same member list. gates[addr], when
-// present, wraps that node's tool so tests can hold its analyses open.
+// listeners, all placing against the same member list and serving
+// anserve.DefaultTools. gates[i], when present, wraps node i's jasan so
+// tests can hold its analyses open.
 func startFleet(t *testing.T, n int, gates map[int]<-chan struct{}) []*testNode {
 	t.Helper()
 	lns := make([]net.Listener, n)
@@ -91,15 +94,10 @@ func startFleet(t *testing.T, n int, gates map[int]<-chan struct{}) []*testNode 
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate := gates[i]
-		tools := map[string]anserve.ToolFactory{
-			"jasan": func() core.Tool {
-				if gate != nil {
-					return &gateTool{Tool: testTool(), gate: gate}
-				}
-				return testTool()
-			},
-			"jlint": func() core.Tool { return jlint.New() },
+		tools := anserve.DefaultTools()
+		if gate := gates[i]; gate != nil {
+			base := tools["jasan"]
+			tools["jasan"] = func() core.Tool { return &gateTool{Tool: base(), gate: gate} }
 		}
 		d := anserve.NewDaemonOpts(svc, tools, anserve.DaemonOptions{
 			Handler: anserve.HandlerOpts{Analyzer: clu},
@@ -108,6 +106,11 @@ func startFleet(t *testing.T, n int, gates map[int]<-chan struct{}) []*testNode 
 		go d.Serve(lns[i])
 	}
 	t.Cleanup(func() {
+		// Peer fills share the default transport. A connection it dialed
+		// for a concurrent fill but never used is, to the server, a new
+		// connection that Shutdown waits seconds for; closing the idle
+		// ones first lets every node shut down at once.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		for _, node := range nodes {
 			if node.down {
 				continue
@@ -146,7 +149,7 @@ func moduleOwnedBy(t *testing.T, clu *Cluster, owner string) *obj.Module {
 	t.Helper()
 	for i := 0; i < 256; i++ {
 		mod := compileN(t, i)
-		if clu.Owner(anserve.CacheKey(mod, testTool())) == owner {
+		if clu.Owner(anserve.CacheKey(mod, newTool("jasan"))) == owner {
 			return mod
 		}
 	}
@@ -156,25 +159,34 @@ func moduleOwnedBy(t *testing.T, clu *Cluster, owner string) *obj.Module {
 
 // post sends one analysis request and returns status, X-Cache tier and
 // body.
-func post(t *testing.T, addr string, mod *obj.Module) (int, string, []byte) {
+func post(t *testing.T, addr, tool string, mod *obj.Module) (int, string, []byte) {
 	t.Helper()
-	resp, err := http.Post("http://"+addr+"/analyze?tool=jasan",
+	status, tier, body, err := analyze(addr, tool, mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, tier, body
+}
+
+// analyze is post without the test handle, for client goroutines.
+func analyze(addr, tool string, mod *obj.Module) (int, string, []byte, error) {
+	resp, err := http.Post("http://"+addr+"/analyze?tool="+tool,
 		"application/octet-stream", bytes.NewReader(mod.Marshal()))
 	if err != nil {
-		t.Fatalf("post to %s: %v", addr, err)
+		return 0, "", nil, fmt.Errorf("post to %s: %v", addr, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", nil, fmt.Errorf("read from %s: %v", addr, err)
 	}
-	return resp.StatusCode, resp.Header.Get("X-Cache"), body
+	return resp.StatusCode, resp.Header.Get("X-Cache"), body, nil
 }
 
-// reference computes the single-node ground truth for mod.
-func reference(t *testing.T, mod *obj.Module) []byte {
+// reference computes the single-node ground truth for mod under tool.
+func reference(t *testing.T, mod *obj.Module, tool string) []byte {
 	t.Helper()
-	f, err := core.AnalyzeModule(mod, testTool())
+	f, err := core.AnalyzeModule(mod, newTool(tool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +202,14 @@ func TestPeerFill(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	mod := moduleOwnedBy(t, a.clu, b.addr)
 
-	status, tier, body := post(t, a.addr, mod)
+	status, tier, body := post(t, a.addr, "jasan", mod)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, body)
 	}
 	if tier != string(anserve.TierPeer) {
 		t.Fatalf("X-Cache = %q, want peer", tier)
 	}
-	if want := reference(t, mod); !bytes.Equal(body, want) {
+	if want := reference(t, mod, "jasan"); !bytes.Equal(body, want) {
 		t.Fatal("peer-filled artifact differs from single-node analysis")
 	}
 	if got := a.clu.peerFills.Load(); got != 1 {
@@ -211,7 +223,7 @@ func TestPeerFill(t *testing.T) {
 	}
 
 	// Now resident locally: no second network hop.
-	_, tier, body2 := post(t, a.addr, mod)
+	_, tier, body2 := post(t, a.addr, "jasan", mod)
 	if tier != string(anserve.TierLocal) {
 		t.Fatalf("second request X-Cache = %q, want local", tier)
 	}
@@ -228,14 +240,14 @@ func TestOwnerComputesLocally(t *testing.T) {
 	nodes := startFleet(t, 2, nil)
 	a := nodes[0]
 	mod := moduleOwnedBy(t, a.clu, a.addr)
-	status, tier, body := post(t, a.addr, mod)
+	status, tier, body := post(t, a.addr, "jasan", mod)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
 	if tier != string(anserve.TierMiss) {
 		t.Fatalf("X-Cache = %q, want miss (owner computes)", tier)
 	}
-	if !bytes.Equal(body, reference(t, mod)) {
+	if !bytes.Equal(body, reference(t, mod, "jasan")) {
 		t.Fatal("owner-computed artifact differs from reference")
 	}
 	if got := a.clu.peerFills.Load(); got != 0 {
@@ -244,31 +256,94 @@ func TestOwnerComputesLocally(t *testing.T) {
 }
 
 // TestByteIdenticalAcrossFleet: every node of a 3-node fleet answers the
-// same module with exactly the same bytes as a single-node analysis,
-// regardless of which tier served it.
+// same (module, tool) with exactly the same bytes as a single-node
+// analysis, whichever tier served it, through POST /analyze and through
+// POST /analyze/batch alike. Each pair goes to every node in turn, so the
+// first non-owner to see it fills it from the owner: both paths must
+// report peer-filled responses.
 func TestByteIdenticalAcrossFleet(t *testing.T) {
 	nodes := startFleet(t, 3, nil)
-	for i := 0; i < 6; i++ {
+	const modules = 8
+
+	var peers int
+	for i := 0; i < modules; i++ {
 		mod := compileN(t, i)
-		want := reference(t, mod)
-		for _, node := range nodes {
-			status, tier, body := post(t, node.addr, mod)
-			if status != http.StatusOK {
-				t.Fatalf("node %s: status %d", node.addr, status)
-			}
-			if !bytes.Equal(body, want) {
-				t.Fatalf("node %s served different bytes (tier %s)", node.addr, tier)
+		for _, tool := range fleetTools {
+			want := reference(t, mod, tool)
+			for _, node := range nodes {
+				status, tier, body := post(t, node.addr, tool, mod)
+				if status != http.StatusOK {
+					t.Fatalf("%s %s on %s: status %d: %s", mod.Name, tool, node.addr, status, body)
+				}
+				if !bytes.Equal(body, want) {
+					t.Fatalf("%s %s on %s: different bytes (tier %s)", mod.Name, tool, node.addr, tier)
+				}
+				if tier == string(anserve.TierPeer) {
+					peers++
+				}
 			}
 		}
 	}
-	// The fleet must have exercised the fill path at least once.
-	var fills uint64
+	if peers == 0 {
+		t.Fatal("no /analyze response was peer-filled across a 3-node sweep")
+	}
+
+	// A fresh corpus, so the batches meet the fill path too.
+	var batch anserve.BatchRequest
+	var wants [][]byte
+	for i := modules; i < 2*modules; i++ {
+		mod := compileN(t, i)
+		for _, tool := range fleetTools {
+			batch.Requests = append(batch.Requests, anserve.BatchItem{Tool: tool, Module: mod.Marshal()})
+			wants = append(wants, reference(t, mod, tool))
+		}
+	}
+	peers = 0
 	for _, node := range nodes {
-		fills += node.clu.peerFills.Load()
+		for i, res := range postBatch(t, node.addr, batch) {
+			item := batch.Requests[i]
+			if res.Error != nil {
+				t.Fatalf("batch item %d (%s) on %s: %+v", i, item.Tool, node.addr, res.Error)
+			}
+			if !bytes.Equal(res.Rules, wants[i]) {
+				t.Fatalf("batch item %d (%s %s) on %s: different bytes (tier %s)",
+					i, res.Module, item.Tool, node.addr, res.Tier)
+			}
+			if res.Tier == string(anserve.TierPeer) {
+				peers++
+			}
+		}
 	}
-	if fills == 0 {
-		t.Fatal("no peer fills across a 3-node sweep")
+	if peers == 0 {
+		t.Fatal("no batch item was peer-filled across a 3-node sweep")
 	}
+}
+
+// postBatch sends one POST /analyze/batch and returns its per-item
+// results, failing the test unless the batch itself succeeded.
+func postBatch(t *testing.T, addr string, req anserve.BatchRequest) []anserve.BatchResult {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+addr+"/analyze/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("batch to %s: %v", addr, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("batch to %s: status %d: %s", addr, resp.StatusCode, msg)
+	}
+	var br anserve.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatalf("batch to %s: %v", addr, err)
+	}
+	if len(br.Results) != len(req.Requests) {
+		t.Fatalf("batch to %s: %d results for %d items", addr, len(br.Results), len(req.Requests))
+	}
+	return br.Results
 }
 
 // TestSingleflightCrossShard is the satellite concurrency test: many
@@ -291,7 +366,7 @@ func TestSingleflightCrossShard(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], tiers[i], bodies[i] = post(t, a.addr, mod)
+			codes[i], tiers[i], bodies[i] = post(t, a.addr, "jasan", mod)
 		}(i)
 	}
 	// Hold B's compute open until all but the leader have coalesced on A.
@@ -325,70 +400,135 @@ func TestSingleflightCrossShard(t *testing.T) {
 	if got := a.svc.Stats().Sched.Analyzed; got != 0 {
 		t.Fatalf("non-owner computed %d times, want 0", got)
 	}
-	if !bytes.Equal(bodies[0], reference(t, mod)) {
+	if !bytes.Equal(bodies[0], reference(t, mod, "jasan")) {
 		t.Fatal("coalesced artifact differs from single-node analysis")
 	}
 }
 
-// TestDegradesWhenPeerDies kills the owner mid-run: requests for its keys
-// must keep succeeding via local compute (slower, never wrong, zero
-// failures), and the dead sibling is demoted so later requests skip the
-// network hop entirely.
+// TestDegradesWhenPeerDies kills a shard owner mid-run: requests for its
+// keys must keep succeeding via local compute (slower, never wrong, zero
+// failures). In a 2-node fleet the dead sibling is demoted so later
+// requests skip the network hop entirely; in a 3-node fleet a concurrent,
+// Zipf-skewed hot mix over the survivors sees no failure at all.
 func TestDegradesWhenPeerDies(t *testing.T) {
-	nodes := startFleet(t, 2, nil)
-	a, b := nodes[0], nodes[1]
-	mod1 := moduleOwnedBy(t, a.clu, b.addr)
-	// A healthy fill first, proving the fleet was actually cooperating.
-	if _, tier, _ := post(t, a.addr, mod1); tier != string(anserve.TierPeer) {
-		t.Fatalf("warmup tier = %q, want peer", tier)
-	}
-
-	b.kill(t)
-
-	// A different B-owned module: the fill fails, A computes locally.
-	var mod2 *obj.Module
-	for i := 0; ; i++ {
-		m := compileN(t, 1000+i)
-		if a.clu.Owner(anserve.CacheKey(m, testTool())) == b.addr {
-			mod2 = m
-			break
+	t.Run("two-node", func(t *testing.T) {
+		nodes := startFleet(t, 2, nil)
+		a, b := nodes[0], nodes[1]
+		mod1 := moduleOwnedBy(t, a.clu, b.addr)
+		// A healthy fill first, proving the fleet was actually cooperating.
+		if _, tier, _ := post(t, a.addr, "jasan", mod1); tier != string(anserve.TierPeer) {
+			t.Fatalf("warmup tier = %q, want peer", tier)
 		}
-	}
-	status, tier, body := post(t, a.addr, mod2)
-	if status != http.StatusOK {
-		t.Fatalf("request failed after owner death: %d", status)
-	}
-	if tier != string(anserve.TierMiss) {
-		t.Fatalf("tier = %q, want miss (local compute fallback)", tier)
-	}
-	if !bytes.Equal(body, reference(t, mod2)) {
-		t.Fatal("fallback artifact differs from reference")
-	}
-	if a.clu.localFallback.Load() == 0 {
-		t.Fatal("fallback not counted")
-	}
-	if a.clu.Healthy(b.addr) {
-		t.Fatal("dead peer still marked healthy after failed fill")
-	}
 
-	// Demoted: the next B-owned miss goes straight to local compute
-	// without growing the fill-error count.
-	errsBefore := a.clu.peerFillErrs.Load()
-	var mod3 *obj.Module
-	for i := 0; ; i++ {
-		m := compileN(t, 2000+i)
-		if a.clu.Owner(anserve.CacheKey(m, testTool())) == b.addr {
-			mod3 = m
-			break
+		b.kill(t)
+
+		// A different B-owned module: the fill fails, A computes locally.
+		var mod2 *obj.Module
+		for i := 0; ; i++ {
+			m := compileN(t, 1000+i)
+			if a.clu.Owner(anserve.CacheKey(m, newTool("jasan"))) == b.addr {
+				mod2 = m
+				break
+			}
 		}
-	}
-	status, tier, _ = post(t, a.addr, mod3)
-	if status != http.StatusOK || tier != string(anserve.TierMiss) {
-		t.Fatalf("post-demotion request: status %d tier %q", status, tier)
-	}
-	if got := a.clu.peerFillErrs.Load(); got != errsBefore {
-		t.Fatalf("demoted peer still contacted: fill errors %d -> %d", errsBefore, got)
-	}
+		status, tier, body := post(t, a.addr, "jasan", mod2)
+		if status != http.StatusOK {
+			t.Fatalf("request failed after owner death: %d", status)
+		}
+		if tier != string(anserve.TierMiss) {
+			t.Fatalf("tier = %q, want miss (local compute fallback)", tier)
+		}
+		if !bytes.Equal(body, reference(t, mod2, "jasan")) {
+			t.Fatal("fallback artifact differs from reference")
+		}
+		if a.clu.localFallback.Load() == 0 {
+			t.Fatal("fallback not counted")
+		}
+		if a.clu.Healthy(b.addr) {
+			t.Fatal("dead peer still marked healthy after failed fill")
+		}
+
+		// Demoted: the next B-owned miss goes straight to local compute
+		// without growing the fill-error count.
+		errsBefore := a.clu.peerFillErrs.Load()
+		var mod3 *obj.Module
+		for i := 0; ; i++ {
+			m := compileN(t, 2000+i)
+			if a.clu.Owner(anserve.CacheKey(m, newTool("jasan"))) == b.addr {
+				mod3 = m
+				break
+			}
+		}
+		status, tier, _ = post(t, a.addr, "jasan", mod3)
+		if status != http.StatusOK || tier != string(anserve.TierMiss) {
+			t.Fatalf("post-demotion request: status %d tier %q", status, tier)
+		}
+		if got := a.clu.peerFillErrs.Load(); got != errsBefore {
+			t.Fatalf("demoted peer still contacted: fill errors %d -> %d", errsBefore, got)
+		}
+	})
+
+	t.Run("three-node-hot-mix", func(t *testing.T) {
+		nodes := startFleet(t, 3, nil)
+		corpus := make([]*obj.Module, 8)
+		wants := make([][]byte, len(corpus))
+		for i := range corpus {
+			corpus[i] = compileN(t, 3000+i)
+			wants[i] = reference(t, corpus[i], "jasan")
+		}
+		// Kill the owner of the hottest module, so the mix is sure to need
+		// keys whose home shard is gone.
+		dead := nodes[0].clu.Owner(anserve.CacheKey(corpus[0], newTool("jasan")))
+		var survivors []*testNode
+		for _, node := range nodes {
+			if node.addr == dead {
+				node.kill(t)
+			} else {
+				survivors = append(survivors, node)
+			}
+		}
+
+		const requests, clients = 40, 4
+		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, uint64(len(corpus)-1))
+		picks := make([]int, requests)
+		for i := range picks {
+			picks[i] = int(zipf.Uint64())
+		}
+		codes := make([]int, requests)
+		bodies := make([][]byte, requests)
+		errs := make([]error, requests)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := c; i < requests; i += clients {
+					codes[i], _, bodies[i], errs[i] = analyze(
+						survivors[i%len(survivors)].addr, "jasan", corpus[picks[i]])
+				}
+			}(c)
+		}
+		wg.Wait()
+
+		for i, m := range picks {
+			if errs[i] != nil {
+				t.Fatalf("request %d (module %d): %v", i, m, errs[i])
+			}
+			if codes[i] != http.StatusOK {
+				t.Fatalf("request %d (module %d): status %d: %s", i, m, codes[i], bodies[i])
+			}
+			if !bytes.Equal(bodies[i], wants[m]) {
+				t.Fatalf("request %d (module %d): bytes differ from reference", i, m)
+			}
+		}
+		var fallbacks uint64
+		for _, node := range survivors {
+			fallbacks += node.clu.localFallback.Load()
+		}
+		if fallbacks == 0 {
+			t.Fatal("no request fell back to local compute for the dead owner's keys")
+		}
+	})
 }
 
 // TestHealthProbeRecovery drives the probe loop directly: a dead peer is

@@ -352,14 +352,37 @@ func (p *Process) trapResolve(m *vm.Machine) error {
 	return nil
 }
 
+// maxDlName bounds the module and symbol names dlopen and dlsym read from
+// guest memory. The length is a guest register, so without a bound any
+// program could make the host allocate an arbitrary buffer; a longer name
+// fails the call like an unknown one.
+const maxDlName = 4 << 10
+
+// readDlName reads the guest string at addr, or reports ok=false when n
+// exceeds maxDlName.
+func readDlName(m *vm.Machine, addr, n uint64) (name string, ok bool, err error) {
+	if n > maxDlName {
+		return "", false, nil
+	}
+	buf := make([]byte, n)
+	if err := m.Mem.ReadBytes(addr, buf); err != nil {
+		return "", false, err
+	}
+	return string(buf), true, nil
+}
+
 // trapDlopen services dlopen(name): r1=name pointer, r2=length.
 // Returns the load base as the handle in r0 (0 on failure).
 func (p *Process) trapDlopen(m *vm.Machine) error {
-	buf := make([]byte, m.Regs[isa.R2])
-	if err := m.Mem.ReadBytes(m.Regs[isa.R1], buf); err != nil {
+	name, ok, err := readDlName(m, m.Regs[isa.R1], m.Regs[isa.R2])
+	if err != nil {
 		return err
 	}
-	lm, err := p.Dlopen(string(buf))
+	if !ok {
+		m.Regs[isa.R0] = 0
+		return nil
+	}
+	lm, err := p.Dlopen(name)
 	if err != nil {
 		m.Regs[isa.R0] = 0
 		return nil
@@ -370,16 +393,15 @@ func (p *Process) trapDlopen(m *vm.Machine) error {
 
 // trapDlsym services dlsym(handle, name): r1=handle, r2=name ptr, r3=len.
 func (p *Process) trapDlsym(m *vm.Machine) error {
-	buf := make([]byte, m.Regs[isa.R3])
-	if err := m.Mem.ReadBytes(m.Regs[isa.R2], buf); err != nil {
+	name, ok, err := readDlName(m, m.Regs[isa.R2], m.Regs[isa.R3])
+	if err != nil {
 		return err
 	}
+	m.Regs[isa.R0] = 0
 	lm := p.ModuleAt(m.Regs[isa.R1])
-	if lm == nil {
-		m.Regs[isa.R0] = 0
+	if !ok || lm == nil {
 		return nil
 	}
-	name := string(buf)
 	for i := range lm.Symbols {
 		s := &lm.Symbols[i]
 		if s.Exported && s.Name == name {
@@ -387,7 +409,6 @@ func (p *Process) trapDlsym(m *vm.Machine) error {
 			return nil
 		}
 	}
-	m.Regs[isa.R0] = 0
 	return nil
 }
 

@@ -245,8 +245,9 @@ arr:
 	}
 }
 
-func TestDlopenAndDlsym(t *testing.T) {
-	plugin := `
+// plugin is a shared module loaded only through dlopen; it exports
+// compute(x) = x*x.
+const plugin = `
 .module plugin.jef
 .type shared
 .pic
@@ -260,6 +261,8 @@ compute:
 name:
     .quad 0
 `
+
+func TestDlopenAndDlsym(t *testing.T) {
 	m, p, err := runProgram(t, `
 .module prog
 .entry _start
@@ -305,6 +308,72 @@ sname:
 	}
 	if p.ModuleByName(libj.Name).Dlopened {
 		t.Error("static dependency marked dlopened")
+	}
+}
+
+// TestDlNameLengthBounded: the name lengths dlopen and dlsym take from
+// guest registers are bounded, so a huge length returns a null handle
+// instead of sizing a host buffer from it. The plugin still loads and
+// resolves under its real lengths afterwards.
+func TestDlNameLengthBounded(t *testing.T) {
+	m, _, err := runProgram(t, `
+.module prog
+.entry _start
+.needs libj.jef
+.section .text
+_start:
+    la r1, pname
+    mov r2, 0x4000000000000000
+    trap 3              ; dlopen(name, 1<<62)
+    cmp r0, 0
+    jne .fail
+    la r1, pname
+    mov r2, 0x10000000000
+    trap 3              ; dlopen(name, 1<<40)
+    cmp r0, 0
+    jne .fail
+    la r1, pname
+    mov r2, 10
+    trap 3              ; dlopen("plugin.jef")
+    cmp r0, 0
+    je .fail
+    mov r6, r0
+    mov r1, r6
+    la r2, sname
+    mov r3, 0x4000000000000000
+    trap 4              ; dlsym(handle, name, 1<<62)
+    cmp r0, 0
+    jne .fail
+    mov r1, r6
+    la r2, sname
+    mov r3, 0x10000000000
+    trap 4              ; dlsym(handle, name, 1<<40)
+    cmp r0, 0
+    jne .fail
+    mov r1, r6
+    la r2, sname
+    mov r3, 7
+    trap 4              ; dlsym(handle, "compute")
+    cmp r0, 0
+    je .fail
+    mov r1, 0
+    mov r0, 1
+    syscall
+.fail:
+    mov r1, 255
+    mov r0, 1
+    syscall
+.section .rodata
+pname:
+    .ascii "plugin.jef"
+sname:
+    .ascii "compute"
+`, map[string]string{"plugin.jef": plugin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ExitStatus != 0 {
+		t.Fatalf("exit = %d, want 0 (a bounded name got a handle, or the real one did not)", m.ExitStatus)
 	}
 }
 
