@@ -170,6 +170,9 @@ func main() {
 		drainCtx, cancel := context.WithTimeout(context.Background(),
 			anserve.DefaultDrainTimeout)
 		defer cancel()
+		if clu != nil {
+			clu.Close()
+		}
 		if err := d.Shutdown(drainCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "janitizerd: drain:", err)
 		}

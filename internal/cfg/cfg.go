@@ -64,6 +64,12 @@ type JumpTable struct {
 	Targets   []uint64 // link-time target addresses
 }
 
+// CodePtr is a data word that points into code.
+type CodePtr struct {
+	Addr  uint64 // link-time address of the word
+	Value uint64 // the word: an address in an executable section
+}
+
 // Graph is the recovered control-flow graph of one module.
 type Graph struct {
 	Module *obj.Module
@@ -76,6 +82,12 @@ type Graph struct {
 	// CallTargets maps call-site instruction addresses to their direct
 	// targets (for call-graph construction).
 	CallTargets map[uint64]uint64
+	// CodePtrs are the aligned 8-byte words in non-executable sections
+	// whose values lie in executable sections, in section and address
+	// order: jump tables and function-pointer tables. Build seeds its
+	// traversal from them; vsa, rewrite and jlint read them as candidate
+	// entries.
+	CodePtrs []CodePtr
 	// boundaries is the set of recovered instruction addresses.
 	boundaries map[uint64]bool
 }
@@ -187,8 +199,9 @@ func (b *builder) run(extraSeeds []uint64) {
 	// Data-embedded code pointers (relocated quads and plain quads that
 	// land in executable sections) are additional seeds: jump tables and
 	// callback tables live in .rodata/.data.
-	for _, ptr := range b.scanDataCodePointers() {
-		b.enqueue(ptr)
+	b.scanDataCodePointers()
+	for _, p := range b.g.CodePtrs {
+		b.enqueue(p.Value)
 	}
 
 	for len(b.work) > 0 {
@@ -198,14 +211,11 @@ func (b *builder) run(extraSeeds []uint64) {
 	}
 }
 
-// scanDataCodePointers returns aligned 8-byte words in non-executable
-// sections whose values fall inside executable sections. This is the
-// seed-level analogue of symbolization: jump tables and function-pointer
-// tables produce such words. (The byte-granular sliding-window scan used by
+// scanDataCodePointers fills Graph.CodePtrs. This is the seed-level
+// analogue of symbolization. (The byte-granular sliding-window scan used by
 // the CFI policy lives in the jcfi package; here alignment keeps seeds
 // high-confidence.)
-func (b *builder) scanDataCodePointers() []uint64 {
-	var out []uint64
+func (b *builder) scanDataCodePointers() {
 	for i := range b.mod.Sections {
 		sec := &b.mod.Sections[i]
 		if sec.Executable() {
@@ -214,11 +224,10 @@ func (b *builder) scanDataCodePointers() []uint64 {
 		for off := 0; off+8 <= len(sec.Data); off += 8 {
 			v := binary.LittleEndian.Uint64(sec.Data[off:])
 			if b.inExec(v) {
-				out = append(out, v)
+				b.g.CodePtrs = append(b.g.CodePtrs, CodePtr{sec.Addr + uint64(off), v})
 			}
 		}
 	}
-	return out
 }
 
 // explore decodes the block starting at addr, splitting existing blocks if

@@ -52,7 +52,7 @@ type Cluster struct {
 	svc    *anserve.Service
 	ring   *Ring
 	self   string
-	client *http.Client
+	client *http.Client // with this member's own transport: see Close
 	cfg    Config
 
 	peers map[string]*peerState // every member except self
@@ -101,11 +101,14 @@ func New(svc *anserve.Service, cfg Config) (*Cluster, error) {
 		cfg.FailThreshold = DefaultFailThreshold
 	}
 	c := &Cluster{
-		svc:      svc,
-		ring:     ring,
-		self:     cfg.Self,
-		cfg:      cfg,
-		client:   &http.Client{Timeout: cfg.PeerTimeout},
+		svc:  svc,
+		ring: ring,
+		self: cfg.Self,
+		cfg:  cfg,
+		client: &http.Client{
+			Transport: http.DefaultTransport.(*http.Transport).Clone(),
+			Timeout:   cfg.PeerTimeout,
+		},
 		peers:    map[string]*peerState{},
 		inflight: map[string]*call{},
 	}
@@ -202,10 +205,17 @@ func (c *Cluster) markSuccess(addr string) {
 	ps.up.Store(true)
 }
 
-// Start launches the health-probe loop; it stops when ctx is cancelled.
-// Probing is an optimization — fills also mark peers passively — so a
-// cluster without Start still degrades correctly, just one failed fill at
-// a time.
+// Close closes the idle connections of the member's peer transport. A
+// sibling's http.Server.Shutdown waits seconds for a connection that was
+// dialed for a concurrent fill but never carried a request, so a member
+// closes its own before the fleet shuts down. The cluster stays usable: a
+// later fill dials afresh.
+func (c *Cluster) Close() { c.client.CloseIdleConnections() }
+
+// Start launches the health-probe loop; it stops, and closes the peer
+// transport's idle connections, when ctx is cancelled. Probing is an
+// optimization — fills also mark peers passively — so a cluster without
+// Start still degrades correctly, just one failed fill at a time.
 func (c *Cluster) Start(ctx context.Context) {
 	go func() {
 		ticker := time.NewTicker(c.cfg.ProbeInterval)
@@ -214,6 +224,7 @@ func (c *Cluster) Start(ctx context.Context) {
 			c.probeAll(ctx)
 			select {
 			case <-ctx.Done():
+				c.Close()
 				return
 			case <-ticker.C:
 			}

@@ -26,6 +26,11 @@ import (
 // serves anserve.DefaultTools, as janitizerd does.
 func newTool(name string) core.Tool { return anserve.DefaultTools()[name]() }
 
+// testClient sends the tests' own requests. Without keep-alive it leaves
+// no connection open once a response is read, so a node's Shutdown never
+// waits on one of the test's connections.
+var testClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
 // fleetTools are the tool configurations the fleet tests send traffic for.
 var fleetTools = []string{"jasan", "jcfi", "jmsan"}
 
@@ -106,11 +111,9 @@ func startFleet(t *testing.T, n int, gates map[int]<-chan struct{}) []*testNode 
 		go d.Serve(lns[i])
 	}
 	t.Cleanup(func() {
-		// Peer fills share the default transport. A connection it dialed
-		// for a concurrent fill but never used is, to the server, a new
-		// connection that Shutdown waits seconds for; closing the idle
-		// ones first lets every node shut down at once.
-		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		for _, node := range nodes {
+			node.clu.Close()
+		}
 		for _, node := range nodes {
 			if node.down {
 				continue
@@ -170,7 +173,7 @@ func post(t *testing.T, addr, tool string, mod *obj.Module) (int, string, []byte
 
 // analyze is post without the test handle, for client goroutines.
 func analyze(addr, tool string, mod *obj.Module) (int, string, []byte, error) {
-	resp, err := http.Post("http://"+addr+"/analyze?tool="+tool,
+	resp, err := testClient.Post("http://"+addr+"/analyze?tool="+tool,
 		"application/octet-stream", bytes.NewReader(mod.Marshal()))
 	if err != nil {
 		return 0, "", nil, fmt.Errorf("post to %s: %v", addr, err)
@@ -327,7 +330,7 @@ func postBatch(t *testing.T, addr string, req anserve.BatchRequest) []anserve.Ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+addr+"/analyze/batch", "application/json", bytes.NewReader(body))
+	resp, err := testClient.Post("http://"+addr+"/analyze/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("batch to %s: %v", addr, err)
 	}

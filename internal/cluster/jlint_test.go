@@ -14,7 +14,7 @@ import (
 // postJLint sends one jlint analysis request.
 func postJLint(t *testing.T, addr string, mod *obj.Module) (int, string, []byte) {
 	t.Helper()
-	resp, err := http.Post("http://"+addr+"/analyze?tool=jlint",
+	resp, err := testClient.Post("http://"+addr+"/analyze?tool=jlint",
 		"application/octet-stream", bytes.NewReader(mod.Marshal()))
 	if err != nil {
 		t.Fatalf("post to %s: %v", addr, err)

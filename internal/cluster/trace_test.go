@@ -50,7 +50,7 @@ func TestPeerFillSingleConnectedTrace(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(telemetry.TraceparentHeader, telemetry.FormatTraceparent(clientSC))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPeerFillSingleConnectedTrace(t *testing.T) {
 	// Both halves are resolvable over HTTP by the shared trace ID, so a
 	// requester can stitch the full tree from each node's export.
 	for _, node := range []*testNode{a, b} {
-		hr, err := http.Get("http://" + node.addr + "/trace/" + clientSC.TraceID)
+		hr, err := testClient.Get("http://" + node.addr + "/trace/" + clientSC.TraceID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestPeerFillSingleConnectedTrace(t *testing.T) {
 	}
 
 	// An untraced node (C) never saw the request and answers 404.
-	hr, err := http.Get("http://" + nodes[2].addr + "/trace/" + clientSC.TraceID)
+	hr, err := testClient.Get("http://" + nodes[2].addr + "/trace/" + clientSC.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFleetMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(telemetry.TraceparentHeader, telemetry.FormatTraceparent(sc))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := testClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFleetMetricsRoundTrip(t *testing.T) {
 		t.Fatalf("warmup analyze: %d", resp.StatusCode)
 	}
 
-	mr, err := http.Get("http://" + a.addr + "/metrics")
+	mr, err := testClient.Get("http://" + a.addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func Analyze(mod *obj.Module) (*Report, error) {
 // the abstract argument values over every transfer site under res; only
 // non-symbolic (integer or link-address) bounded joins survive.
 func specializeEntries(mod *obj.Module, g *cfg.Graph, res *vsa.Result) map[uint64]*vsa.RegOverride {
-	taken := addressTaken(mod, g)
+	taken := addressTaken(g)
 	exported := map[uint64]bool{}
 	if mod.Type == obj.SharedObj {
 		for _, s := range mod.ExportedSymbols() {
@@ -198,7 +198,7 @@ func crossFn(g *cfg.Graph, blk *cfg.BasicBlock, t uint64) bool {
 // register: lea/mov materializations, data words decoding to the entry, and
 // jump-table targets. A transfer to such a function can originate anywhere,
 // so its entry state must stay fully symbolic.
-func addressTaken(mod *obj.Module, g *cfg.Graph) map[uint64]bool {
+func addressTaken(g *cfg.Graph) map[uint64]bool {
 	entries := map[uint64]bool{}
 	for _, fn := range g.Funcs {
 		entries[fn.Entry] = true
@@ -226,24 +226,12 @@ func addressTaken(mod *obj.Module, g *cfg.Graph) map[uint64]bool {
 			}
 		}
 	}
-	for i := range mod.Sections {
-		sec := &mod.Sections[i]
-		if sec.Executable() {
-			continue
-		}
-		for off := 0; off+8 <= len(sec.Data); off += 8 {
-			w := leUint64(sec.Data[off:])
-			if entries[w] {
-				taken[w] = true
-			}
+	for _, p := range g.CodePtrs {
+		if entries[p.Value] {
+			taken[p.Value] = true
 		}
 	}
 	return taken
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // checker holds the per-module analysis inputs for finding generation.

@@ -1,16 +1,13 @@
 package obj
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
+
+	"repro/internal/wire"
 )
 
-// Binary serialisation of JEF modules. The format is a simple tagged binary
-// layout: magic, fixed header, then counted tables. All integers are
-// little-endian; strings are length-prefixed (uint32) UTF-8.
+// Binary serialisation of JEF modules over the shared codec (internal/wire):
+// magic, fixed header, then counted tables.
 
 // Magic identifies a serialised JEF module.
 var Magic = [4]byte{'J', 'E', 'F', '1'}
@@ -37,228 +34,98 @@ const (
 	maxNeeded   = 1 << 16
 )
 
-type writer struct {
-	buf bytes.Buffer
-}
-
-func (w *writer) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *writer) u32(v uint32) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) u64(v uint64) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
-}
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf.Write(b)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated (%s at offset %d)",
-			ErrMalformedModule, what, r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail("bytes")
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:])
-	r.off += n
-	return b
-}
-
 // Marshal serialises the module.
 func (m *Module) Marshal() []byte {
-	var w writer
-	w.buf.Write(Magic[:])
-	w.str(m.Name)
-	w.u8(uint8(m.Type))
-	if m.PIC {
-		w.u8(1)
-	} else {
-		w.u8(0)
+	size := 64 + len(m.Name) // a capacity hint: section data dominates
+	for i := range m.Sections {
+		size += 17 + len(m.Sections[i].Name) + len(m.Sections[i].Data)
 	}
-	w.u8(uint8(m.SymLevel))
-	w.u64(m.Base)
-	w.u64(m.Entry)
+	w := wire.NewWriter(Magic, size)
+	w.Str(m.Name)
+	w.U8(uint8(m.Type))
+	w.Bool(m.PIC)
+	w.U8(uint8(m.SymLevel))
+	w.U64(m.Base)
+	w.U64(m.Entry)
 
-	w.u32(uint32(len(m.Sections)))
+	w.U32(uint32(len(m.Sections)))
 	for i := range m.Sections {
 		s := &m.Sections[i]
-		w.str(s.Name)
-		w.u64(s.Addr)
-		w.u8(s.Flags)
-		w.bytes(s.Data)
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U8(s.Flags)
+		w.Blob(s.Data)
 	}
-	w.u32(uint32(len(m.Symbols)))
+	w.U32(uint32(len(m.Symbols)))
 	for _, s := range m.Symbols {
-		w.str(s.Name)
-		w.u64(s.Addr)
-		w.u64(s.Size)
-		w.u8(uint8(s.Kind))
-		if s.Exported {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.Str(s.Name)
+		w.U64(s.Addr)
+		w.U64(s.Size)
+		w.U8(uint8(s.Kind))
+		w.Bool(s.Exported)
 	}
-	w.u32(uint32(len(m.Imports)))
+	w.U32(uint32(len(m.Imports)))
 	for _, im := range m.Imports {
-		w.str(im.Name)
-		w.u64(im.PLT)
-		w.u64(im.GOT)
+		w.Str(im.Name)
+		w.U64(im.PLT)
+		w.U64(im.GOT)
 	}
-	w.u32(uint32(len(m.Relocs)))
+	w.U32(uint32(len(m.Relocs)))
 	for _, r := range m.Relocs {
-		w.u8(uint8(r.Kind))
-		w.u64(r.Where)
-		w.str(r.Sym)
+		w.U8(uint8(r.Kind))
+		w.U64(r.Where)
+		w.Str(r.Sym)
 	}
-	w.u32(uint32(len(m.Needed)))
+	w.U32(uint32(len(m.Needed)))
 	for _, n := range m.Needed {
-		w.str(n)
+		w.Str(n)
 	}
-	return w.buf.Bytes()
+	return w
 }
 
-// WriteTo serialises the module to w.
-func (m *Module) WriteTo(w io.Writer) (int64, error) {
-	b := m.Marshal()
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// Unmarshal deserialises a module from data.
+// Unmarshal deserialises a module from data. Each table's minimum entry
+// size (its fixed-width fields plus 4 per length prefix) bounds its count
+// by the bytes left.
 func Unmarshal(data []byte) (*Module, error) {
-	if len(data) < 4 || !bytes.Equal(data[:4], Magic[:]) {
+	r, ok := wire.NewReader(data, Magic, ErrMalformedModule)
+	if !ok {
 		return nil, ErrBadMagic
 	}
-	r := &reader{b: data, off: 4}
 	m := &Module{}
-	m.Name = r.str()
-	m.Type = ModuleType(r.u8())
-	m.PIC = r.u8() != 0
-	m.SymLevel = SymTabLevel(r.u8())
-	m.Base = r.u64()
-	m.Entry = r.u64()
-
-	nsec := int(r.u32())
-	if r.err == nil && nsec > maxSections {
-		return nil, fmt.Errorf("%w: unreasonable section count %d",
-			ErrMalformedModule, nsec)
-	}
-	for i := 0; i < nsec && r.err == nil; i++ {
-		var s Section
-		s.Name = r.str()
-		s.Addr = r.u64()
-		s.Flags = r.u8()
-		s.Data = r.bytes()
-		m.Sections = append(m.Sections, s)
-	}
-	nsym := int(r.u32())
-	if r.err == nil && nsym > maxSymbols {
-		return nil, fmt.Errorf("%w: unreasonable symbol count %d",
-			ErrMalformedModule, nsym)
-	}
-	for i := 0; i < nsym && r.err == nil; i++ {
-		var s Symbol
-		s.Name = r.str()
-		s.Addr = r.u64()
-		s.Size = r.u64()
-		s.Kind = SymKind(r.u8())
-		s.Exported = r.u8() != 0
-		m.Symbols = append(m.Symbols, s)
-	}
-	nimp := int(r.u32())
-	if r.err == nil && nimp > maxImports {
-		return nil, fmt.Errorf("%w: unreasonable import count %d",
-			ErrMalformedModule, nimp)
-	}
-	for i := 0; i < nimp && r.err == nil; i++ {
-		var im Import
-		im.Name = r.str()
-		im.PLT = r.u64()
-		im.GOT = r.u64()
-		m.Imports = append(m.Imports, im)
-	}
-	nrel := int(r.u32())
-	if r.err == nil && nrel > maxRelocs {
-		return nil, fmt.Errorf("%w: unreasonable reloc count %d",
-			ErrMalformedModule, nrel)
-	}
-	for i := 0; i < nrel && r.err == nil; i++ {
-		var rel Reloc
-		rel.Kind = RelocKind(r.u8())
-		rel.Where = r.u64()
-		rel.Sym = r.str()
-		m.Relocs = append(m.Relocs, rel)
-	}
-	nneed := int(r.u32())
-	if r.err == nil && nneed > maxNeeded {
-		return nil, fmt.Errorf("%w: unreasonable dependency count %d",
-			ErrMalformedModule, nneed)
-	}
-	for i := 0; i < nneed && r.err == nil; i++ {
-		m.Needed = append(m.Needed, r.str())
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after module end",
-			ErrMalformedModule, len(r.b)-r.off)
+	m.Name = r.Str()
+	m.Type = ModuleType(r.U8())
+	m.PIC = r.Bool()
+	m.SymLevel = SymTabLevel(r.U8())
+	m.Base = r.U64()
+	m.Entry = r.U64()
+	m.Sections = wire.Table(r, "section", maxSections, 17, func(s *Section) {
+		s.Name = r.Str()
+		s.Addr = r.U64()
+		s.Flags = r.U8()
+		s.Data = r.Blob()
+	})
+	m.Symbols = wire.Table(r, "symbol", maxSymbols, 22, func(s *Symbol) {
+		s.Name = r.Str()
+		s.Addr = r.U64()
+		s.Size = r.U64()
+		s.Kind = SymKind(r.U8())
+		s.Exported = r.Bool()
+	})
+	m.Imports = wire.Table(r, "import", maxImports, 20, func(im *Import) {
+		im.Name = r.Str()
+		im.PLT = r.U64()
+		im.GOT = r.U64()
+	})
+	m.Relocs = wire.Table(r, "reloc", maxRelocs, 13, func(rel *Reloc) {
+		rel.Kind = RelocKind(r.U8())
+		rel.Where = r.U64()
+		rel.Sym = r.Str()
+	})
+	m.Needed = wire.Table(r, "dependency", maxNeeded, 4, func(n *string) {
+		*n = r.Str()
+	})
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

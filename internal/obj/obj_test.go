@@ -1,7 +1,6 @@
 package obj
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -260,21 +259,6 @@ func TestMarshalRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWriteTo(t *testing.T) {
-	m := testModule()
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo returned %d, buffer has %d", n, buf.Len())
-	}
-	if _, err := Unmarshal(buf.Bytes()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -161,19 +160,11 @@ func (ap *applier) findInteriorEntries() {
 			}
 		}
 	}
-	// Aligned code pointers in data sections (the same scan the CFG
-	// builder seeds from): candidate dynamic entries.
-	for i := range ap.mod.Sections {
-		sec := &ap.mod.Sections[i]
-		if sec.Executable() {
-			continue
-		}
-		for off := 0; off+8 <= len(sec.Data); off += 8 {
-			v := binary.LittleEndian.Uint64(sec.Data[off:])
-			vf := ap.g.FuncAt(v)
-			if vf != nil && v != vf.Entry {
-				ap.interior[vf] = true
-			}
+	// Aligned code pointers in data sections (the CFG builder's seeds):
+	// candidate dynamic entries.
+	for _, p := range ap.g.CodePtrs {
+		if vf := ap.g.FuncAt(p.Value); vf != nil && p.Value != vf.Entry {
+			ap.interior[vf] = true
 		}
 	}
 }

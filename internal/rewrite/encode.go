@@ -1,17 +1,16 @@
 package rewrite
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
+
+	"repro/internal/wire"
 )
 
-// Binary serialisation of rewrite plans, mirroring the JEF module codec:
-// magic, fixed header, counted tables. All integers little-endian, strings
-// length-prefixed (uint32) UTF-8. The encoding is deterministic — a plan
-// marshals to the same bytes every time — so cached plans are
-// content-addressable and byte-comparable across analysis runs.
+// Binary serialisation of rewrite plans over the codec JEF modules and rule
+// files share (internal/wire): magic, fixed header, counted tables. The
+// encoding is deterministic — a plan marshals to the same bytes every time
+// — so cached plans are content-addressable and byte-comparable across
+// analysis runs.
 
 // PlanMagic identifies a serialised rewrite plan.
 var PlanMagic = [4]byte{'J', 'P', 'L', '1'}
@@ -34,190 +33,93 @@ const (
 	maxPlanFrag    = 1 << 16
 )
 
-type planWriter struct {
-	buf bytes.Buffer
-}
-
-func (w *planWriter) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *planWriter) u32(v uint32) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *planWriter) u64(v uint64) { binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *planWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
-}
-
-type planReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *planReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated (%s at offset %d)",
-			ErrMalformedPlan, what, r.off)
-	}
-}
-
-func (r *planReader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail("u8")
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *planReader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *planReader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail("u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *planReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail("string")
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func writeMeta(w *planWriter, mi *MetaInstr) {
-	w.u8(mi.Op)
-	w.u8(mi.Rd)
-	w.u8(mi.Rb)
-	w.u8(mi.Ri)
-	w.u64(uint64(mi.Imm))
-	w.u32(uint32(mi.Disp))
-	w.u64(mi.Addr)
-	w.u32(mi.Size)
-	w.u32(uint32(mi.JumpTo))
-	w.u8(mi.CC)
-	w.u8(mi.Reloc)
-}
-
-func readMeta(r *planReader) MetaInstr {
-	var mi MetaInstr
-	mi.Op = r.u8()
-	mi.Rd = r.u8()
-	mi.Rb = r.u8()
-	mi.Ri = r.u8()
-	mi.Imm = int64(r.u64())
-	mi.Disp = int32(r.u32())
-	mi.Addr = r.u64()
-	mi.Size = r.u32()
-	mi.JumpTo = int32(r.u32())
-	mi.CC = r.u8()
-	mi.Reloc = r.u8()
-	return mi
-}
+// Encoded sizes: one MetaInstr, and an Entry with empty fragments.
+const (
+	metaSize  = 4 + 8 + 4 + 8 + 4 + 4 + 2
+	entrySize = 8 + 1 + 4 + 4
+)
 
 // Marshal serialises the plan. The output is byte-stable: equal plans
 // always produce equal bytes.
 func (p *Plan) Marshal() []byte {
-	var w planWriter
-	w.buf.Write(PlanMagic[:])
-	w.str(p.Module)
-	w.str(p.Tool)
-	w.u32(uint32(p.ModuleID))
-	if p.PIC {
-		w.u8(1)
-	} else {
-		w.u8(0)
+	size := 64 + len(p.Module) + len(p.Tool) + 8*len(p.BlockAddrs)
+	for i := range p.Entries {
+		size += entrySize + metaSize*(len(p.Entries[i].Before)+len(p.Entries[i].After))
 	}
-	w.u64(p.AssumedBase)
+	w := wire.NewWriter(PlanMagic, size)
+	w.Str(p.Module)
+	w.Str(p.Tool)
+	w.U32(uint32(p.ModuleID))
+	w.Bool(p.PIC)
+	w.U64(p.AssumedBase)
 
-	w.u32(uint32(len(p.BlockAddrs)))
+	w.U32(uint32(len(p.BlockAddrs)))
 	for _, a := range p.BlockAddrs {
-		w.u64(a)
+		w.U64(a)
 	}
-	w.u32(uint32(len(p.Entries)))
+	w.U32(uint32(len(p.Entries)))
 	for i := range p.Entries {
 		e := &p.Entries[i]
-		w.u64(e.Anchor)
-		w.u8(e.AnchorOp)
-		w.u32(uint32(len(e.Before)))
-		for j := range e.Before {
-			writeMeta(&w, &e.Before[j])
-		}
-		w.u32(uint32(len(e.After)))
-		for j := range e.After {
-			writeMeta(&w, &e.After[j])
+		w.U64(e.Anchor)
+		w.U8(e.AnchorOp)
+		for _, frag := range [][]MetaInstr{e.Before, e.After} {
+			w.U32(uint32(len(frag)))
+			for j := range frag {
+				mi := &frag[j]
+				w.U8(mi.Op)
+				w.U8(mi.Rd)
+				w.U8(mi.Rb)
+				w.U8(mi.Ri)
+				w.U64(uint64(mi.Imm))
+				w.U32(uint32(mi.Disp))
+				w.U64(mi.Addr)
+				w.U32(mi.Size)
+				w.U32(uint32(mi.JumpTo))
+				w.U8(mi.CC)
+				w.U8(mi.Reloc)
+			}
 		}
 	}
-	return w.buf.Bytes()
+	return w
 }
 
 // ReadPlan deserialises a plan. Structural invariants beyond size bounds
 // (sortedness, jump ranges) are the caller's job via Plan.Validate.
 func ReadPlan(data []byte) (*Plan, error) {
-	if len(data) < 4 || !bytes.Equal(data[:4], PlanMagic[:]) {
+	r, ok := wire.NewReader(data, PlanMagic, ErrMalformedPlan)
+	if !ok {
 		return nil, ErrBadPlanMagic
 	}
-	r := &planReader{b: data, off: 4}
+	readMeta := func(mi *MetaInstr) {
+		mi.Op = r.U8()
+		mi.Rd = r.U8()
+		mi.Rb = r.U8()
+		mi.Ri = r.U8()
+		mi.Imm = int64(r.U64())
+		mi.Disp = int32(r.U32())
+		mi.Addr = r.U64()
+		mi.Size = r.U32()
+		mi.JumpTo = int32(r.U32())
+		mi.CC = r.U8()
+		mi.Reloc = r.U8()
+	}
 	p := &Plan{}
-	p.Module = r.str()
-	p.Tool = r.str()
-	p.ModuleID = int32(r.u32())
-	p.PIC = r.u8() != 0
-	p.AssumedBase = r.u64()
-
-	nblk := int(r.u32())
-	if r.err == nil && nblk > maxPlanBlocks {
-		return nil, fmt.Errorf("%w: unreasonable block count %d",
-			ErrMalformedPlan, nblk)
-	}
-	for i := 0; i < nblk && r.err == nil; i++ {
-		p.BlockAddrs = append(p.BlockAddrs, r.u64())
-	}
-	nent := int(r.u32())
-	if r.err == nil && nent > maxPlanEntries {
-		return nil, fmt.Errorf("%w: unreasonable entry count %d",
-			ErrMalformedPlan, nent)
-	}
-	for i := 0; i < nent && r.err == nil; i++ {
-		var e Entry
-		e.Anchor = r.u64()
-		e.AnchorOp = r.u8()
-		for _, frag := range []*[]MetaInstr{&e.Before, &e.After} {
-			n := int(r.u32())
-			if r.err != nil {
-				break
-			}
-			if n > maxPlanFrag {
-				return nil, fmt.Errorf("%w: unreasonable fragment length %d",
-					ErrMalformedPlan, n)
-			}
-			for j := 0; j < n && r.err == nil; j++ {
-				*frag = append(*frag, readMeta(r))
-			}
-		}
-		p.Entries = append(p.Entries, e)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after plan end",
-			ErrMalformedPlan, len(r.b)-r.off)
+	p.Module = r.Str()
+	p.Tool = r.Str()
+	p.ModuleID = int32(r.U32())
+	p.PIC = r.Bool()
+	p.AssumedBase = r.U64()
+	p.BlockAddrs = wire.Table(r, "block", maxPlanBlocks, 8, func(a *uint64) {
+		*a = r.U64()
+	})
+	p.Entries = wire.Table(r, "entry", maxPlanEntries, entrySize, func(e *Entry) {
+		e.Anchor = r.U64()
+		e.AnchorOp = r.U8()
+		e.Before = wire.Table(r, "fragment", maxPlanFrag, metaSize, readMeta)
+		e.After = wire.Table(r, "fragment", maxPlanFrag, metaSize, readMeta)
+	})
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -2,11 +2,12 @@ package rewrite
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // capturedPlans returns real plans (jasan over workProg) for codec tests.
@@ -80,39 +81,36 @@ func TestReadPlanRejectsTrailingBytes(t *testing.T) {
 func TestReadPlanRejectsHostileCounts(t *testing.T) {
 	// A header declaring absurd counts must be rejected up front by the
 	// caps, not by attempting the allocation.
-	hdr := func() *bytes.Buffer {
-		var b bytes.Buffer
-		b.Write(PlanMagic[:])
-		for _, s := range []string{"m", "t"} {
-			binary.Write(&b, binary.LittleEndian, uint32(len(s)))
-			b.WriteString(s)
-		}
-		binary.Write(&b, binary.LittleEndian, uint32(0)) // module id
-		b.WriteByte(0)                                   // pic
-		binary.Write(&b, binary.LittleEndian, uint64(0)) // base
-		return &b
+	hdr := func() wire.Writer {
+		w := wire.NewWriter(PlanMagic, 64)
+		w.Str("m")
+		w.Str("t")
+		w.U32(0)      // module id
+		w.Bool(false) // pic
+		w.U64(0)      // base
+		return w
 	}
 
 	huge := hdr()
-	binary.Write(huge, binary.LittleEndian, uint32(0xFFFFFFF0)) // blocks
-	if _, err := ReadPlan(huge.Bytes()); !errors.Is(err, ErrMalformedPlan) {
+	huge.U32(0xFFFFFFF0) // blocks
+	if _, err := ReadPlan(huge); !errors.Is(err, ErrMalformedPlan) {
 		t.Fatalf("hostile block count: got %v", err)
 	}
 
 	huge = hdr()
-	binary.Write(huge, binary.LittleEndian, uint32(0))         // blocks
-	binary.Write(huge, binary.LittleEndian, uint32(0xFFFFFF0)) // entries
-	if _, err := ReadPlan(huge.Bytes()); !errors.Is(err, ErrMalformedPlan) {
+	huge.U32(0)         // blocks
+	huge.U32(0xFFFFFF0) // entries
+	if _, err := ReadPlan(huge); !errors.Is(err, ErrMalformedPlan) {
 		t.Fatalf("hostile entry count: got %v", err)
 	}
 
 	huge = hdr()
-	binary.Write(huge, binary.LittleEndian, uint32(0))      // blocks
-	binary.Write(huge, binary.LittleEndian, uint32(1))      // entries
-	binary.Write(huge, binary.LittleEndian, uint64(0x1000)) // anchor
-	huge.WriteByte(1)                                       // anchor op
-	binary.Write(huge, binary.LittleEndian, uint32(1<<20))  // before frag
-	if _, err := ReadPlan(huge.Bytes()); !errors.Is(err, ErrMalformedPlan) {
+	huge.U32(0)       // blocks
+	huge.U32(1)       // entries
+	huge.U64(0x1000)  // anchor
+	huge.U8(1)        // anchor op
+	huge.U32(1 << 20) // before frag
+	if _, err := ReadPlan(huge); !errors.Is(err, ErrMalformedPlan) {
 		t.Fatalf("hostile fragment length: got %v", err)
 	}
 }

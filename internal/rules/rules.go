@@ -8,12 +8,11 @@
 package rules
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // ID selects the dynamic modifier's handler routine for a rule.
@@ -220,88 +219,49 @@ type File struct {
 // fileMagic identifies serialised rule files.
 var fileMagic = [4]byte{'J', 'R', 'W', '1'}
 
-// ErrBadRuleFile reports a malformed rule file.
+// ErrBadRuleFile reports a malformed rule file: bad magic, truncation, a
+// rule count the data cannot hold, or bytes past the last rule.
 var ErrBadRuleFile = errors.New("rules: bad rule file")
+
+// The encoded size of one Rule, and a cap on a file's declared rule count.
+const (
+	ruleSize = 2 + 8 + 8 + 4*8
+	maxRules = 1 << 24
+)
 
 // Marshal serialises the rule file.
 func (f *File) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(fileMagic[:])
-	binary.Write(&buf, binary.LittleEndian, uint32(len(f.Module)))
-	buf.WriteString(f.Module)
-	binary.Write(&buf, binary.LittleEndian, uint32(len(f.Rules)))
+	w := wire.NewWriter(fileMagic, 12+len(f.Module)+ruleSize*len(f.Rules))
+	w.Str(f.Module)
+	w.U32(uint32(len(f.Rules)))
 	for _, r := range f.Rules {
-		binary.Write(&buf, binary.LittleEndian, uint16(r.ID))
-		binary.Write(&buf, binary.LittleEndian, r.BBAddr)
-		binary.Write(&buf, binary.LittleEndian, r.Instr)
+		w.U16(uint16(r.ID))
+		w.U64(r.BBAddr)
+		w.U64(r.Instr)
 		for _, d := range r.Data {
-			binary.Write(&buf, binary.LittleEndian, d)
+			w.U64(d)
 		}
 	}
-	return buf.Bytes()
-}
-
-// WriteTo writes the serialised file to w.
-func (f *File) WriteTo(w io.Writer) (int64, error) {
-	b := f.Marshal()
-	n, err := w.Write(b)
-	return int64(n), err
+	return w
 }
 
 // Unmarshal parses a serialised rule file.
 func Unmarshal(data []byte) (*File, error) {
-	if len(data) < 8 || !bytes.Equal(data[:4], fileMagic[:]) {
+	r, ok := wire.NewReader(data, fileMagic, ErrBadRuleFile)
+	if !ok {
 		return nil, ErrBadRuleFile
 	}
-	off := 4
-	rd32 := func() (uint32, error) {
-		if off+4 > len(data) {
-			return 0, fmt.Errorf("%w: truncated at %d", ErrBadRuleFile, off)
+	f := &File{Module: r.Str()}
+	f.Rules = wire.Table(r, "rule", maxRules, ruleSize, func(rule *Rule) {
+		rule.ID = ID(r.U16())
+		rule.BBAddr = r.U64()
+		rule.Instr = r.U64()
+		for j := range rule.Data {
+			rule.Data[j] = r.U64()
 		}
-		v := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		return v, nil
-	}
-	rd64 := func() (uint64, error) {
-		if off+8 > len(data) {
-			return 0, fmt.Errorf("%w: truncated at %d", ErrBadRuleFile, off)
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
-	}
-	nameLen, err := rd32()
-	if err != nil {
+	})
+	if err := r.Done(); err != nil {
 		return nil, err
-	}
-	if off+int(nameLen) > len(data) {
-		return nil, fmt.Errorf("%w: bad name length", ErrBadRuleFile)
-	}
-	f := &File{Module: string(data[off : off+int(nameLen)])}
-	off += int(nameLen)
-	count, err := rd32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < count; i++ {
-		if off+2 > len(data) {
-			return nil, fmt.Errorf("%w: truncated rule %d", ErrBadRuleFile, i)
-		}
-		var r Rule
-		r.ID = ID(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if r.BBAddr, err = rd64(); err != nil {
-			return nil, err
-		}
-		if r.Instr, err = rd64(); err != nil {
-			return nil, err
-		}
-		for j := range r.Data {
-			if r.Data[j], err = rd64(); err != nil {
-				return nil, err
-			}
-		}
-		f.Rules = append(f.Rules, r)
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -41,6 +42,22 @@ func TestUnmarshalErrors(t *testing.T) {
 		if _, err := Unmarshal(data[:n]); err == nil {
 			t.Errorf("truncation at %d accepted", n)
 		}
+	}
+}
+
+func TestUnmarshalRejectsTrailingBytes(t *testing.T) {
+	data := append(sampleFile().Marshal(), 0, 0)
+	if _, err := Unmarshal(data); !errors.Is(err, ErrBadRuleFile) {
+		t.Fatalf("trailing bytes: got %v, want ErrBadRuleFile", err)
+	}
+}
+
+func TestUnmarshalRejectsCountBeyondData(t *testing.T) {
+	data := sampleFile().Marshal()
+	// The rule count follows the magic and the length-prefixed name.
+	binary.LittleEndian.PutUint32(data[4+4+len("libx.jef"):], 1<<20)
+	if _, err := Unmarshal(data); !errors.Is(err, ErrBadRuleFile) {
+		t.Fatalf("count beyond data: got %v, want ErrBadRuleFile", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package vsa
 
 import (
-	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -545,23 +544,12 @@ func (e *engine) computePoisoned() {
 			}
 		}
 	}
-	for i := range e.mod.Sections {
-		sec := &e.mod.Sections[i]
-		if sec.Executable() {
+	for _, p := range e.g.CodePtrs {
+		if e.tableWords[p.Addr] || !e.g.IsInstrBoundary(p.Value) {
 			continue
 		}
-		for off := 0; off+8 <= len(sec.Data); off += 8 {
-			wordAddr := sec.Addr + uint64(off)
-			if e.tableWords[wordAddr] {
-				continue
-			}
-			v := binary.LittleEndian.Uint64(sec.Data[off:])
-			if !e.g.IsInstrBoundary(v) {
-				continue
-			}
-			if f := e.g.FuncAt(v); f != nil && v != f.Entry {
-				e.poisoned[f.Entry] = true
-			}
+		if f := e.g.FuncAt(p.Value); f != nil && p.Value != f.Entry {
+			e.poisoned[f.Entry] = true
 		}
 	}
 }

@@ -114,6 +114,20 @@ echo "== benchmark module tests =="
 echo "== go test -race =="
 go test -race ./...
 
+echo "== decoder fuzzing (JEF, .jrw, JPL1) =="
+# The three formats that cross process and node boundaries share one codec
+# (internal/wire). Fuzz each decoder briefly from its seed corpus: any
+# input must give the format's typed error or a value that survives
+# Validate (JEF, JPL1) or re-marshals to the input (.jrw). Skipped in short
+# mode; the seed corpora still run as ordinary tests above.
+if [ "${CI_SHORT:-0}" = "1" ]; then
+	echo "decoder fuzzing: skipped (CI_SHORT=1)"
+else
+	go test -run '^$' -fuzz '^FuzzReadModule$' -fuzztime 5s -parallel 2 ./internal/fuzz
+	go test -run '^$' -fuzz '^FuzzReadRules$' -fuzztime 5s -parallel 2 ./internal/rules
+	go test -run '^$' -fuzz '^FuzzReadPlan$' -fuzztime 5s -parallel 2 ./internal/rewrite
+fi
+
 echo "== executor and per-layer benchmarks (one iteration) =="
 # Per-layer host benchmarks: the executor running a spec program natively,
 # under the DBM (null client, jasan-hybrid, comprehensive) and through the
