@@ -113,7 +113,7 @@ func main() {
 		diag.Collect(dlog, tool, diag.NewProcessSymbolizer(s.Proc), telemetry.SpanContext{})
 		fmt.Fprint(os.Stderr, diag.Render(dlog))
 	} else {
-		for _, line := range core.ReportLines(tool) {
+		for _, line := range diag.Lines(tool) {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}

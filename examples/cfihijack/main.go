@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/jcfi"
 	"repro/internal/libj"
 	"repro/internal/loader"
@@ -53,7 +54,7 @@ table:
     .quad grant
 `
 
-func run(protected bool) (int64, []jcfi.Violation, error) {
+func run(protected bool) (int64, []diag.Violation, error) {
 	mod, err := asm.Assemble(victim)
 	if err != nil {
 		return 0, nil, err

@@ -188,9 +188,9 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request,
 		sp.SetAttr(telemetry.String("run_error", runErr.Error()))
 	}
 
-	// Convert the trap reports into structured, symbolized violations.
-	// Collect into a scratch log first so the response can carry exactly
-	// this run's findings, then merge into the daemon-wide log behind
+	// Collect the run's records, symbolized and trace-stamped, into a
+	// scratch log first so the response carries exactly this run's
+	// findings, then merge them into the daemon-wide log behind
 	// GET /violations.
 	runLog := diag.NewLog()
 	diag.Collect(runLog, tool, diag.NewProcessSymbolizer(sess.Proc), sp.Context())

@@ -97,10 +97,10 @@ type Stats struct {
 }
 
 // Service is the analysis service: content-addressed caching plus a bounded
-// worker pool with singleflight deduplication. It implements
-// core.ModuleAnalyzer; a single Service is meant to be shared process-wide
-// (the evaluation harness keeps one for the whole run, janitizerd keeps one
-// for the daemon's lifetime). Safe for concurrent use.
+// worker pool with singleflight deduplication. A single Service is meant to
+// be shared process-wide (the evaluation harness keeps one for the whole
+// run, janitizerd keeps one for the daemon's lifetime). Safe for concurrent
+// use.
 type Service struct {
 	cache *Cache
 	sem   chan struct{}
@@ -362,7 +362,7 @@ func (s *Service) AnalyzeBytesTier(ctx context.Context, _ string, mod *obj.Modul
 	return c.val, c.tier, c.err
 }
 
-// AnalyzeModule implements core.ModuleAnalyzer over the cached byte path.
+// AnalyzeModule is core.AnalyzeModule over the cached byte path.
 func (s *Service) AnalyzeModule(mod *obj.Module, tool core.Tool) (*rules.File, error) {
 	b, err := s.AnalyzeModuleBytes(mod, tool)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/jcfi"
 	"repro/internal/loader"
@@ -30,7 +31,7 @@ var ErrRewriteFailed = errors.New("bincfi: static rewriting failed (code/data am
 //     no shadow stack;
 //   - purely static: zero translation cost, identity for unseen code.
 type BinCFITool struct {
-	Report *jcfi.Report
+	Report *diag.Report
 
 	st    *jcfi.RTState
 	rt    *core.Runtime
@@ -40,17 +41,14 @@ type BinCFITool struct {
 
 // NewBinCFI returns the static CFI baseline.
 func NewBinCFI() *BinCFITool {
-	return &BinCFITool{Report: &jcfi.Report{}, sites: map[uint64]float64{}}
+	return &BinCFITool{Report: &diag.Report{Tool: "bincfi", Unattributed: true}, sites: map[uint64]float64{}}
 }
 
 // Name implements core.Tool.
 func (t *BinCFITool) Name() string { return "bincfi-sim" }
 
-// Violations returns the number of CFI violations reported.
-func (t *BinCFITool) Violations() int { return len(t.Report.Violations) }
-
-// Lines returns the violations, one report line each.
-func (t *BinCFITool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *BinCFITool) ViolationReport() *diag.Report { return t.Report }
 
 // CheckInput rejects modules whose .text contains bytes that linear
 // disassembly misclassifies relative to sound recovery — static rewriting of
@@ -204,9 +202,8 @@ func (t *BinCFITool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
 // scan-identified targets (BinCFI's modular policy unions target sets).
 func (t *BinCFITool) RuntimeInit(rt *core.Runtime) error {
 	t.rt = rt
-	t.Report.HaltOnViolation = false
 	t.st = jcfi.NewRTState(rt.M)
-	jcfi.InstallViolationTraps(rt.M, t.Report)
+	t.st.InstallViolationTraps(t.Report)
 	rt.DBM.Costs = StaticRewriteCosts
 
 	const retKind = uint64(4)

@@ -3,6 +3,7 @@ package baseline
 import (
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/jcfi"
 	"repro/internal/loader"
@@ -41,7 +42,7 @@ type LockdownConfig struct {
 //   - precise shadow stack for returns (same as JCFI).
 type LockdownTool struct {
 	cfg    LockdownConfig
-	Report *jcfi.Report
+	Report *diag.Report
 
 	st    *jcfi.RTState
 	rt    *core.Runtime
@@ -56,7 +57,7 @@ type LockdownTool struct {
 // NewLockdown returns the dynamic-only CFI baseline.
 func NewLockdown(cfg LockdownConfig) *LockdownTool {
 	return &LockdownTool{
-		cfg: cfg, Report: &jcfi.Report{},
+		cfg: cfg, Report: &diag.Report{Tool: "lockdown", Unattributed: true},
 		sites: map[uint64]float64{}, funcAddrs: map[uint64]bool{},
 		modsSetup: map[string]bool{},
 	}
@@ -70,11 +71,8 @@ func (t *LockdownTool) Name() string {
 	return "lockdown-sim"
 }
 
-// Violations returns the number of CFI violations reported.
-func (t *LockdownTool) Violations() int { return len(t.Report.Violations) }
-
-// Lines returns the violations, one report line each.
-func (t *LockdownTool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *LockdownTool) ViolationReport() *diag.Report { return t.Report }
 
 // StaticPass implements core.Tool: Lockdown has no static stage.
 func (t *LockdownTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
@@ -169,12 +167,12 @@ func (t *LockdownTool) recordSite(addr uint64, targets float64) {
 // RuntimeInit implements core.Tool.
 func (t *LockdownTool) RuntimeInit(rt *core.Runtime) error {
 	t.rt = rt
-	t.Report.HaltOnViolation = t.cfg.HaltOnViolation
+	t.Report.HaltOnError = t.cfg.HaltOnViolation
 	t.st = jcfi.NewRTState(rt.M)
 	if err := jcfi.InstallShadowStack(rt.M); err != nil {
 		return err
 	}
-	jcfi.InstallViolationTraps(rt.M, t.Report)
+	t.st.InstallViolationTraps(t.Report)
 	rt.DBM.Costs = LockdownCosts
 
 	// Callback heuristic: inspect r1..r5 at cross-module call boundaries

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/jasan"
 	"repro/internal/obj"
 	"repro/internal/rules"
@@ -33,14 +34,15 @@ var ErrUnsupportedInput = errors.New("retrowrite: unsupported input binary")
 // UNINSTRUMENTED (the coverage gap of §2.1).
 type RetrowriteTool struct {
 	j *jasan.Tool
-	// Report aliases the underlying sanitizer report.
-	Report *jasan.Report
+	// Report aliases the underlying sanitizer report, owned by retrowrite.
+	Report *diag.Report
 }
 
 // NewRetrowrite returns the static rewriter with Retrowrite's optimisation
 // profile (register/flag liveness, no SCEV hoisting).
 func NewRetrowrite() *RetrowriteTool {
 	j := jasan.New(jasan.Config{UseLiveness: true})
+	j.Report.Tool = "retrowrite"
 	return &RetrowriteTool{j: j, Report: j.Report}
 }
 
@@ -55,11 +57,8 @@ func (t *RetrowriteTool) CheckInput(mod *obj.Module) error {
 // Name implements core.Tool.
 func (t *RetrowriteTool) Name() string { return "retrowrite-sim" }
 
-// Violations returns the number of violations reported, dropped ones included.
-func (t *RetrowriteTool) Violations() int { return int(t.Report.Total) }
-
-// Lines returns the stored violations, one report line each.
-func (t *RetrowriteTool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *RetrowriteTool) ViolationReport() *diag.Report { return t.Report }
 
 // StaticPass implements core.Tool: Retrowrite refuses non-PIC modules and
 // otherwise performs the sanitizer's static analysis.

@@ -8,6 +8,7 @@ package baseline
 import (
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/jasan"
 	"repro/internal/jmsan"
@@ -35,13 +36,10 @@ const valgrindTraps shadow.Family = 300
 // multi-overflow test cases (Fig. 10). It has no canary handling, so
 // heap-to-stack overflows are missed entirely.
 type ValgrindTool struct {
-	Report *jasan.Report
-	// DefReport accumulates uninitialized-read reports when validity-bit
-	// tracking is on (NewValgrindDef); nil otherwise.
-	DefReport *jmsan.Report
-	// TemporalReport accumulates use-after-free/double-free reports when
-	// temporal tracking is on (NewValgrindTemporal); nil otherwise.
-	TemporalReport *jtsan.Report
+	// Report accumulates the addressability reports, and the
+	// uninitialized-read and use-after-free/double-free reports of the
+	// shared runtimes when validity-bit or temporal tracking is on.
+	Report *diag.Report
 	// trackDef enables memcheck's validity-bit (definedness) modelling.
 	trackDef bool
 	// trackTemporal enables generation-tag temporal modelling via JTSan's
@@ -58,7 +56,7 @@ type ValgrindTool struct {
 // NewValgrind returns a fresh memcheck-style tool checking addressability
 // only.
 func NewValgrind() *ValgrindTool {
-	return &ValgrindTool{Report: &jasan.Report{}, seenObjects: map[uint64]bool{}}
+	return &ValgrindTool{Report: &diag.Report{Tool: "valgrind", Unattributed: true}, seenObjects: map[uint64]bool{}}
 }
 
 // NewValgrindDef returns the memcheck model with validity-bit tracking
@@ -72,7 +70,6 @@ func NewValgrind() *ValgrindTool {
 func NewValgrindDef() *ValgrindTool {
 	t := NewValgrind()
 	t.trackDef = true
-	t.DefReport = &jmsan.Report{}
 	t.frameSizes = map[uint64]uint64{}
 	return t
 }
@@ -88,7 +85,6 @@ func NewValgrindDef() *ValgrindTool {
 func NewValgrindTemporal() *ValgrindTool {
 	t := NewValgrind()
 	t.trackTemporal = true
-	t.TemporalReport = &jtsan.Report{}
 	return t
 }
 
@@ -103,30 +99,8 @@ func (t *ValgrindTool) Name() string {
 	return "valgrind-sim"
 }
 
-// Violations sums the addressability, definedness and temporal reports.
-func (t *ValgrindTool) Violations() int {
-	n := int(t.Report.Total)
-	if t.DefReport != nil {
-		n += int(t.DefReport.Total)
-	}
-	if t.TemporalReport != nil {
-		n += int(t.TemporalReport.Total)
-	}
-	return n
-}
-
-// Lines returns the stored addressability, definedness and temporal
-// violations, one report line each.
-func (t *ValgrindTool) Lines() []string {
-	out := core.Lines(t.Report.Violations)
-	if t.DefReport != nil {
-		out = append(out, core.Lines(t.DefReport.Violations)...)
-	}
-	if t.TemporalReport != nil {
-		out = append(out, core.Lines(t.TemporalReport.Violations)...)
-	}
-	return out
-}
+// ViolationReport implements diag.Reporter.
+func (t *ValgrindTool) ViolationReport() *diag.Report { return t.Report }
 
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
@@ -213,18 +187,18 @@ func (t *ValgrindTool) emitCleanCheck(e *dbm.Emitter, in *isa.Instr) {
 // with the JASan runtime — memcheck likewise owns malloc) and register the
 // checker traps.
 func (t *ValgrindTool) RuntimeInit(rt *core.Runtime) error {
-	t.objects = jasan.InstallRuntimeOn(rt.M, &jasan.Report{}) // discard inline reports
+	t.objects = jasan.InstallRuntimeOn(rt.M, &diag.Report{}) // discard inline reports
 	if t.trackDef {
 		// Shares JMSan's definedness runtime: the trap families and the
 		// allocator wrapper marking fresh objects undefined (chained over
 		// the redzone allocator installed just above).
-		jmsan.InstallRuntimeOn(rt.M, t.DefReport, t.frameSizes)
+		jmsan.InstallRuntimeOn(rt.M, t.Report, t.frameSizes)
 	}
 	if t.trackTemporal {
 		// Shares JTSan's temporal runtime: the generation-check trap family
 		// and the quarantine allocator wrapper (chained over the redzone
 		// allocator installed just above).
-		jtsan.InstallRuntimeOn(rt.M, t.TemporalReport)
+		jtsan.InstallRuntimeOn(rt.M, t.Report)
 	}
 	rt.DBM.Costs = ValgrindCosts
 	valgrindTraps.Install(rt.M, func(m *vm.Machine, addr uint64, width int) error {
@@ -262,10 +236,9 @@ func (t *ValgrindTool) check(m *vm.Machine, addr uint64, width int) {
 		}
 		t.seenObjects[obj] = true
 	}
-	t.Report.Total++
-	t.Report.Violations = append(t.Report.Violations, jasan.Violation{
-		PC: m.TrapPC, Addr: addr, Width: width, Shadow: sb,
-		Kind: "valgrind:" + kindOf(sb), Object: obj,
+	_ = t.Report.Add(diag.Violation{ // never halts: memcheck recovers
+		Kind: kindOf(sb), PC: m.TrapPC, Addr: addr, Width: width,
+		Shadow: sb, Object: obj,
 	})
 }
 

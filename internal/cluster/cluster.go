@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -346,7 +346,7 @@ func (c *Cluster) fillFromPeer(ctx context.Context, owner, toolName string,
 	}
 
 	url := "http://" + owner + "/analyze?tool=" + toolName
-	req, err := http.NewRequest("POST", url, strings.NewReader(string(mod.Marshal())))
+	req, err := http.NewRequest("POST", url, bytes.NewReader(mod.Marshal()))
 	if err != nil {
 		return fail(err)
 	}

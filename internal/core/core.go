@@ -116,33 +116,6 @@ type Tool interface {
 	RuntimeInit(rt *Runtime) error
 }
 
-// Violations returns the number of violations tool reported in its run; a
-// tool without a report counts 0. Reporting tools expose Violations() int.
-func Violations(tool Tool) int {
-	if r, ok := tool.(interface{ Violations() int }); ok {
-		return r.Violations()
-	}
-	return 0
-}
-
-// ReportLines returns the violations tool reported, one line each in report
-// order; reporting tools expose Lines() []string next to Violations() int.
-func ReportLines(tool Tool) []string {
-	if r, ok := tool.(interface{ Lines() []string }); ok {
-		return r.Lines()
-	}
-	return nil
-}
-
-// Lines renders each violation as its own report line.
-func Lines[V fmt.Stringer](vs []V) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-	}
-	return out
-}
-
 // NullTool is the null client as a Tool (Fig. 8's DynamoRIO baseline): no
 // rules, every block placed unmodified.
 type NullTool struct{}
@@ -281,43 +254,19 @@ func canonicalize(rs []rules.Rule) {
 	})
 }
 
-// ModuleAnalyzer abstracts per-module analysis so services can interpose a
-// cache or a worker pool between AnalyzeProgram and AnalyzeModule.
-// internal/anserve implements it with a content-addressed rule cache and a
-// concurrent scheduler; AnalyzerFunc(AnalyzeModule) is the plain serial
-// analyzer.
-type ModuleAnalyzer interface {
-	AnalyzeModule(mod *obj.Module, tool Tool) (*rules.File, error)
-}
-
-// AnalyzerFunc adapts a function to the ModuleAnalyzer interface.
-type AnalyzerFunc func(mod *obj.Module, tool Tool) (*rules.File, error)
-
-// AnalyzeModule implements ModuleAnalyzer.
-func (f AnalyzerFunc) AnalyzeModule(mod *obj.Module, tool Tool) (*rules.File, error) {
-	return f(mod, tool)
-}
-
 // AnalyzeProgram analyzes the main module and its entire ldd-visible
 // dependency closure (§3.3.1), returning one rule file per module. A shared
 // library's analysis would be reused across programs; callers may cache the
 // returned files — or use internal/anserve, which analyzes the closure
 // concurrently against a content-addressed cache.
 func AnalyzeProgram(main *obj.Module, reg loader.Registry, tool Tool) (map[string]*rules.File, error) {
-	return AnalyzeProgramWith(main, reg, tool, AnalyzerFunc(AnalyzeModule))
-}
-
-// AnalyzeProgramWith is AnalyzeProgram with an injected per-module analyzer.
-func AnalyzeProgramWith(main *obj.Module, reg loader.Registry, tool Tool,
-	az ModuleAnalyzer) (map[string]*rules.File, error) {
-
 	mods, err := loader.LddClosure(main, reg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	out := make(map[string]*rules.File, len(mods))
 	for _, m := range mods {
-		f, err := az.AnalyzeModule(m, tool)
+		f, err := AnalyzeModule(m, tool)
 		if err != nil {
 			return nil, err
 		}

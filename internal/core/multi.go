@@ -46,24 +46,6 @@ func (m *MultiTool) ConfigKey() string {
 	return strings.Join(parts, "+")
 }
 
-// Violations sums every sub-tool's violations.
-func (m *MultiTool) Violations() int {
-	n := 0
-	for _, t := range m.Tools {
-		n += Violations(t)
-	}
-	return n
-}
-
-// Lines joins every sub-tool's report lines in tool order.
-func (m *MultiTool) Lines() []string {
-	var out []string
-	for _, t := range m.Tools {
-		out = append(out, ReportLines(t)...)
-	}
-	return out
-}
-
 // StaticPass implements Tool: the concatenation of every sub-tool's rules.
 func (m *MultiTool) StaticPass(sc *StaticContext) []rules.Rule {
 	var out []rules.Rule

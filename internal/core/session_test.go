@@ -1,16 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/dbm"
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/obj"
-	"repro/internal/rules"
 	"repro/internal/vm"
 )
 
@@ -95,41 +91,5 @@ func TestLoadBudget(t *testing.T) {
 		if s.M.Instrs != 101 {
 			t.Fatalf("tool %v: Instrs = %d, want 101", tool, s.M.Instrs)
 		}
-	}
-}
-
-// countTool is a planned tool that reports a fixed number of violations.
-type countTool struct {
-	NullTool
-	n int
-}
-
-func (c countTool) Violations() int { return c.n }
-
-func (c countTool) Lines() []string {
-	var out []string
-	for i := 0; i < c.n; i++ {
-		out = append(out, fmt.Sprintf("%d/%d", c.n, i))
-	}
-	return out
-}
-
-func (countTool) PlanStatic(*dbm.BlockContext, map[uint64][]rules.Rule) InstrPlan { return nil }
-func (countTool) PlanDyn(*dbm.BlockContext) InstrPlan                             { return nil }
-
-func TestViolations(t *testing.T) {
-	if n := Violations(NullTool{}); n != 0 {
-		t.Fatalf("NullTool violations = %d, want 0", n)
-	}
-	mt := NewMultiTool(countTool{n: 2}, countTool{n: 3}, countTool{})
-	if n := Violations(mt); n != 5 {
-		t.Fatalf("MultiTool violations = %d, want 5", n)
-	}
-	// MultiTool joins its tools' report lines in tool order.
-	if got, want := strings.Join(ReportLines(mt), " "), "2/0 2/1 3/0 3/1 3/2"; got != want {
-		t.Fatalf("MultiTool lines = %q, want %q", got, want)
-	}
-	if lines := ReportLines(NullTool{}); lines != nil {
-		t.Fatalf("NullTool lines = %q, want none", lines)
 	}
 }

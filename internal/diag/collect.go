@@ -5,80 +5,27 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/telemetry"
 )
 
-// Collect converts every trap family's raw Report on tool into structured
-// Violation records in log, symbolizing each trapping PC through sym (nil
-// skips symbolization) and stamping the active trace/span from sc (the
-// zero context leaves the trace fields empty). MultiTool compositions are
-// walked recursively, so a "comprehensive" run collects all four
-// sanitizers' findings. Returns how many raw reports were collected.
+// Collect adds every violation tool stored to log, symbolizing each
+// trapping PC through sym (nil skips symbolization) and stamping the
+// active trace/span from sc (the zero context leaves the trace fields
+// empty). Returns how many stored reports were collected.
 func Collect(log *Log, tool core.Tool, sym Symbolizer, sc telemetry.SpanContext) int {
 	n := 0
-	add := func(v Violation) {
-		if sym != nil {
-			if mod, fn, off, ok := sym.Symbolize(v.PC); ok {
-				v.Module, v.Func, v.FuncOff = mod, fn, off
+	for _, r := range reports(tool) {
+		for _, v := range r.Violations {
+			if sym != nil {
+				if mod, fn, off, ok := sym.Symbolize(v.PC); ok {
+					v.Module, v.Func, v.FuncOff = mod, fn, off
+				}
 			}
-		}
-		if sc.Valid() {
-			v.TraceID, v.SpanID = sc.TraceID, sc.SpanID
-		}
-		log.Add(v)
-		n++
-	}
-	switch t := tool.(type) {
-	case *jasan.Tool:
-		for _, v := range t.Report.Violations {
-			add(Violation{
-				Tool: "jasan", Kind: v.Kind, PC: v.PC,
-				Addr: v.Addr, Width: v.Width,
-				Shadow: v.Shadow, Object: v.Object,
-				Rule: "MEM_ACCESS", CostCenter: "mem-check",
-			})
-		}
-	case *jmsan.Tool:
-		for _, v := range t.Report.Violations {
-			add(Violation{
-				Tool: "jmsan", Kind: "uninitialized-read", PC: v.PC,
-				Addr: v.Addr, Width: v.Width,
-				Rule: "MEM_DEF_LOAD", CostCenter: "def-check",
-			})
-		}
-	case *jtsan.Tool:
-		for _, v := range t.Report.Violations {
-			d := Violation{
-				Tool: "jtsan", Kind: v.Kind, PC: v.PC,
-				Addr: v.Addr, Width: v.Width,
-				Gen: uint64(v.Gen), Object: v.Object,
+			if sc.Valid() {
+				v.TraceID, v.SpanID = sc.TraceID, sc.SpanID
 			}
-			if v.Kind == "use-after-free" {
-				d.Rule, d.CostCenter = "MEM_GEN_CHECK", "gen-check"
-			} else { // double-free / invalid-free fire at the free trap
-				d.Rule, d.CostCenter = "QUAR_TICK", "quarantine"
-			}
-			add(d)
-		}
-	case *jcfi.Tool:
-		for _, v := range t.Report.Violations {
-			d := Violation{
-				Tool: "jcfi", Kind: v.Kind, PC: v.PC, Target: v.Target,
-			}
-			if v.Kind == "return-mismatch" {
-				d.Rule, d.CostCenter = "CFI_RET", "shadow-stack"
-			} else {
-				d.Rule, d.CostCenter = "CFI_CALL", "cfi-check"
-			}
-			add(d)
-		}
-	case *core.MultiTool:
-		for _, sub := range t.Tools {
-			n += Collect(log, sub, sym, sc)
+			log.Add(v)
+			n++
 		}
 	}
 	return n

@@ -1,20 +1,20 @@
-// Package diag turns raw sanitizer trap reports into structured,
-// serialisable, symbolized violation diagnostics — the detection-side
-// counterpart of internal/telemetry's serving-side traces. Every trap
-// family (JASan redzone checks, JMSan definedness checks, JTSan
-// generation checks and quarantine-time frees, JCFI edge checks) yields a
-// Violation record carrying the tool, a CWE class, the trapping PC
-// symbolized to function+offset through the module symbol table, the
-// access address and width, the shadow or generation state that fired,
-// the originating rule ID and cost center, and the active trace/span ID —
-// so a fleet operator can walk from a Prometheus exemplar to a trace to
-// the exact check that fired, and harness oracles can assert on fields
-// instead of panic-string matching.
+// Package diag holds the one violation record every detector reports —
+// the detection-side counterpart of internal/telemetry's serving-side
+// traces. Every trap family (JASan redzone checks, JMSan definedness
+// checks, JTSan generation checks and quarantine-time frees, JCFI edge
+// checks, and the baselines sharing or mirroring them) builds a Violation
+// whole when it fires: the reporting tool, the violation kind, the
+// trapping PC, the access address and width, the shadow or generation
+// state that fired, and the originating rule ID and cost center. It lands
+// in the tool's capped Report.
 //
-// Collection is strictly pull-based and post-run: the trap handlers keep
-// their existing per-tool Report structs and diag converts them
-// afterwards, so runs without diagnostics enabled execute bit-identically
-// (the PR 5 invariant extends to this package).
+// Collection is pull-based and post-run: Collect walks a tool's Reports,
+// symbolizes each PC to function+offset through the module symbol table,
+// stamps the active trace/span ID and deduplicates into a Log with a CWE
+// class, so a fleet operator can walk from a Prometheus exemplar to a
+// trace to the exact check that fired, and harness oracles can assert on
+// fields instead of panic-string matching. Nothing here feeds back into
+// a run, so runs with and without diagnostics execute bit-identically.
 package diag
 
 import (
@@ -25,13 +25,16 @@ import (
 	"sync"
 )
 
-// Violation is one structured, deduplicated sanitizer finding.
+// Violation is one sanitizer finding: raw in a tool's Report, structured
+// (symbolized, trace-bound, CWE-classified, deduplicated) in a Log.
 type Violation struct {
 	// ID is the content hash of the identity fields (everything except
 	// the trace/span IDs and Count): two runs of the same binary hitting
 	// the same bug produce the same ID.
 	ID string `json:"id"`
-	// Tool is the reporting sanitizer: "jasan", "jmsan", "jtsan", "jcfi".
+	// Tool is the owner of the Report that recorded the violation: "jasan",
+	// "jmsan", "jtsan", "jcfi", or a baseline ("valgrind", "retrowrite",
+	// "lockdown", "bincfi").
 	Tool string `json:"tool"`
 	// Kind is the tool's violation class, e.g. "heap-buffer-overflow",
 	// "uninitialized-read", "use-after-free", "forward-edge".
@@ -78,6 +81,25 @@ type Violation struct {
 	Count uint64 `json:"count"`
 }
 
+// String renders v as one raw report line, "<tool>: <kind>: <detail>".
+func (v Violation) String() string {
+	switch {
+	case v.Width > 0:
+		s := fmt.Sprintf("%s: %s: %d-byte access at %#x (pc %#x", v.Tool, v.Kind, v.Width, v.Addr, v.PC)
+		if v.Shadow != 0 {
+			s += fmt.Sprintf(", shadow %#x", v.Shadow)
+		}
+		if v.Gen != 0 {
+			s += fmt.Sprintf(", chunk %#x, gen %d", v.Object, v.Gen)
+		}
+		return s + ")"
+	case v.Addr != 0:
+		return fmt.Sprintf("%s: %s: free(%#x) (pc %#x, gen %d)", v.Tool, v.Kind, v.Addr, v.PC, v.Gen)
+	default:
+		return fmt.Sprintf("%s: %s: transfer to %#x (pc %#x)", v.Tool, v.Kind, v.Target, v.PC)
+	}
+}
+
 // cweByKind maps tool violation classes to CWE identifiers.
 var cweByKind = map[string]string{
 	"heap-buffer-overflow":     "CWE-122",
@@ -91,6 +113,8 @@ var cweByKind = map[string]string{
 	"invalid-free":             "CWE-590",
 	"forward-edge":             "CWE-691",
 	"return-mismatch":          "CWE-691",
+	"invalid-access-redzone":   "CWE-122",
+	"invalid-access":           "CWE-119",
 }
 
 // CWEForKind returns the CWE class for a violation kind ("" if unmapped).
@@ -108,20 +132,27 @@ func hashID(v *Violation) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
+// MaxRecords bounds a Log's distinct records, so a log kept for a daemon's
+// lifetime stays bounded: past it a new ID is dropped and counted, while a
+// repeat of a retained ID still counts.
+const MaxRecords = 1 << 16
+
 // Log accumulates violations with content-hash deduplication. Safe for
 // concurrent use. A nil Log ignores writes and reads as empty, so serving
 // paths can record unconditionally.
 type Log struct {
-	mu   sync.Mutex
-	byID map[string]*Violation
+	mu      sync.Mutex
+	byID    map[string]*Violation
+	dropped uint64
 }
 
 // NewLog returns an empty violation log.
 func NewLog() *Log { return &Log{byID: map[string]*Violation{}} }
 
 // Add records v, deduplicating by content hash: a repeat increments the
-// existing record's Count and keeps the first-seen trace binding. v.ID and
-// v.CWE are (re)computed here; v.Count of 0 counts as 1.
+// existing record's Count and keeps the first-seen trace binding; a new ID
+// past MaxRecords is dropped. v.ID and v.CWE are (re)computed here;
+// v.Count of 0 counts as 1.
 func (l *Log) Add(v Violation) {
 	if l == nil {
 		return
@@ -139,6 +170,10 @@ func (l *Log) Add(v Violation) {
 		prev.Count += v.Count
 		return
 	}
+	if len(l.byID) >= MaxRecords {
+		l.dropped++
+		return
+	}
 	l.byID[v.ID] = &v
 }
 
@@ -152,7 +187,7 @@ func (l *Log) Len() int {
 	return len(l.byID)
 }
 
-// Total returns the total raw report count across all records.
+// Total returns the total raw report count across the retained records.
 func (l *Log) Total() uint64 {
 	if l == nil {
 		return 0

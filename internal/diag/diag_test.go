@@ -7,11 +7,8 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 )
 
 func TestAddDedupAndCount(t *testing.T) {
@@ -116,28 +113,26 @@ func (fakeSym) Symbolize(pc uint64) (string, string, uint64, bool) {
 	return "mod.jef", "work", pc & 0xff, true
 }
 
+// stubTool is a reporting tool whose report the test fills by hand.
+type stubTool struct {
+	core.NullTool
+	rep *Report
+}
+
+func (s stubTool) ViolationReport() *Report { return s.rep }
+
 func TestCollectAllFamiliesAndMultiTool(t *testing.T) {
-	ja := jasan.New(jasan.Config{})
-	ja.Report.Violations = append(ja.Report.Violations, jasan.Violation{
-		PC: 0x100, Addr: 0x2000, Width: 1, Shadow: 0xf9,
-		Kind: "heap-buffer-overflow", Object: 0x1ff0,
+	ja := stubTool{rep: &Report{Tool: "jasan"}}
+	ja.rep.Add(Violation{
+		Kind: "heap-buffer-overflow", PC: 0x100, Addr: 0x2000, Width: 1,
+		Shadow: 0xf9, Object: 0x1ff0, Rule: "MEM_ACCESS", CostCenter: "mem-check",
 	})
-	jm := jmsan.New(jmsan.Config{})
-	jm.Report.Violations = append(jm.Report.Violations, jmsan.Violation{
-		PC: 0x200, Addr: 0x3000, Width: 8,
-	})
-	jt := jtsan.New(jtsan.Config{})
-	jt.Report.Violations = append(jt.Report.Violations,
-		jtsan.Violation{PC: 0x300, Addr: 0x4000, Width: 4, Kind: "use-after-free", Gen: 7},
-		jtsan.Violation{PC: 0x304, Addr: 0x4000, Kind: "double-free"},
-	)
-	jc := jcfi.New(jcfi.DefaultConfig)
-	jc.Report.Violations = append(jc.Report.Violations,
-		jcfi.Violation{PC: 0x400, Target: 0x500, Kind: "forward-edge"},
-		jcfi.Violation{PC: 0x404, Target: 0x504, Kind: "return-mismatch"},
-	)
-	multi := &core.MultiTool{}
-	multi.Tools = append(multi.Tools, ja, jm, jt, jc)
+	jt := stubTool{rep: &Report{Tool: "jtsan"}}
+	jt.rep.Add(Violation{Kind: "use-after-free", PC: 0x300, Addr: 0x4000, Width: 4, Gen: 7})
+	jt.rep.Add(Violation{Kind: "double-free", PC: 0x304, Addr: 0x4000})
+	jc := stubTool{rep: &Report{Tool: "jcfi"}}
+	jc.rep.Add(Violation{Kind: "forward-edge", PC: 0x400, Target: 0x500})
+	multi := core.NewMultiTool(ja, core.NullTool{}, core.NewMultiTool(jt, jc))
 
 	sc := telemetry.SpanContext{
 		TraceID: "0af7651916cd43dd8448eb211c80319c",
@@ -145,31 +140,124 @@ func TestCollectAllFamiliesAndMultiTool(t *testing.T) {
 		Sampled: true,
 	}
 	log := NewLog()
-	if n := Collect(log, multi, fakeSym{}, sc); n != 6 {
-		t.Fatalf("Collect = %d raw reports, want 6", n)
+	if n := Collect(log, multi, fakeSym{}, sc); n != 4 {
+		t.Fatalf("Collect = %d raw reports, want 4", n)
 	}
-	byRule := map[string]string{}
+	tools := map[string]int{}
 	for _, v := range log.Entries() {
-		byRule[v.Rule] = v.CostCenter
+		tools[v.Tool]++
 		if v.TraceID != sc.TraceID || v.SpanID != sc.SpanID {
 			t.Fatalf("violation missing trace binding: %+v", v)
 		}
 		if v.Func != "work" || v.Module != "mod.jef" {
 			t.Fatalf("violation not symbolized: %+v", v)
 		}
-	}
-	want := map[string]string{
-		"MEM_ACCESS":    "mem-check",
-		"MEM_DEF_LOAD":  "def-check",
-		"MEM_GEN_CHECK": "gen-check",
-		"QUAR_TICK":     "quarantine",
-		"CFI_CALL":      "cfi-check",
-		"CFI_RET":       "shadow-stack",
-	}
-	for rule, cc := range want {
-		if byRule[rule] != cc {
-			t.Fatalf("rule %s -> cost center %q, want %q (all: %v)", rule, byRule[rule], cc, byRule)
+		if v.CWE == "" {
+			t.Fatalf("violation not CWE-classified: %+v", v)
 		}
+		if v.Tool == "jasan" && (v.Rule != "MEM_ACCESS" || v.CostCenter != "mem-check" || v.Object != 0x1ff0) {
+			t.Fatalf("record fields not carried through: %+v", v)
+		}
+	}
+	if tools["jasan"] != 1 || tools["jtsan"] != 2 || tools["jcfi"] != 1 {
+		t.Fatalf("records by tool = %v", tools)
+	}
+	if n := Collect(NewLog(), core.NullTool{}, nil, telemetry.SpanContext{}); n != 0 {
+		t.Fatalf("Collect on a tool without a report = %d", n)
+	}
+}
+
+func TestCountAndLinesWalkMultiTool(t *testing.T) {
+	if n := Count(core.NullTool{}); n != 0 {
+		t.Fatalf("NullTool violations = %d, want 0", n)
+	}
+	if lines := Lines(core.NullTool{}); lines != nil {
+		t.Fatalf("NullTool lines = %q, want none", lines)
+	}
+	a := stubTool{rep: &Report{Tool: "jasan"}}
+	a.rep.Add(Violation{Kind: "heap-buffer-overflow", PC: 0x10, Addr: 0x2000, Width: 1, Shadow: 0xf9})
+	b := stubTool{rep: &Report{Tool: "jcfi"}}
+	b.rep.Add(Violation{Kind: "forward-edge", PC: 0x20, Target: 0x30})
+	b.rep.Total += 2 // two more counted past the storage cap
+	mt := core.NewMultiTool(a, core.NullTool{}, b)
+	if n := Count(mt); n != 4 {
+		t.Fatalf("MultiTool violations = %d, want 4", n)
+	}
+	// MultiTool joins its tools' report lines in tool order.
+	want := "jasan: heap-buffer-overflow: 1-byte access at 0x2000 (pc 0x10, shadow 0xf9)\n" +
+		"jcfi: forward-edge: transfer to 0x30 (pc 0x20)"
+	if got := strings.Join(Lines(mt), "\n"); got != want {
+		t.Fatalf("MultiTool lines =\n%s\nwant\n%s", got, want)
+	}
+}
+
+func TestViolationString(t *testing.T) {
+	for _, c := range []struct {
+		v    Violation
+		want string
+	}{
+		{Violation{Tool: "jmsan", Kind: "uninitialized-read", PC: 0x40, Addr: 0x2000000f, Width: 1},
+			"jmsan: uninitialized-read: 1-byte access at 0x2000000f (pc 0x40)"},
+		{Violation{Tool: "jtsan", Kind: "use-after-free", PC: 0x40, Addr: 0x20000004, Width: 8, Object: 0x20000000, Gen: 1},
+			"jtsan: use-after-free: 8-byte access at 0x20000004 (pc 0x40, chunk 0x20000000, gen 1)"},
+		{Violation{Tool: "jtsan", Kind: "double-free", PC: 0x40, Addr: 0x20000000, Object: 0x20000000, Gen: 1},
+			"jtsan: double-free: free(0x20000000) (pc 0x40, gen 1)"},
+		{Violation{Tool: "jcfi", Kind: "return-mismatch", PC: 0x40, Target: 0x58},
+			"jcfi: return-mismatch: transfer to 0x58 (pc 0x40)"},
+	} {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+func TestReportCapsStorageButCountsAll(t *testing.T) {
+	r := Report{Tool: "jasan"}
+	for i := 0; i < MaxStored+5; i++ {
+		if err := r.Add(Violation{PC: uint64(i)}); err != nil {
+			t.Fatalf("recovering report returned %v", err)
+		}
+	}
+	if r.Total != MaxStored+5 || len(r.Violations) != MaxStored {
+		t.Fatalf("total %d, stored %d; want %d, %d",
+			r.Total, len(r.Violations), MaxStored+5, MaxStored)
+	}
+	if last := r.Violations[MaxStored-1]; last.PC != MaxStored-1 || last.Tool != "jasan" {
+		t.Fatalf("last stored violation %+v, want the earliest ones kept, owner-stamped", last)
+	}
+}
+
+func TestReportHaltOnErrorFault(t *testing.T) {
+	r := Report{Tool: "jcfi", HaltOnError: true}
+	err := r.Add(Violation{Kind: "forward-edge", PC: 0x400100, Target: 0x400203})
+	f, ok := err.(*vm.Fault)
+	if !ok || f.PC != 0x400100 || f.Addr != 0x400203 || f.Kind != "jcfi: forward-edge" {
+		t.Fatalf("halting Add returned %#v", err)
+	}
+	if r.Total != 1 || len(r.Violations) != 1 {
+		t.Fatalf("halting Add did not record: total %d", r.Total)
+	}
+}
+
+func TestLogBoundsDistinctRecords(t *testing.T) {
+	log := NewLog()
+	dropped := func() uint64 {
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		return log.dropped
+	}
+	for i := 0; i < 2*MaxRecords; i++ {
+		log.Add(Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: uint64(i)})
+	}
+	if log.Len() != MaxRecords || dropped() != MaxRecords {
+		t.Fatalf("Len %d, dropped %d after %d distinct records; want %d, %d",
+			log.Len(), dropped(), 2*MaxRecords, MaxRecords, MaxRecords)
+	}
+	// A repeat of a retained record still counts; it is not a drop.
+	log.Add(Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: 0})
+	if log.Total() != MaxRecords+1 || dropped() != MaxRecords {
+		t.Fatalf("Total %d, dropped %d after a repeat; want %d, %d",
+			log.Total(), dropped(), MaxRecords+1, MaxRecords)
 	}
 }
 

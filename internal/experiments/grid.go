@@ -378,7 +378,7 @@ func runCell(w *spec.Workload, p *program, scheme Scheme, backend Backend,
 	res.Coverage = rt.Coverage
 	res.Profile = prof
 	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)
-	res.Violations = core.Violations(tool)
+	res.Violations = diag.Count(tool)
 	switch tt := tool.(type) {
 	case *jcfi.Tool:
 		res.DAIR = tt.DynamicAIR()

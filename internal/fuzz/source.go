@@ -108,7 +108,7 @@ func run(mod *obj.Module, reg loader.Registry, tool core.Tool,
 	}
 	err = s.Run()
 	return runOutcome{exit: s.M.ExitStatus, out: buf.String(), err: err,
-		overBudget: vm.IsBudget(err)}, core.Violations(tool)
+		overBudget: vm.IsBudget(err)}, diag.Count(tool)
 }
 
 // Libj returns the shared runtime library registry every generated program

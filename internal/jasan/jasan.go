@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/shadow"
@@ -39,23 +40,20 @@ type Config struct {
 type Tool struct {
 	cfg Config
 	// Report accumulates detected violations.
-	Report *Report
+	Report *diag.Report
 }
 
 // New returns a JASan instance. The default configuration is the fully
 // optimised hybrid.
 func New(cfg Config) *Tool {
-	return &Tool{cfg: cfg, Report: &Report{}}
+	return &Tool{cfg: cfg, Report: &diag.Report{Tool: "jasan"}}
 }
 
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jasan" }
 
-// Violations returns the number of violations reported, dropped ones included.
-func (t *Tool) Violations() int { return int(t.Report.Total) }
-
-// Lines returns the stored violations, one report line each.
-func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *Tool) ViolationReport() *diag.Report { return t.Report }
 
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/libj"
 	"repro/internal/loader"
@@ -572,16 +573,16 @@ sname:
 }
 
 func TestViolationStringAndReport(t *testing.T) {
-	v := Violation{PC: 0x400100, Addr: 0x20000018, Width: 1,
+	v := diag.Violation{PC: 0x400100, Addr: 0x20000018, Width: 1,
 		Shadow: ShadowHeapRedzone, Kind: "heap-buffer-overflow"}
-	if !strings.Contains(v.String(), "heap-buffer-overflow") {
-		t.Error("violation string missing kind")
-	}
-	r := &Report{HaltOnError: true}
+	r := &diag.Report{Tool: "jasan", HaltOnError: true}
 	err := r.Add(v)
 	f, ok := err.(*vm.Fault)
 	if !ok || f.PC != v.PC || f.Addr != v.Addr || f.Kind != "jasan: heap-buffer-overflow" {
 		t.Errorf("halting report returned %v", err)
+	}
+	if !strings.HasPrefix(r.Violations[0].String(), "jasan: heap-buffer-overflow: ") {
+		t.Errorf("violation string %q lacks the tool: kind prefix", r.Violations[0])
 	}
 }
 

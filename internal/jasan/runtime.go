@@ -7,10 +7,11 @@
 package jasan
 
 import (
-	"fmt"
-
+	"repro/internal/diag"
 	"repro/internal/isa"
+	"repro/internal/rules"
 	"repro/internal/shadow"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -30,37 +31,6 @@ const (
 
 // RedzoneSize is the size in bytes of heap redzones on each side.
 const RedzoneSize = 16
-
-// Violation is one detected memory-safety violation.
-type Violation struct {
-	// PC is the application address of the instrumented access.
-	PC uint64
-	// Addr is the faulting application address.
-	Addr uint64
-	// Width is the access width in bytes.
-	Width int
-	// Shadow is the shadow byte that triggered the report.
-	Shadow byte
-	// Kind classifies the violation from the shadow byte.
-	Kind string
-	// Object is the base address of the heap object the access relates to
-	// (0 when the address maps to no live or quarantined object) — used
-	// for memcheck-style per-object report deduplication.
-	Object uint64
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("jasan: %s: %d-byte access at %#x (pc %#x, shadow %#x)",
-		v.Kind, v.Width, v.Addr, v.PC, v.Shadow)
-}
-
-// Fault is the error that stops a run halting on v.
-func (v Violation) Fault() *vm.Fault {
-	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jasan: " + v.Kind}
-}
-
-// Report accumulates violations during a run.
-type Report = shadow.Log[Violation]
 
 func classifyShadow(s byte) string {
 	switch s {
@@ -197,22 +167,22 @@ type HeapObjects interface {
 // machine outside the Janitizer core — used by the baseline tools
 // (Retrowrite's rewritten binaries and the Valgrind-style checker share this
 // runtime library). The returned HeapObjects maps addresses to heap objects.
-func InstallRuntimeOn(m *vm.Machine, rep *Report) HeapObjects {
+func InstallRuntimeOn(m *vm.Machine, rep *diag.Report) HeapObjects {
 	return installRuntime(m, rep)
 }
 
 // installRuntime wires the JASan runtime into a machine: the report trap
 // family and the interposed allocator.
-func installRuntime(m *vm.Machine, rep *Report) *asanAllocator {
+func installRuntime(m *vm.Machine, rep *diag.Report) *asanAllocator {
 	alloc := newASanAllocator(m)
 	reportTraps.Install(m, func(m *vm.Machine, addr uint64, width int) error {
 		sb, _ := m.Mem.ReadB(isa.ShadowAddr(addr))
-		v := Violation{
-			PC: m.TrapPC, Addr: addr, Width: width,
-			Shadow: sb, Kind: classifyShadow(sb),
-		}
-		v.Object, _ = alloc.ObjectFor(addr)
-		return rep.Add(v)
+		obj, _ := alloc.ObjectFor(addr)
+		return rep.Add(diag.Violation{
+			Kind: classifyShadow(sb), PC: m.TrapPC, Addr: addr, Width: width,
+			Shadow: sb, Object: obj,
+			Rule: rules.MemAccess.String(), CostCenter: telemetry.CCMemCheck.String(),
+		})
 	})
 	m.HandleTrap(isa.TrapMalloc, func(m *vm.Machine) error {
 		m.Regs[isa.R0] = alloc.malloc(m.Regs[isa.R1])

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/metrics"
@@ -58,7 +59,7 @@ type site struct {
 // Tool is the JCFI security technique.
 type Tool struct {
 	cfg    Config
-	Report *Report
+	Report *diag.Report
 
 	st        *RTState
 	rt        *core.Runtime
@@ -68,17 +69,18 @@ type Tool struct {
 
 // New returns a JCFI instance.
 func New(cfg Config) *Tool {
-	return &Tool{cfg: cfg, Report: &Report{}, sites: map[uint64]site{}}
+	return &Tool{cfg: cfg, Report: &diag.Report{Tool: "jcfi"}, sites: map[uint64]site{}}
 }
 
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jcfi" }
 
-// Violations returns the number of CFI violations reported.
-func (t *Tool) Violations() int { return len(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *Tool) ViolationReport() *diag.Report { return t.Report }
 
-// Lines returns the violations, one report line each.
-func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+// State returns the run-time table state RuntimeInit installed (nil
+// before it).
+func (t *Tool) State() *RTState { return t.st }
 
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key
@@ -259,12 +261,12 @@ func isResolverRet(blk *cfg.BasicBlock) bool {
 // footnote 5).
 func (t *Tool) RuntimeInit(rt *core.Runtime) error {
 	t.rt = rt
-	t.Report.HaltOnViolation = t.cfg.HaltOnViolation
+	t.Report.HaltOnError = t.cfg.HaltOnViolation
 	t.st = NewRTState(rt.M)
 	if err := InstallShadowStack(rt.M); err != nil {
 		return err
 	}
-	InstallViolationTraps(rt.M, t.Report)
+	t.st.InstallViolationTraps(t.Report)
 	for _, lm := range rt.Proc.Modules {
 		if err := t.setupModule(lm); err != nil {
 			return err

@@ -1,11 +1,13 @@
 package jcfi
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/rules"
@@ -165,6 +167,10 @@ func TestForwardHijackDetected(t *testing.T) {
 		for _, v := range tool.Report.Violations {
 			if v.Kind == "forward-edge" {
 				found = true
+				if v.Rule != "CFI_CALL" || v.CostCenter != "cfi-check" {
+					t.Fatalf("static=%v: rule %q, cost center %q; want CFI_CALL, cfi-check",
+						static, v.Rule, v.CostCenter)
+				}
 			}
 		}
 		if !found {
@@ -200,6 +206,10 @@ gadget:
 	for _, v := range tool.Report.Violations {
 		if v.Kind == "return-mismatch" {
 			found = true
+			if v.Rule != "CFI_RET" || v.CostCenter != "shadow-stack" {
+				t.Fatalf("rule %q, cost center %q; want CFI_RET, shadow-stack",
+					v.Rule, v.CostCenter)
+			}
 		}
 	}
 	if !found {
@@ -564,5 +574,50 @@ func TestDAIRBreakdown(t *testing.T) {
 	}
 	if agg < lo-1e-9 || agg > hi+1e-9 {
 		t.Errorf("aggregate DAIR %f outside per-kind range [%f, %f]", agg, lo, hi)
+	}
+}
+
+// TestReportCapsForwardEdgeViolations drives more forward-edge violations
+// than a report stores: the first diag.MaxStored are kept, every one is
+// counted.
+func TestReportCapsForwardEdgeViolations(t *testing.T) {
+	const n = diag.MaxStored + 100
+	prog := fmt.Sprintf(`
+.module prog
+.entry _start
+.needs libj.jef
+.section .text
+_start:
+    mov r12, 0
+loop:
+    la r13, victim
+    add r13, 10         ; victim's second instruction: not a call target
+    calli r13           ; forward-edge violation, then runs on and returns
+    add r12, 1
+    cmp r12, %d
+    jl loop
+    mov r1, 0
+    mov r0, 1
+    syscall
+victim:
+    mov r0, 7
+    mov r0, 8
+    ret
+`, n)
+	m, tool, _ := run(t, prog, DefaultConfig, true, nil)
+	if m.ExitStatus != 0 {
+		t.Fatalf("exit %d, want 0", m.ExitStatus)
+	}
+	for _, v := range tool.Report.Violations {
+		if v.Kind != "forward-edge" {
+			t.Fatalf("unexpected violation %v", v)
+		}
+	}
+	if tool.Report.Total != n || len(tool.Report.Violations) != diag.MaxStored {
+		t.Fatalf("total %d, stored %d; want %d, %d",
+			tool.Report.Total, len(tool.Report.Violations), n, diag.MaxStored)
+	}
+	if got := diag.Count(tool); got != n {
+		t.Fatalf("diag.Count = %d, want %d", got, n)
 	}
 }

@@ -4,44 +4,14 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/obj"
+	"repro/internal/rules"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
-
-// Violation is one detected control-flow-integrity violation.
-type Violation struct {
-	// PC is the application address of the checked CTI.
-	PC uint64
-	// Target is the offending transfer target (forward) or the actual
-	// return address (backward).
-	Target uint64
-	// Kind is "forward-edge" or "return-mismatch".
-	Kind string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("jcfi: %s violation at pc %#x -> %#x", v.Kind, v.PC, v.Target)
-}
-
-// Report accumulates CFI violations.
-type Report struct {
-	Violations []Violation
-	// HaltOnViolation aborts execution on the first violation (the
-	// deployment mode); the evaluation harness records and continues.
-	HaltOnViolation bool
-	// TolerateUninstrumented, when non-nil, marks the purely static
-	// rewriting backend: code outside the statically rewritten regions
-	// runs without instrumentation, so shadow-stack pushes and pops no
-	// longer pair up at coverage boundaries. The callback reports whether
-	// a return target lies in UNinstrumented code. A return mismatch is
-	// then reconciled instead of reported when it is explainable by such
-	// a boundary (see reconcileShadow); genuine mismatches within covered
-	// code still report. The dynamic and hybrid backends instrument
-	// everything and leave this nil.
-	TolerateUninstrumented func(target uint64) bool
-}
 
 // targetSets is the Go-side mirror of one module's run-time tables, kept for
 // AIR accounting.
@@ -64,6 +34,16 @@ type RTState struct {
 	sets map[int]*TargetSets
 	// counts of inserted entries per VM table base (load-factor guard).
 	counts map[uint64]int
+	// TolerateUninstrumented, when non-nil, marks the purely static
+	// rewriting backend: code outside the statically rewritten regions
+	// runs without instrumentation, so shadow-stack pushes and pops no
+	// longer pair up at coverage boundaries. The callback reports whether
+	// a return target lies in UNinstrumented code. A return mismatch is
+	// then reconciled instead of reported when it is explainable by such
+	// a boundary (see reconcileShadow); genuine mismatches within covered
+	// code still report. The dynamic and hybrid backends instrument
+	// everything and leave this nil.
+	TolerateUninstrumented func(target uint64) bool
 }
 
 // NewRTState creates the CFI run-time table state over a machine.
@@ -288,22 +268,21 @@ func InstallShadowStack(m *vm.Machine) error {
 	return m.Mem.Write64(isa.LayoutShadowStackPtr, isa.LayoutShadowStackBase)
 }
 
-// installViolationTraps registers the forward/backward violation handlers.
-func InstallViolationTraps(m *vm.Machine, rep *Report) {
+// InstallViolationTraps registers the forward/backward violation handlers,
+// recording into rep.
+func (s *RTState) InstallViolationTraps(rep *diag.Report) {
 	for reg := isa.Register(0); reg < isa.NumRegs; reg++ {
 		reg := reg
-		m.HandleTrap(trapForwardBase+int64(reg), func(m *vm.Machine) error {
-			v := Violation{PC: m.TrapPC, Target: m.Regs[reg], Kind: "forward-edge"}
-			rep.Violations = append(rep.Violations, v)
-			if rep.HaltOnViolation {
-				return &vm.Fault{PC: m.TrapPC, Addr: v.Target, Kind: v.String()}
-			}
-			return nil
+		s.m.HandleTrap(trapForwardBase+int64(reg), func(m *vm.Machine) error {
+			return rep.Add(diag.Violation{
+				Kind: "forward-edge", PC: m.TrapPC, Target: m.Regs[reg],
+				Rule: rules.CFICall.String(), CostCenter: telemetry.CCCFICheck.String(),
+			})
 		})
-		m.HandleTrap(trapReturnBase+int64(reg), func(m *vm.Machine) error {
+		s.m.HandleTrap(trapReturnBase+int64(reg), func(m *vm.Machine) error {
 			actual := m.Regs[reg]
-			if rep.TolerateUninstrumented != nil {
-				ok, err := reconcileShadow(m, actual, rep.TolerateUninstrumented)
+			if s.TolerateUninstrumented != nil {
+				ok, err := reconcileShadow(m, actual, s.TolerateUninstrumented)
 				if err != nil {
 					return err
 				}
@@ -311,12 +290,10 @@ func InstallViolationTraps(m *vm.Machine, rep *Report) {
 					return nil
 				}
 			}
-			v := Violation{PC: m.TrapPC, Target: actual, Kind: "return-mismatch"}
-			rep.Violations = append(rep.Violations, v)
-			if rep.HaltOnViolation {
-				return &vm.Fault{PC: m.TrapPC, Addr: v.Target, Kind: v.String()}
-			}
-			return nil
+			return rep.Add(diag.Violation{
+				Kind: "return-mismatch", PC: m.TrapPC, Target: actual,
+				Rule: rules.CFIRet.String(), CostCenter: telemetry.CCShadowStack.String(),
+			})
 		})
 	}
 }

@@ -231,7 +231,7 @@ func runAgreeTool(t *testing.T, src string, o2 bool, tool core.Tool, static bool
 	case *jmsan.Tool:
 		return tt.Report.Total
 	case *baseline.ValgrindTool:
-		return tt.DefReport.Total
+		return tt.Report.Total
 	}
 	t.Fatalf("unhandled tool %T", tool)
 	return 0

@@ -6,6 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/shadow"
@@ -35,7 +36,7 @@ type Config struct {
 type Tool struct {
 	cfg Config
 	// Report accumulates detected uninitialized reads.
-	Report *Report
+	Report *diag.Report
 	// frameSizes maps FRAME_UNDEF trap sites (application addresses of
 	// prologue stack allocations) to the number of frame bytes to mark
 	// undefined. Populated at instrumentation time, read by the trap
@@ -45,17 +46,14 @@ type Tool struct {
 
 // New returns a JMSan instance.
 func New(cfg Config) *Tool {
-	return &Tool{cfg: cfg, Report: &Report{}, frameSizes: map[uint64]uint64{}}
+	return &Tool{cfg: cfg, Report: &diag.Report{Tool: "jmsan"}, frameSizes: map[uint64]uint64{}}
 }
 
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jmsan" }
 
-// Violations returns the number of violations reported, dropped ones included.
-func (t *Tool) Violations() int { return int(t.Report.Total) }
-
-// Lines returns the stored violations, one report line each.
-func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *Tool) ViolationReport() *diag.Report { return t.Report }
 
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key

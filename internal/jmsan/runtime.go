@@ -9,10 +9,11 @@
 package jmsan
 
 import (
-	"fmt"
-
+	"repro/internal/diag"
 	"repro/internal/isa"
+	"repro/internal/rules"
 	"repro/internal/shadow"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -22,29 +23,6 @@ import (
 // shadow marks everything (globals, the startup stack) defined and only
 // explicit events — heap allocation, frame setup — introduce undefined
 // bytes.
-
-// Violation is one detected read of undefined memory.
-type Violation struct {
-	// PC is the application address of the instrumented load.
-	PC uint64
-	// Addr is the application address of the first undefined byte read.
-	Addr uint64
-	// Width is the access width in bytes.
-	Width int
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("jmsan: uninitialized-read: %d-byte load touches undefined byte %#x (pc %#x)",
-		v.Width, v.Addr, v.PC)
-}
-
-// Fault is the error that stops a run halting on v.
-func (v Violation) Fault() *vm.Fault {
-	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jmsan: uninitialized-read"}
-}
-
-// Report accumulates violations during a run.
-type Report = shadow.Log[Violation]
 
 // Trap families. A store or load family code encodes the register holding
 // the application address and the access width; the bases live above
@@ -64,7 +42,7 @@ const (
 // outside the Janitizer core — used by baseline tools sharing the shadow
 // encoding. frameSizes maps FRAME_UNDEF trap PCs to frame sizes; it may be
 // nil for tools that never emit the frame trap.
-func InstallRuntimeOn(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) {
+func InstallRuntimeOn(m *vm.Machine, rep *diag.Report, frameSizes map[uint64]uint64) {
 	installRuntime(m, rep, frameSizes)
 }
 
@@ -72,7 +50,7 @@ func InstallRuntimeOn(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) 
 // heap allocator so fresh objects start undefined. The allocator wrapper
 // chains whatever TrapMalloc handler is already installed (the VM default
 // allocator, or JASan's redzone allocator in combined configurations).
-func installRuntime(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) {
+func installRuntime(m *vm.Machine, rep *diag.Report, frameSizes map[uint64]uint64) {
 	undef := shadow.Bitmap{M: m, Base: isa.LayoutDefShadowBase}
 	DefStoreTraps.Install(m, func(_ *vm.Machine, addr uint64, width int) error {
 		undef.Set(addr, uint64(width), false)
@@ -83,7 +61,10 @@ func installRuntime(m *vm.Machine, rep *Report, frameSizes map[uint64]uint64) {
 		if !ok {
 			return nil // window false positive: neighbour bytes only
 		}
-		return rep.Add(Violation{PC: m.TrapPC, Addr: bad, Width: width})
+		return rep.Add(diag.Violation{
+			Kind: "uninitialized-read", PC: m.TrapPC, Addr: bad, Width: width,
+			Rule: rules.MemDefLoad.String(), CostCenter: telemetry.CCDefCheck.String(),
+		})
 	})
 	m.HandleTrap(trapFrameUndef, func(m *vm.Machine) error {
 		if size := frameSizes[m.TrapPC]; size > 0 {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/shadow"
@@ -36,22 +37,19 @@ type Config struct {
 type Tool struct {
 	cfg Config
 	// Report accumulates detected temporal violations.
-	Report *Report
+	Report *diag.Report
 }
 
 // New returns a JTSan instance.
 func New(cfg Config) *Tool {
-	return &Tool{cfg: cfg, Report: &Report{}}
+	return &Tool{cfg: cfg, Report: &diag.Report{Tool: "jtsan"}}
 }
 
 // Name implements core.Tool.
 func (t *Tool) Name() string { return "jtsan" }
 
-// Violations returns the number of violations reported, dropped ones included.
-func (t *Tool) Violations() int { return int(t.Report.Total) }
-
-// Lines returns the stored violations, one report line each.
-func (t *Tool) Lines() []string { return core.Lines(t.Report.Violations) }
+// ViolationReport implements diag.Reporter.
+func (t *Tool) ViolationReport() *diag.Report { return t.Report }
 
 // ConfigKey returns a stable identifier for the configuration fields that
 // influence StaticPass output — part of the analysis-cache key

@@ -138,6 +138,10 @@ func TestDetectsDoubleFree(t *testing.T) {
 			if v.Kind != "double-free" || v.Width != 0 {
 				t.Fatalf("violation = %+v; want a free-time double-free", v)
 			}
+			if v.Rule != "QUAR_TICK" || v.CostCenter != "quarantine" {
+				t.Fatalf("rule %q, cost center %q; want QUAR_TICK, quarantine",
+					v.Rule, v.CostCenter)
+			}
 			// The refused repeat free never reaches the underlying
 			// allocator, so the run survives to a clean exit.
 			if m.ExitStatus != 0 {
@@ -168,6 +172,9 @@ func TestDetectsInvalidFree(t *testing.T) {
 	_, tool, _ := runWith(t, invalidFreeProg, Config{UseLiveness: true}, true)
 	if tool.Report.Total != 1 || tool.Report.Violations[0].Kind != "invalid-free" {
 		t.Fatalf("violations = %v; want one invalid-free", tool.Report.Violations)
+	}
+	if v := tool.Report.Violations[0]; v.Rule != "QUAR_TICK" || v.CostCenter != "quarantine" {
+		t.Fatalf("rule %q, cost center %q; want QUAR_TICK, quarantine", v.Rule, v.CostCenter)
 	}
 }
 

@@ -11,10 +11,11 @@
 package jtsan
 
 import (
-	"fmt"
-
+	"repro/internal/diag"
 	"repro/internal/isa"
+	"repro/internal/rules"
 	"repro/internal/shadow"
+	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
@@ -27,43 +28,6 @@ import (
 // host-side table keyed by chunk base: the bitmap answers "is this byte
 // freed right now", the table answers "which incarnation" for diagnostics
 // and double-free detection.
-
-// Violation is one detected temporal-safety violation.
-type Violation struct {
-	// PC is the application address of the instrumented access (or of the
-	// free trap for free-time violations).
-	PC uint64
-	// Addr is the faulting application address (the accessed byte, or the
-	// freed pointer).
-	Addr uint64
-	// Width is the access width in bytes (0 for free-time violations).
-	Width int
-	// Kind is "use-after-free", "double-free" or "invalid-free".
-	Kind string
-	// Object is the base address of the quarantined chunk the access
-	// refers to (0 when no chunk is attributable).
-	Object uint64
-	// Gen is the chunk's current generation (the number of frees it has
-	// seen) at report time.
-	Gen uint16
-}
-
-func (v Violation) String() string {
-	if v.Width == 0 {
-		return fmt.Sprintf("jtsan: %s: free(%#x) (pc %#x, gen %d)",
-			v.Kind, v.Addr, v.PC, v.Gen)
-	}
-	return fmt.Sprintf("jtsan: %s: %d-byte access at %#x (pc %#x, chunk %#x, gen %d)",
-		v.Kind, v.Width, v.Addr, v.PC, v.Object, v.Gen)
-}
-
-// Fault is the error that stops a run halting on v.
-func (v Violation) Fault() *vm.Fault {
-	return &vm.Fault{PC: v.PC, Addr: v.Addr, Kind: "jtsan: " + v.Kind}
-}
-
-// Report accumulates violations during a run.
-type Report = shadow.Log[Violation]
 
 // Trap families. A generation-check code encodes the register holding the
 // application address and the access width; the bases live above JMSan's
@@ -89,7 +53,7 @@ const defaultQuarantineChunks = 128
 type tsanAllocator struct {
 	freed                shadow.Bitmap
 	prevMalloc, prevFree vm.TrapHandler
-	rep                  *Report
+	rep                  *diag.Report
 	// live maps a live chunk's user base to its user size.
 	live map[uint64]uint64
 	// gens maps a chunk base to its generation: the number of frees the
@@ -160,9 +124,12 @@ func (a *tsanAllocator) onFree(m *vm.Machine) error {
 		if _, freedBefore := a.gens[ptr]; freedBefore {
 			kind = "double-free"
 		}
-		return a.rep.Add(Violation{
-			PC: m.TrapPC, Addr: ptr, Kind: kind,
-			Object: ptr, Gen: a.gens[ptr],
+		// Double-free and invalid-free fire at the free trap, which the
+		// quarantine tick's rule and cost center account.
+		return a.rep.Add(diag.Violation{
+			Kind: kind, PC: m.TrapPC, Addr: ptr,
+			Gen: uint64(a.gens[ptr]), Object: ptr,
+			Rule: rules.QuarTick.String(), CostCenter: telemetry.CCQuarantine.String(),
 		})
 	}
 	delete(a.live, ptr)
@@ -202,14 +169,14 @@ type Chunks interface {
 // the Janitizer core — used by baseline tools sharing the generation-shadow
 // encoding (the Valgrind-style checker's temporal mode). The returned
 // Chunks maps addresses to quarantined chunks.
-func InstallRuntimeOn(m *vm.Machine, rep *Report) Chunks {
+func InstallRuntimeOn(m *vm.Machine, rep *diag.Report) Chunks {
 	return installRuntime(m, rep)
 }
 
 // installRuntime registers the generation-check trap family, the quarantine
 // tick, and the allocator wrapper. The wrapper chains whatever
 // TrapMalloc/TrapFree handlers are already installed.
-func installRuntime(m *vm.Machine, rep *Report) *tsanAllocator {
+func installRuntime(m *vm.Machine, rep *diag.Report) *tsanAllocator {
 	alloc := &tsanAllocator{
 		freed:      shadow.Bitmap{M: m, Base: isa.LayoutGenShadowBase},
 		prevMalloc: m.TrapHandlerFor(isa.TrapMalloc),
@@ -224,10 +191,12 @@ func installRuntime(m *vm.Machine, rep *Report) *tsanAllocator {
 		if !freed {
 			return nil // window false positive: neighbour bytes only
 		}
-		v := Violation{PC: m.TrapPC, Addr: bad, Width: width,
-			Kind: "use-after-free"}
-		v.Object, v.Gen, _ = alloc.ChunkFor(bad)
-		return rep.Add(v)
+		obj, gen, _ := alloc.ChunkFor(bad)
+		return rep.Add(diag.Violation{
+			Kind: "use-after-free", PC: m.TrapPC, Addr: bad, Width: width,
+			Gen: uint64(gen), Object: obj,
+			Rule: rules.MemGenCheck.String(), CostCenter: telemetry.CCGenCheck.String(),
+		})
 	})
 	m.HandleTrap(trapQuarTick, func(m *vm.Machine) error {
 		m.AddCycles(alloc.pendingCost)

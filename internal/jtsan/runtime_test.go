@@ -3,6 +3,7 @@ package jtsan
 import (
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -35,11 +36,11 @@ func (d allocDriver) free(ptr uint64) {
 	}
 }
 
-func newRuntime(t *testing.T) (allocDriver, *tsanAllocator, *Report) {
+func newRuntime(t *testing.T) (allocDriver, *tsanAllocator, *diag.Report) {
 	t.Helper()
 	m := vm.New()
 	m.InstallDefaultServices()
-	rep := &Report{}
+	rep := &diag.Report{Tool: "jtsan"}
 	alloc := installRuntime(m, rep)
 	return allocDriver{t: t, m: m}, alloc, rep
 }
@@ -99,7 +100,7 @@ func TestDoubleFreeNotForwarded(t *testing.T) {
 		forwarded = append(forwarded, m.Regs[isa.R1])
 		return prev(m)
 	})
-	rep := &Report{}
+	rep := &diag.Report{Tool: "jtsan"}
 	installRuntime(m, rep)
 	d := allocDriver{t: t, m: m}
 	base := d.malloc(16)
@@ -154,7 +155,7 @@ func TestQuarantineCapacityEviction(t *testing.T) {
 		forwarded = append(forwarded, m.Regs[isa.R1])
 		return prev(m)
 	})
-	rep := &Report{}
+	rep := &diag.Report{Tool: "jtsan"}
 	alloc := installRuntime(m, rep)
 	d := allocDriver{t: t, m: m}
 

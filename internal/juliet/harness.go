@@ -88,8 +88,10 @@ var detectors = map[Detector]string{
 // violation count plus the structured diagnostics the run produced —
 // deduplicated, CWE-classified and symbolized against the loaded process
 // image — so suite oracles can assert on fields (kind, CWE, rule,
-// function) instead of counts alone. The Valgrind baseline reports no
-// structured records (it is not a janitizer trap family).
+// function) instead of counts alone. The Valgrind baseline's records,
+// the definedness and temporal ones from the shared runtimes included,
+// name it as their tool and carry no rule or cost center (it plants no
+// rules; its checks are clean calls).
 func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	entry, err := registry.Lookup(detectors[det])
 	if err != nil {
@@ -131,7 +133,7 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	_ = s.Run()
 	dlog := diag.NewLog()
 	diag.Collect(dlog, tool, diag.NewProcessSymbolizer(s.Proc), telemetry.SpanContext{})
-	return uint64(core.Violations(tool)), dlog.Entries(), nil
+	return uint64(diag.Count(tool)), dlog.Entries(), nil
 }
 
 // Evaluate runs the detector over the suite and tallies Fig. 10's metrics.

@@ -68,7 +68,7 @@ func (c *coveredRanges) contains(pc uint64) bool {
 
 // prepared is the common setup shared by RunStatic and RunHybrid: modules
 // rewritten, process loaded, placement assumptions verified, trap origins
-// installed.
+// and the tool runtime installed.
 type prepared struct {
 	*core.Session
 	rw  map[string]*Rewritten
@@ -134,6 +134,9 @@ func prepare(main *obj.Module, reg loader.Registry, tool core.Tool,
 	}
 	sort.Slice(cov.ranges, func(i, j int) bool { return cov.ranges[i][0] < cov.ranges[j][0] })
 
+	if err := s.RT.Tool.RuntimeInit(s.RT); err != nil {
+		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
+	}
 	return &prepared{Session: s, rw: rw, cov: cov}, nil
 }
 
@@ -152,7 +155,7 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 	}
 	for _, jt := range jcfiTools(p.RT.Tool) {
 		cov := p.cov
-		jt.Report.TolerateUninstrumented = func(target uint64) bool {
+		jt.State().TolerateUninstrumented = func(target uint64) bool {
 			// Instrumented returns always target copy code; anything
 			// else came from an uncovered (original) frame.
 			return !cov.contains(target) || cov.pins[target]
@@ -185,12 +188,8 @@ func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 	return p.run()
 }
 
-// run initialises the tool runtime and executes the program on the
-// machine's dispatch loop.
+// run executes the program on the machine's dispatch loop.
 func (p *prepared) run() (*RunResult, error) {
-	if err := p.RT.Tool.RuntimeInit(p.RT); err != nil {
-		return nil, fmt.Errorf("rewrite: runtime init: %w", err)
-	}
 	if err := p.M.Run(p.Entry); err != nil {
 		return nil, err
 	}

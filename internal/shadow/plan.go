@@ -8,9 +8,8 @@
 //   - Dedup, the same-address elision planner of the static pass;
 //   - CheckPlan, the operand address closure and the bitmap window check
 //     of the emitters;
-//   - Bitmap, the one-bit-per-byte shadow, Family, the trap-code encoder
-//     and its per-register installer, and Log, the capped violation log of
-//     the runtimes.
+//   - Bitmap, the one-bit-per-byte shadow, and Family, the trap-code
+//     encoder and its per-register installer, of the runtimes.
 //
 // The claims Dedup records are re-derived by internal/vsa's verifier from
 // its own copy of the side conditions, so a planner bug cannot pass both.

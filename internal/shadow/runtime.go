@@ -93,36 +93,3 @@ func (f Family) Install(m *vm.Machine, h func(m *vm.Machine, addr uint64, width 
 		}
 	}
 }
-
-// MaxStored bounds a Log; further violations are counted but not stored.
-const MaxStored = 16384
-
-// A Violation is one entry of a Log: Fault is the error that stops the run
-// when the log halts on error.
-type Violation interface {
-	Fault() *vm.Fault
-}
-
-// Log accumulates a tool's violations during a run.
-type Log[V Violation] struct {
-	Violations []V
-	// Total counts every report, including ones dropped past the storage
-	// cap.
-	Total uint64
-	// HaltOnError aborts execution at the first violation when set
-	// (AddressSanitizer's default; the evaluation harness runs in recover
-	// mode to count all violations).
-	HaltOnError bool
-}
-
-// Add records v, and returns its fault when the log halts on error.
-func (l *Log[V]) Add(v V) error {
-	l.Total++
-	if len(l.Violations) < MaxStored {
-		l.Violations = append(l.Violations, v)
-	}
-	if l.HaltOnError {
-		return v.Fault()
-	}
-	return nil
-}

@@ -176,41 +176,6 @@ func TestBitmapStopsAtShadowBase(t *testing.T) {
 	}
 }
 
-// testViolation is a minimal Log entry.
-type testViolation struct{ pc, addr uint64 }
-
-func (v testViolation) Fault() *vm.Fault {
-	return &vm.Fault{PC: v.pc, Addr: v.addr, Kind: "test: bad"}
-}
-
-func TestLogCapsStorageButCountsAll(t *testing.T) {
-	var l Log[testViolation]
-	for i := 0; i < MaxStored+5; i++ {
-		if err := l.Add(testViolation{pc: uint64(i)}); err != nil {
-			t.Fatalf("recovering log returned %v", err)
-		}
-	}
-	if l.Total != MaxStored+5 || len(l.Violations) != MaxStored {
-		t.Fatalf("total %d, stored %d; want %d, %d",
-			l.Total, len(l.Violations), MaxStored+5, MaxStored)
-	}
-	if last := l.Violations[MaxStored-1].pc; last != MaxStored-1 {
-		t.Fatalf("last stored violation pc %d, want the earliest ones kept", last)
-	}
-}
-
-func TestLogHaltOnErrorFault(t *testing.T) {
-	l := Log[testViolation]{HaltOnError: true}
-	err := l.Add(testViolation{pc: 0x400100, addr: 0x20000018})
-	f, ok := err.(*vm.Fault)
-	if !ok || f.PC != 0x400100 || f.Addr != 0x20000018 || f.Kind != "test: bad" {
-		t.Fatalf("halting Add returned %#v", err)
-	}
-	if l.Total != 1 || len(l.Violations) != 1 {
-		t.Fatalf("halting Add did not record: total %d", l.Total)
-	}
-}
-
 func TestFamilyInstallsEveryRegisterAndWidth(t *testing.T) {
 	const fam Family = 700
 	m := vm.New()

@@ -68,8 +68,8 @@ echo "== offline CLI path: janitizer -> jrun =="
 # The analyze-then-run CLIs name tools through internal/registry. The
 # comprehensive composition must analyze and run a heap overflow and report
 # it; a tool analyzed under an alias must find its .jrw files when run
-# under the canonical name (fallback=0: no block ran without rules); and an
-# unknown name must fail.
+# under the canonical name (fallback=0: no block ran without rules); a
+# baseline must report structured records; and an unknown name must fail.
 CLI_DIR=$(mktemp -d)
 go build -o "$CLI_DIR/" ./cmd/jcc ./cmd/janitizer ./cmd/jrun ./cmd/jrw
 cat > "$CLI_DIR/overflow.c" <<'EOF'
@@ -93,6 +93,14 @@ for pair in "comprehensive comprehensive" "jasan jasan-hybrid"; do
 		exit 1
 	fi
 done
+# A baseline's findings are structured records too: the Valgrind model's
+# -report output carries an ASan-style error block for the overflow.
+"$CLI_DIR/jrun" -tool valgrind -report "$CLI_DIR/overflow.jef" 2> "$CLI_DIR/stderr"
+if ! grep -q '^==janitizer== ERROR: ' "$CLI_DIR/stderr"; then
+	echo "jrun -tool valgrind -report: want an ERROR block:" >&2
+	cat "$CLI_DIR/stderr" >&2
+	exit 1
+fi
 if "$CLI_DIR/jrun" -tool nosuch "$CLI_DIR/overflow.jef" 2> /dev/null ||
 	"$CLI_DIR/jrw" -scheme nosuch 2> /dev/null; then
 	echo "an unknown tool name was accepted" >&2
