@@ -159,25 +159,56 @@ func satAdd(a, b int64) int64 {
 	return s
 }
 
-// satMul multiplies with saturation; b must be > 0.
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
+// addBound adds two interval bounds. A sentinel operand keeps the sum
+// unbounded in its direction, as satAdd does; two finite bounds whose sum
+// leaves the int64 range report false. The machine wraps there, so a
+// clamped bound would be a finite bound the run-time value does not obey.
+func addBound(a, b int64) (int64, bool) {
+	if a == minBound || a == maxBound || b == minBound || b == maxBound {
+		return satAdd(a, b), true
 	}
-	if a == minBound {
-		return minBound
+	s := a + b
+	if b > 0 && s < a || b < 0 && s > a {
+		return 0, false
 	}
-	if a == maxBound {
+	return s, true
+}
+
+// negBound negates an interval bound: unbounded below becomes unbounded
+// above and vice versa.
+func negBound(a int64) int64 {
+	switch a {
+	case minBound:
 		return maxBound
-	}
-	p := a * b
-	if p/b != a {
-		if (a > 0) == (b > 0) {
-			return maxBound
-		}
+	case maxBound:
 		return minBound
 	}
-	return p
+	return -a
+}
+
+// mulBound scales an interval bound by k > 0, reporting false when a finite
+// bound leaves the int64 range (see addBound).
+func mulBound(a, k int64) (int64, bool) {
+	if a == minBound || a == maxBound {
+		return a, true
+	}
+	p := a * k
+	if p/k != a {
+		return 0, false
+	}
+	return p, true
+}
+
+// shifted returns v with the interval [v.Lo+lo, v.Hi+hi] and the given
+// stride, or Top when a finite bound wraps.
+func shifted(v Value, lo, hi, stride int64) Value {
+	l, okLo := addBound(v.Lo, lo)
+	h, okHi := addBound(v.Hi, hi)
+	if !okLo || !okHi {
+		return Top()
+	}
+	v.Lo, v.Hi, v.Stride = l, h, stride
+	return v
 }
 
 func gcd64(a, b int64) int64 {
@@ -271,9 +302,7 @@ func (v Value) AddConst(c int64) Value {
 	case RBot, RTop:
 		return v
 	}
-	v.Lo = satAdd(v.Lo, c)
-	v.Hi = satAdd(v.Hi, c)
-	return v
+	return shifted(v, c, c, v.Stride)
 }
 
 // Add returns the abstract sum. Symbolic regions absorb constant intervals;
@@ -285,20 +314,13 @@ func Add(a, b Value) Value {
 	if a.Region == RTop || b.Region == RTop {
 		return Top()
 	}
-	if a.Region == RConst && b.Region == RConst {
-		return Value{Region: RConst,
-			Lo: satAdd(a.Lo, b.Lo), Hi: satAdd(a.Hi, b.Hi),
-			Stride: gcd64(a.Stride, b.Stride)}
-	}
-	if b.Region == RConst {
+	if b.Region != RConst {
 		a, b = b, a
 	}
-	if a.Region != RConst {
+	if b.Region != RConst {
 		return Top() // symbolic + symbolic
 	}
-	return Value{Region: b.Region, Sym: b.Sym,
-		Lo: satAdd(b.Lo, a.Lo), Hi: satAdd(b.Hi, a.Hi),
-		Stride: gcd64(a.Stride, b.Stride)}
+	return shifted(a, b.Lo, b.Hi, gcd64(a.Stride, b.Stride))
 }
 
 // Sub returns the abstract difference a-b. Same-base symbolic values cancel
@@ -310,15 +332,12 @@ func Sub(a, b Value) Value {
 	if a.Region == RTop || b.Region == RTop {
 		return Top()
 	}
+	stride := gcd64(a.Stride, b.Stride)
 	if b.Region == RConst {
-		return Value{Region: a.Region, Sym: a.Sym,
-			Lo: satAdd(a.Lo, -b.Hi), Hi: satAdd(a.Hi, -b.Lo),
-			Stride: gcd64(a.Stride, b.Stride)}
+		return shifted(a, negBound(b.Hi), negBound(b.Lo), stride)
 	}
 	if a.Region == b.Region && (a.Region != REntry || a.Sym == b.Sym) {
-		return Value{Region: RConst,
-			Lo: satAdd(a.Lo, -b.Hi), Hi: satAdd(a.Hi, -b.Lo),
-			Stride: gcd64(a.Stride, b.Stride)}
+		return shifted(ConstRange(a.Lo, a.Hi, 0), negBound(b.Hi), negBound(b.Lo), stride)
 	}
 	return Top()
 }
@@ -336,11 +355,13 @@ func (v Value) MulConst(k int64) Value {
 	case v.Region != RConst || k < 0:
 		return Top()
 	}
-	lo, hi := satMul(v.Lo, k), satMul(v.Hi, k)
-	if lo > hi {
-		lo, hi = hi, lo
+	lo, okLo := mulBound(v.Lo, k)
+	hi, okHi := mulBound(v.Hi, k)
+	stride, okStride := mulBound(v.Stride, k)
+	if !okLo || !okHi || !okStride {
+		return Top()
 	}
-	return Value{Region: RConst, Lo: lo, Hi: hi, Stride: satMul(v.Stride, k)}
+	return ConstRange(lo, hi, stride)
 }
 
 // AndImm masks with a non-negative immediate: whatever the input was, the

@@ -1,6 +1,7 @@
 package vsa
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/analysis"
@@ -278,6 +279,36 @@ f:
 	})
 	if !res.WalkBlock(fall, func(int, *isa.Instr, *State) {}) {
 		t.Fatal("fallthrough edge must be feasible")
+	}
+}
+
+// TestArithmeticWrapsToTop: the machine wraps on overflow, so a finite
+// bound that leaves the int64 range makes the result Top instead of a
+// clamped, false finite bound. A sentinel operand still means unbounded in
+// its direction, negated by subtraction.
+func TestArithmeticWrapsToTop(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want Value
+	}{
+		// Clamped, this was the false singleton MaxInt64.
+		{"add past max", ConstV(math.MaxInt64 - 1).AddConst(5), Top()},
+		// Clamped, this was MaxInt64; the machine gives 0.
+		{"mul past max", ConstV(1 << 62).MulConst(4), Top()},
+		// Clamped, this was the inverted interval [0, MinInt64].
+		{"sub unbounded below", Sub(ConstV(0), ConstRange(math.MinInt64, 0, 1)),
+			ConstRange(0, math.MaxInt64, 1)},
+		{"add past min", Add(ConstRange(math.MinInt64+1, 0, 1), ConstV(-2)), Top()},
+		{"sub past min", Sub(ConstV(math.MinInt64+1), ConstV(2)), Top()},
+		{"add to max exactly", ConstV(math.MaxInt64 - 1).AddConst(1), ConstV(math.MaxInt64)},
+		{"unbounded stays unbounded", ConstRange(0, math.MaxInt64, 1).AddConst(5),
+			ConstRange(5, math.MaxInt64, 1)},
+		{"frame stays frame", Sub(EntryV(isa.SP), ConstV(16)), EntryV(isa.SP).AddConst(-16)},
+		{"mul in range", ConstRange(-3, 5, 2).MulConst(4), ConstRange(-12, 20, 8)},
+	} {
+		if !tc.got.Eq(tc.want) || tc.got.Sym != tc.want.Sym {
+			t.Errorf("%s: got %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
