@@ -30,7 +30,7 @@
 //	GET /violations
 //	    the accumulated deduplicated violation log as JSON (byte-stable)
 //	GET /stats
-//	    cache and scheduler counters as JSON
+//	    cache, scheduler and violation-log counters as JSON
 //	GET /metrics
 //	    the same counters plus latency histograms (with trace-ID exemplars),
 //	    janitizer_build_info, and (in fleet mode) the janitizer_cluster_*

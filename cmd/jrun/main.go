@@ -116,6 +116,9 @@ func main() {
 		for _, line := range diag.Lines(tool) {
 			fmt.Fprintln(os.Stderr, line)
 		}
+		if n := diag.Unstored(tool); n > 0 {
+			fmt.Fprintln(os.Stderr, "==janitizer== "+diag.UnstoredNote(n))
+		}
 	}
 	if prof != nil {
 		fmt.Fprint(os.Stderr, prof.Table())

@@ -307,3 +307,38 @@ func TestRunOutputBoundedWhileRunning(t *testing.T) {
 		t.Fatalf("the run allocated %d MiB for 64 KiB of output", grown>>20)
 	}
 }
+
+// TestViolationsDroppedExported: the GET /violations log's count of
+// distinct records turned away past diag.MaxRecords reaches GET /metrics as
+// janitizer_violations_dropped_total and GET /stats as violations.dropped.
+func TestViolationsDroppedExported(t *testing.T) {
+	dlog := diag.NewLog()
+	for i := 0; i < diag.MaxRecords+3; i++ {
+		dlog.Add(diag.Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: uint64(i)})
+	}
+	h := New(Config{Workers: 1}).HandlerWith(DefaultTools(), HandlerOpts{Diag: dlog})
+
+	samples, err := telemetry.ParsePrometheus(doReq(t, h, "GET", "/metrics", nil).Body.Bytes())
+	if err != nil {
+		t.Fatalf("GET /metrics does not parse: %v", err)
+	}
+	found := false
+	for _, s := range samples {
+		if s.Name == "janitizer_violations_dropped_total" {
+			found = true
+			if s.Value != 3 {
+				t.Fatalf("janitizer_violations_dropped_total = %v, want 3", s.Value)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("GET /metrics lacks janitizer_violations_dropped_total")
+	}
+	var st HandlerStats
+	if err := json.Unmarshal(doReq(t, h, "GET", "/stats", nil).Body.Bytes(), &st); err != nil {
+		t.Fatalf("GET /stats not JSON: %v", err)
+	}
+	if st.Violations.Dropped != 3 || st.Sched.Workers != 1 {
+		t.Fatalf("GET /stats = %+v, want 3 dropped and the scheduler section", st)
+	}
+}

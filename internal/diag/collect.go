@@ -11,8 +11,14 @@ import (
 // Collect adds every violation tool stored to log, symbolizing each
 // trapping PC through sym (nil skips symbolization) and stamping the
 // active trace/span from sc (the zero context leaves the trace fields
-// empty). Returns how many stored reports were collected.
+// empty), and notes the reports tool counted past MaxStored as unstored.
+// Returns how many stored reports were collected.
 func Collect(log *Log, tool core.Tool, sym Symbolizer, sc telemetry.SpanContext) int {
+	if log != nil {
+		log.mu.Lock()
+		log.unstored += Unstored(tool)
+		log.mu.Unlock()
+	}
 	n := 0
 	for _, r := range reports(tool) {
 		for _, v := range r.Violations {
@@ -32,8 +38,9 @@ func Collect(log *Log, tool core.Tool, sym Symbolizer, sc telemetry.SpanContext)
 }
 
 // Render formats the log's violations as an ASan-style human report, one
-// block per deduplicated finding, in the log's byte-stable order. An empty
-// log renders a single all-clear line.
+// block per deduplicated finding, in the log's byte-stable order, and a
+// summary that also counts the unstored reports when there are any. An
+// empty log renders a single all-clear line.
 func Render(log *Log) string {
 	entries := log.Entries()
 	if len(entries) == 0 {
@@ -43,8 +50,12 @@ func Render(log *Log) string {
 	for i := range entries {
 		b.WriteString(RenderViolation(&entries[i]))
 	}
-	fmt.Fprintf(&b, "==janitizer== SUMMARY: %d distinct violation(s), %d report(s)\n",
+	fmt.Fprintf(&b, "==janitizer== SUMMARY: %d distinct violation(s), %d report(s)",
 		log.Len(), log.Total())
+	if note := UnstoredNote(log.Unstored()); note != "" {
+		b.WriteString(", " + note)
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 

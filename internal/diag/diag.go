@@ -141,9 +141,11 @@ const MaxRecords = 1 << 16
 // concurrent use. A nil Log ignores writes and reads as empty, so serving
 // paths can record unconditionally.
 type Log struct {
-	mu      sync.Mutex
-	byID    map[string]*Violation
-	dropped uint64
+	mu   sync.Mutex
+	byID map[string]*Violation
+	// dropped counts new IDs turned away past MaxRecords; unstored counts
+	// the reports Collect found counted but not stored past MaxStored.
+	dropped, unstored uint64
 }
 
 // NewLog returns an empty violation log.
@@ -185,6 +187,28 @@ func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.byID)
+}
+
+// Dropped returns how many distinct records were turned away past
+// MaxRecords.
+func (l *Log) Dropped() uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}
+
+// Unstored returns how many reports the collected tools counted but did
+// not store past MaxStored, so they have no record here.
+func (l *Log) Unstored() uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.unstored
 }
 
 // Total returns the total raw report count across the retained records.

@@ -227,6 +227,45 @@ func TestReportCapsStorageButCountsAll(t *testing.T) {
 	}
 }
 
+// TestSummariesCountUnstoredReports: past MaxStored a report still counts
+// violations it does not store. Render's summary line and the raw-mode note
+// say how many, across a MultiTool's reports; with none unstored the
+// summary reads as it always has.
+func TestSummariesCountUnstoredReports(t *testing.T) {
+	a := stubTool{rep: &Report{Tool: "jcfi"}}
+	for i := 0; i < MaxStored+100; i++ {
+		a.rep.Add(Violation{Kind: "forward-edge", PC: 0x20, Target: 0x30})
+	}
+	b := stubTool{rep: &Report{Tool: "jasan"}}
+	b.rep.Add(Violation{Kind: "heap-buffer-overflow", PC: 0x10, Addr: 0x2000, Width: 1})
+	mt := core.NewMultiTool(a, b)
+
+	if n := Unstored(mt); n != 100 {
+		t.Fatalf("Unstored = %d, want 100", n)
+	}
+	if got, want := UnstoredNote(Unstored(mt)),
+		"100 more report(s) counted but not stored (past 16384 per tool)"; got != want {
+		t.Fatalf("raw-mode note = %q, want %q", got, want)
+	}
+	log := NewLog()
+	Collect(log, mt, nil, telemetry.SpanContext{})
+	out := Render(log)
+	want := "==janitizer== SUMMARY: 2 distinct violation(s), 16385 report(s), " +
+		"100 more report(s) counted but not stored (past 16384 per tool)\n"
+	if !strings.HasSuffix(out, want) {
+		t.Fatalf("Render summary:\n%s\nwant suffix\n%s", out, want)
+	}
+
+	log = NewLog()
+	Collect(log, b, nil, telemetry.SpanContext{})
+	if out := Render(log); !strings.HasSuffix(out, ", 1 report(s)\n") {
+		t.Fatalf("summary without unstored reports changed:\n%s", out)
+	}
+	if UnstoredNote(0) != "" {
+		t.Fatal("UnstoredNote(0) is not empty")
+	}
+}
+
 func TestReportHaltOnErrorFault(t *testing.T) {
 	r := Report{Tool: "jcfi", HaltOnError: true}
 	err := r.Add(Violation{Kind: "forward-edge", PC: 0x400100, Target: 0x400203})
