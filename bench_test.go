@@ -21,6 +21,7 @@ import (
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/metrics"
+	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/vm"
 )
@@ -310,4 +311,4 @@ int main() {
 // rewrite rules as needing no treatment — no dynamic fallback analysis.
 type janusStyleTool struct{ *jasan.Tool }
 
-func (t *janusStyleTool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
+func (t *janusStyleTool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }

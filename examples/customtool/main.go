@@ -2,8 +2,8 @@
 // profiler — built on the Janitizer framework in under a hundred lines.
 // The static pass marks call sites with a custom rewrite rule carrying the
 // callee's name; the instrumentation increments an in-guest counter per
-// site; the dynamic fallback covers calls in code the static analyzer never
-// saw. This is the framework flexibility the paper's §4 demonstrates with
+// site; a block-local rule source covers calls in code the static analyzer
+// never saw. This is the framework flexibility the paper's §4 demonstrates with
 // JASan and JCFI.
 package main
 
@@ -79,9 +79,9 @@ func bump(e *dbm.Emitter, slot uint64) {
 	e.RestoreEpilog(true, []isa.Register{isa.R6, isa.R7})
 }
 
-// PlanStatic applies the statically prepared rules. The framework runs a
-// plan's Before hook ahead of, and its After hook behind, every
-// application instruction of the block.
+// PlanStatic applies the rules, whether prepared statically or by
+// BlockRules. The framework runs a plan's Before hook ahead of, and its
+// After hook behind, every application instruction of the block.
 func (p *profiler) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return staticPlan{bc, instrRules}
 }
@@ -101,21 +101,18 @@ func (s staticPlan) Before(e *dbm.Emitter, idx int) {
 
 func (staticPlan) After(*dbm.Emitter, int) {}
 
-// PlanDyn profiles calls in dynamically discovered code too.
-func (p *profiler) PlanDyn(bc *dbm.BlockContext) core.InstrPlan { return dynPlan{p, bc} }
-
-type dynPlan struct {
-	p  *profiler
-	bc *dbm.BlockContext
-}
-
-func (d dynPlan) Before(e *dbm.Emitter, idx int) {
-	if in := d.bc.AppInstrs[idx]; in.Op == isa.OpCall {
-		bump(e, d.p.slot(fmt.Sprintf("dynamic!%#x", in.Target())))
+// BlockRules profiles calls in dynamically discovered code too: the same
+// rule, from a block-local look at each call.
+func (p *profiler) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
+	out := map[uint64][]rules.Rule{}
+	for _, in := range bc.AppInstrs {
+		if in.Op == isa.OpCall {
+			out[in.Addr] = []rules.Rule{{ID: ruleCallSite, BBAddr: bc.Start, Instr: in.Addr,
+				Data: [4]uint64{p.slot(fmt.Sprintf("dynamic!%#x", in.Target()))}}}
+		}
 	}
+	return out
 }
-
-func (dynPlan) After(*dbm.Emitter, int) {}
 
 func (p *profiler) RuntimeInit(*core.Runtime) error { return nil }
 

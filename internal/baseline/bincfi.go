@@ -193,9 +193,9 @@ func (t *BinCFITool) recordSite(addr uint64, targets float64) {
 	}
 }
 
-// PlanDyn implements core.Tool: no plan — statically rewritten binaries
-// leave unseen code unprotected.
-func (t *BinCFITool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
+// BlockRules implements core.Tool: no rules — statically rewritten
+// binaries leave unseen code unprotected.
+func (t *BinCFITool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }
 
 // RuntimeInit implements core.Tool: build per-module target tables from the
 // static rules; cross-module calls are permitted to any other module's

@@ -77,16 +77,15 @@ func (t *LockdownTool) ViolationReport() *diag.Report { return t.Report }
 // StaticPass implements core.Tool: Lockdown has no static stage.
 func (t *LockdownTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 
-// PlanStatic implements core.Tool (unreachable without rules).
+// PlanStatic implements core.Tool: Lockdown's per-block translation-time
+// instrumentation. Lockdown has no rules, so every block arrives here
+// through the fallback with none.
 func (t *LockdownTool) PlanStatic(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) core.InstrPlan {
-	return t.PlanDyn(bc)
-}
-
-// PlanDyn implements core.Tool: Lockdown's per-block translation-time
-// instrumentation.
-func (t *LockdownTool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	return &lockdownPlan{t: t, bc: bc}
 }
+
+// BlockRules implements core.Tool: PlanStatic needs no rules.
+func (t *LockdownTool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }
 
 type lockdownPlan struct {
 	t  *LockdownTool

@@ -77,10 +77,10 @@ func (t *RetrowriteTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64]
 	return t.j.PlanStatic(bc, instrRules)
 }
 
-// PlanDyn implements core.Tool: no plan. A statically rewritten binary has
-// no run-time component, so code the rewriter never saw executes
+// BlockRules implements core.Tool: no rules. A statically rewritten binary
+// has no run-time component, so code the rewriter never saw executes
 // unmodified — the coverage gap hybrid schemes close.
-func (t *RetrowriteTool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
+func (t *RetrowriteTool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }
 
 // RuntimeInit implements core.Tool: install the shared sanitizer runtime
 // (Retrowrite links binaries against the ASan runtime library) and zero the

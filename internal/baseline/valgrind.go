@@ -105,17 +105,15 @@ func (t *ValgrindTool) ViolationReport() *diag.Report { return t.Report }
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 
-// PlanStatic implements core.Tool; it is unreachable since no rules exist,
-// but falls through to the dynamic path for safety.
+// PlanStatic implements core.Tool: every memory access gets a clean call
+// into the checker. Valgrind has no rules, so every block arrives here
+// through the fallback with none.
 func (t *ValgrindTool) PlanStatic(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) core.InstrPlan {
-	return t.PlanDyn(bc)
-}
-
-// PlanDyn implements core.Tool: every memory access gets a clean call into
-// the checker.
-func (t *ValgrindTool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 	return &valgrindPlan{t: t, ins: bc.AppInstrs}
 }
+
+// BlockRules implements core.Tool: PlanStatic needs no rules.
+func (t *ValgrindTool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }
 
 type valgrindPlan struct {
 	t   *ValgrindTool

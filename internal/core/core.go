@@ -5,9 +5,10 @@
 // security tool's instrumentation through the dynamic binary modifier.
 //
 // Security techniques (JASan, JCFI, and the baselines) plug in through the
-// Tool interface, providing a static pass able to do cross-block analysis
-// and a simpler dynamic fallback pass that works one basic block at a time
-// (§3.4.3).
+// Tool interface, providing two rule sources — a static pass able to do
+// cross-block analysis and a simpler fallback pass that works one basic
+// block at a time (§3.4.3) — and one rule interpreter that rewrites a block
+// from either source's rules.
 package core
 
 import (
@@ -68,9 +69,9 @@ func (sc *StaticContext) LiveWord(addr uint64) uint64 {
 }
 
 // LiveSaves decodes a LiveWord into the dead registers instrumentation may
-// use as scratch and whether it must save the flags. With use false — the
-// tool runs without liveness, or the code has no rule — it gives the
-// conservative answer: no dead register, flags saved.
+// use as scratch and whether it must save the flags. With use false (the
+// tool runs without liveness) or word rules.AllLive (a fallback block's
+// rule) it gives the conservative answer: no dead register, flags saved.
 func LiveSaves(word uint64, use bool) (dead []isa.Register, saveFlags bool) {
 	if !use {
 		return nil, true
@@ -103,14 +104,19 @@ type Tool interface {
 	// StaticPass analyzes one module and returns its rewrite rules.
 	// Janitizer adds NoOp marking for uncovered blocks afterwards.
 	StaticPass(sc *StaticContext) []rules.Rule
-	// PlanStatic plans the rewrite of a statically-seen block (the rule-
-	// guided hit path). instrRules maps run-time instruction addresses to
-	// their rules. A nil plan places the block unmodified.
+	// PlanStatic plans the rewrite of a block from its rules: a statically
+	// seen block's rules from the rule table (the hit path), or a block
+	// never seen statically's rules from BlockRules (the miss path).
+	// instrRules maps run-time instruction addresses to their rules. A nil
+	// plan places the block unmodified.
 	PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) InstrPlan
-	// PlanDyn plans the rewrite of a block never seen statically, using
-	// only block-local analysis (the miss path). A nil plan places the
-	// block unmodified.
-	PlanDyn(bc *dbm.BlockContext) InstrPlan
+	// BlockRules is the fallback rule source for a block never seen
+	// statically: the rules a block-local analysis finds, keyed by
+	// run-time instruction address, with the rule IDs and data layout of
+	// StaticPass (addresses in Data stay module-relative, and every
+	// liveness word is rules.AllLive). Tools whose PlanStatic needs no
+	// rules return nil.
+	BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule
 	// RuntimeInit installs the tool's run-time state (trap handlers,
 	// shadow regions, target tables) before execution starts.
 	RuntimeInit(rt *Runtime) error
@@ -124,7 +130,7 @@ func (NullTool) Name() string                                                   
 func (NullTool) StaticPass(*StaticContext) []rules.Rule                          { return nil }
 func (NullTool) RuntimeInit(*Runtime) error                                      { return nil }
 func (NullTool) PlanStatic(*dbm.BlockContext, map[uint64][]rules.Rule) InstrPlan { return nil }
-func (NullTool) PlanDyn(*dbm.BlockContext) InstrPlan                             { return nil }
+func (NullTool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule            { return nil }
 
 // ArtifactTool is a Tool whose analysis product is a custom artifact (for
 // example internal/jlint's bug report) rather than a rewrite-rule file. The
@@ -344,7 +350,7 @@ func NewRuntime(m *vm.Machine, proc *loader.Process, tool Tool,
 func (rt *Runtime) onModuleLoad(lm *loader.LoadedModule) {
 	f, ok := rt.Files[lm.Name]
 	if !ok {
-		return // no rule file: all its blocks go to the dynamic analyzer
+		return // no rule file: all its blocks take their rules from BlockRules
 	}
 	base := uint64(0)
 	if lm.PIC {
@@ -377,8 +383,9 @@ func (rt *Runtime) Run(entry uint64) error {
 }
 
 // hybridClient is the DBM client implementing Fig. 4: classify each new
-// block via the per-module hash tables, plan it with the rule interpreter
-// (hit) or the dynamic analyzer (miss), and emit the plan.
+// block via the per-module hash tables, take its rules from the table (hit)
+// or the tool's block-local analysis (miss), and emit the rule
+// interpreter's plan.
 type hybridClient struct {
 	rt *Runtime
 }
@@ -438,7 +445,8 @@ func (h *hybridClient) plan(ctx *dbm.BlockContext) InstrPlan {
 		}
 	}
 	// (3a) Miss: dynamically generated, dlopened without rules, or
-	// statically undiscovered code — the dynamic analyzer takes it.
+	// statically undiscovered code — the block-local analysis supplies
+	// its rules.
 	rt.Coverage.Fallback++
-	return rt.Tool.PlanDyn(ctx)
+	return rt.Tool.PlanStatic(ctx, rt.Tool.BlockRules(ctx))
 }

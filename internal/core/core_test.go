@@ -13,13 +13,18 @@ import (
 	"repro/internal/vm"
 )
 
-// markerTool records which path (PlanStatic vs PlanDyn) each block took
-// and tags one instruction kind with rules.
+// markerTool records which rule source served each block — the rule
+// table or its own BlockRules, which marks the blocks it serves — and tags
+// one instruction kind with rules.
 type markerTool struct {
 	staticBlocks   []uint64
 	fallbackBlocks []uint64
 	initCalled     bool
 }
+
+// markerFallback is the rule markerTool's BlockRules attaches to a block's
+// first instruction.
+const markerFallback = rules.CustomBase
 
 func (t *markerTool) Name() string { return "marker" }
 
@@ -39,13 +44,16 @@ func (t *markerTool) StaticPass(sc *StaticContext) []rules.Rule {
 }
 
 func (t *markerTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) InstrPlan {
-	t.staticBlocks = append(t.staticBlocks, bc.Start)
+	if rs := instrRules[bc.Start]; len(rs) > 0 && rs[0].ID == markerFallback {
+		t.fallbackBlocks = append(t.fallbackBlocks, bc.Start)
+	} else {
+		t.staticBlocks = append(t.staticBlocks, bc.Start)
+	}
 	return nil
 }
 
-func (t *markerTool) PlanDyn(bc *dbm.BlockContext) InstrPlan {
-	t.fallbackBlocks = append(t.fallbackBlocks, bc.Start)
-	return nil
+func (t *markerTool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
+	return map[uint64][]rules.Rule{bc.Start: {{ID: markerFallback, BBAddr: bc.Start, Instr: bc.Start}}}
 }
 
 func (t *markerTool) RuntimeInit(rt *Runtime) error {
@@ -180,7 +188,7 @@ func TestClassifierMissRoutesToFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No rule files at all: everything must take the dynamic path.
+	// No rule files at all: every block's rules must come from BlockRules.
 	rt := NewRuntime(m, proc, tool, map[string]*rules.File{})
 	lm, err := proc.LoadProgram(main)
 	if err != nil {
@@ -222,11 +230,11 @@ func TestNilPlanPlacesBlockUnmodified(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hit && (len(tool.staticBlocks) == 0 || len(tool.fallbackBlocks) != 0) {
-			t.Fatalf("hit run: %d static, %d fallback plans requested",
+			t.Fatalf("hit run: %d static, %d fallback rule sets planned",
 				len(tool.staticBlocks), len(tool.fallbackBlocks))
 		}
 		if !hit && (len(tool.fallbackBlocks) == 0 || len(tool.staticBlocks) != 0) {
-			t.Fatalf("miss run: %d static, %d fallback plans requested",
+			t.Fatalf("miss run: %d static, %d fallback rule sets planned",
 				len(tool.staticBlocks), len(tool.fallbackBlocks))
 		}
 		blocks := s.M.Blocks().Blocks()

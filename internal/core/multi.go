@@ -9,10 +9,11 @@ import (
 
 // MultiTool composes several tools into one Tool — the combined
 // sanitizer configurations of the paper's composability story. Static
-// passes concatenate (rule IDs are disjoint across tools, and every tool
-// ignores rule IDs it does not own), instrumentation interleaves per
-// instruction, and runtimes initialise in tool order (so e.g. JMSan's
-// allocator interposition nests over JASan's redzone allocator).
+// passes and fallback rule sources concatenate (rule IDs are disjoint
+// across tools, and every tool ignores rule IDs it does not own),
+// instrumentation interleaves per instruction, and runtimes initialise in
+// tool order (so e.g. JMSan's allocator interposition nests over JASan's
+// redzone allocator).
 type MultiTool struct {
 	Tools []Tool
 }
@@ -81,9 +82,9 @@ func compose(plans multiPlan) InstrPlan {
 	return plans
 }
 
-// PlanStatic implements Tool: the composition of every sub-tool's static
-// plan, so MultiTool itself composes (and so the rewrite backend can
-// capture one combined plan per anchor).
+// PlanStatic implements Tool: the composition of every sub-tool's plan, so
+// MultiTool itself composes (and so the rewrite backend can capture one
+// combined plan per anchor).
 func (m *MultiTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) InstrPlan {
 	plans := make(multiPlan, 0, len(m.Tools))
 	for _, t := range m.Tools {
@@ -94,15 +95,19 @@ func (m *MultiTool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rul
 	return compose(plans)
 }
 
-// PlanDyn implements Tool: the composition of every sub-tool's dynamic plan.
-func (m *MultiTool) PlanDyn(bc *dbm.BlockContext) InstrPlan {
-	plans := make(multiPlan, 0, len(m.Tools))
+// BlockRules implements Tool: every sub-tool's fallback rules,
+// concatenated per instruction in tool order.
+func (m *MultiTool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
+	var out map[uint64][]rules.Rule
 	for _, t := range m.Tools {
-		if p := t.PlanDyn(bc); p != nil {
-			plans = append(plans, p)
+		for addr, rs := range t.BlockRules(bc) {
+			if out == nil {
+				out = map[uint64][]rules.Rule{}
+			}
+			out[addr] = append(out[addr], rs...)
 		}
 	}
-	return compose(plans)
+	return out
 }
 
 // RuntimeInit implements Tool: sub-tool runtimes initialise in order.

@@ -84,7 +84,7 @@ func TestMultiToolSkipsNilPlans(t *testing.T) {
 	}
 	allNil := core.NewMultiTool(core.NullTool{}, core.NullTool{})
 	bc := &dbm.BlockContext{}
-	if allNil.PlanStatic(bc, nil) != nil || allNil.PlanDyn(bc) != nil {
+	if allNil.PlanStatic(bc, allNil.BlockRules(bc)) != nil {
 		t.Error("composition of nil plans is not nil")
 	}
 }

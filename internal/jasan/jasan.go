@@ -2,6 +2,7 @@ package jasan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/cfg"
@@ -345,8 +346,8 @@ func inductionInit(pre *cfg.BasicBlock, reg isa.Register) (int64, bool) {
 }
 
 // PlanStatic implements core.Tool: the rule-driven per-instruction plan
-// for a statically-seen block (the hit path of Fig. 4), composable with
-// other tools' plans.
+// for a block's rules, from the rule table (the hit path of Fig. 4) or
+// BlockRules (the miss path), composable with other tools' plans.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -448,18 +449,27 @@ func (t *Tool) emitHoisted(e *dbm.Emitter, r rules.Rule, appAddr uint64) {
 	}
 }
 
-// PlanDyn implements core.Tool: the simpler per-block analysis for code
-// only seen dynamically (§4.1.1). It instruments every load and store,
-// conservatively saving and restoring both the flags and any registers the
-// instrumentation uses, and block-locally pattern-matches canary
-// installs/checks for poisoning.
-func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
+// BlockRules implements core.Tool: the simpler per-block analysis for
+// code only seen dynamically (§4.1.1). Every load and store gets a
+// MEM_ACCESS rule with all-live liveness, so its check saves and restores
+// the flags and any register it uses. Canary installs and reloads are
+// pattern-matched block-locally into POISON_CANARY and UNPOISON_CANARY
+// rules, and the matched stores and reloads go unchecked, as in the static
+// pass.
+func (t *Tool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
 	ins := bc.AppInstrs
-
-	// Block-local canary detection.
-	poisonAfter := map[int]canarySlot{} // instr index of install store
-	unpoisonAt := map[int]canarySlot{}  // instr index of check reload
+	out := map[uint64][]rules.Rule{}
+	canaryRule := func(id rules.ID, at uint64, slot *isa.Instr) {
+		out[at] = append(out[at], rules.Rule{
+			ID: id, BBAddr: bc.Start, Instr: at,
+			Data: [4]uint64{rules.AllLive, uint64(slot.Rb), uint64(uint32(slot.Disp))},
+		})
+	}
 	skipCheck := map[int]bool{}
+	// Install: a guard load stored to a frame slot before the register is
+	// redefined. The poison acts ahead of the instruction after the store
+	// (site.PoisonAt in the static pass); with none decoded, execution
+	// faults right after the store and there is nothing to poison for.
 	for i := range ins {
 		if ins[i].Op != isa.OpLdG {
 			continue
@@ -469,73 +479,35 @@ func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
 			in := &ins[j]
 			if in.Op == isa.OpStQ && in.Rd == canReg &&
 				(in.Rb == isa.SP || in.Rb == isa.FP) {
-				poisonAfter[j] = canarySlot{in.Rb, in.Disp}
 				skipCheck[j] = true
+				if j+1 < len(ins) {
+					canaryRule(rules.PoisonCanary, ins[j+1].Addr, in)
+				}
 				break
 			}
-			redefined := false
-			for _, d := range in.RegDefs(nil) {
-				if d == canReg {
-					redefined = true
-				}
-			}
-			if redefined {
+			if slices.Contains(in.RegDefs(nil), canReg) {
 				break
 			}
 		}
 	}
+	// Reload: a frame-slot load followed by a guard load.
 	for i := range ins {
 		in := &ins[i]
 		if in.Op != isa.OpLdQ || (in.Rb != isa.SP && in.Rb != isa.FP) {
 			continue
 		}
-		for j := i + 1; j < len(ins); j++ {
-			if ins[j].Op == isa.OpLdG {
-				unpoisonAt[i] = canarySlot{in.Rb, in.Disp}
-				skipCheck[i] = true
-				break
-			}
+		if slices.ContainsFunc(ins[i+1:], func(x isa.Instr) bool { return x.Op == isa.OpLdG }) {
+			canaryRule(rules.UnpoisonCanary, in.Addr, in)
+			skipCheck[i] = true
 		}
 	}
-
-	return &dynPlan{bc: bc, poisonAfter: poisonAfter,
-		unpoisonAt: unpoisonAt, skipCheck: skipCheck}
-}
-
-type dynPlan struct {
-	bc          *dbm.BlockContext
-	poisonAfter map[int]canarySlot
-	unpoisonAt  map[int]canarySlot
-	skipCheck   map[int]bool
-}
-
-func (p *dynPlan) Before(e *dbm.Emitter, i int) {
-	in := &p.bc.AppInstrs[i]
-	if slot, ok := p.unpoisonAt[i]; ok {
-		e.SetCC(telemetry.CCCanary)
-		s, save := dbm.PickScratch(2, nil, dbm.ExcludeOperands(in))
-		EmitSetShadow(e, slot.base, slot.disp, 0, s[0], s[1], save, true)
+	for i := range ins {
+		if in := &ins[i]; in.IsMemAccess() && !skipCheck[i] {
+			out[in.Addr] = append(out[in.Addr], rules.Rule{
+				ID: rules.MemAccess, BBAddr: bc.Start, Instr: in.Addr,
+				Data: [4]uint64{rules.AllLive},
+			})
+		}
 	}
-	if in.IsMemAccess() && !p.skipCheck[i] {
-		e.SetCC(telemetry.CCMemCheck)
-		EmitCheck(e, shadow.AccessPlan(in, nil, true))
-	}
-	e.SetCC(telemetry.CCOther)
-}
-
-func (p *dynPlan) After(e *dbm.Emitter, i int) {
-	if slot, ok := p.poisonAfter[i]; ok {
-		e.SetCC(telemetry.CCCanary)
-		s, save := dbm.PickScratch(2, nil, func(r isa.Register) bool {
-			return r == slot.base || r == isa.SP || r == isa.FP
-		})
-		EmitSetShadow(e, slot.base, slot.disp, ShadowCanary,
-			s[0], s[1], save, true)
-		e.SetCC(telemetry.CCOther)
-	}
-}
-
-type canarySlot struct {
-	base isa.Register
-	disp int32
+	return out
 }

@@ -205,7 +205,7 @@ func (t *Tool) StaticPass(sc *core.StaticContext) []rules.Rule {
 				BBAddr: blk.Start, Instr: term.Addr,
 				Data: [4]uint64{lw, lo, hi, boundaries}})
 		case isa.OpRet:
-			if isResolverRet(blk) {
+			if isResolverRet(blk.Instrs) {
 				out = append(out, rules.Rule{ID: rules.CFIResolverRet,
 					BBAddr: blk.Start, Instr: term.Addr, Data: [4]uint64{lw}})
 			} else {
@@ -249,10 +249,9 @@ func narrowRule(sc *core.StaticContext, vres *vsa.Result,
 // isResolverRet detects the `push rX; ret` lazy-resolver idiom (§4.2.3):
 // the instruction immediately before the return pushes the value the return
 // will consume, making the return act as an indirect call.
-func isResolverRet(blk *cfg.BasicBlock) bool {
-	n := len(blk.Instrs)
-	return n >= 2 && blk.Instrs[n-1].Op == isa.OpRet &&
-		blk.Instrs[n-2].Op == isa.OpPush
+func isResolverRet(ins []isa.Instr) bool {
+	n := len(ins)
+	return n >= 2 && ins[n-1].Op == isa.OpRet && ins[n-2].Op == isa.OpPush
 }
 
 // RuntimeInit implements core.Tool: shadow stack, violation traps, and
@@ -373,7 +372,8 @@ func moduleID(bc *dbm.BlockContext) int {
 }
 
 // PlanStatic implements core.Tool: the rule-driven per-instruction plan for
-// the statically-guided hit path, composable with other tools' plans.
+// a block's rules, from the rule table (hit) or BlockRules (miss),
+// composable with other tools' plans.
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	base := uint64(0)
 	if bc.Module != nil && bc.Module.PIC {
@@ -499,82 +499,53 @@ func narrowTargets(bc *dbm.BlockContext, r *rules.Rule, base uint64) []uint64 {
 	return out
 }
 
-// PlanDyn implements core.Tool (§4.2.2): block-local identification of
-// indirect CTIs with conservative save/restore, the resolver idiom handled
-// by pattern matching, and the module's load-time tables used for targets.
-func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
-	return &dynPlan{t: t, bc: bc, id: moduleID(bc)}
-}
-
-type dynPlan struct {
-	t  *Tool
-	bc *dbm.BlockContext
-	id int
-}
-
-func (p *dynPlan) After(*dbm.Emitter, int) {}
-
-func (p *dynPlan) Before(e *dbm.Emitter, idx int) {
-	t, bc, id := p.t, p.bc, p.id
+// BlockRules implements core.Tool (§4.2.2): block-local identification of
+// the terminating CTI, with all-live liveness, the PLT-dispatch and
+// resolver idioms handled by pattern matching, and the nearest-symbol
+// function range standing in for the static CFG's.
+func (t *Tool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
 	ins := bc.AppInstrs
-	in := &ins[idx]
-	isLast := idx == len(ins)-1
-	if isLast {
-		switch in.Op {
-		case isa.OpCallI:
-			if t.cfg.Forward {
-				e.SetCC(telemetry.CCCFICheck)
-				EmitCallCheck(e, in, CallTableBase(id), true, nil)
-				t.recordSite(in.Addr, siteCall, float64(len(t.st.Ensure(id).Call)))
-			}
-			if t.cfg.Backward {
-				e.SetCC(telemetry.CCShadowStack)
-				EmitShadowPush(e, in, true, nil)
-			}
-		case isa.OpCall:
-			if t.cfg.Backward {
-				e.SetCC(telemetry.CCShadowStack)
-				EmitShadowPush(e, in, true, nil)
-			}
-		case isa.OpJmpI:
-			if t.cfg.Forward {
-				e.SetCC(telemetry.CCCFICheck)
-				// Block-local PLT-dispatch idiom (ldpc rX; jmpi rX):
-				// an inter-module call in disguise, checked against
-				// the call table.
-				if idx > 0 && ins[idx-1].Op == isa.OpLdPC &&
-					ins[idx-1].Rd == in.Rd {
-					EmitCallCheck(e, in, CallTableBase(id), true, nil)
-					t.recordSite(in.Addr, siteCall,
-						float64(len(t.st.Ensure(id).Call)))
-					break
-				}
-				// No static CFG block-locally: fall back to the
-				// nearest-symbol function range plus the table (this
-				// coarser range is why JCFI-dyn's jump AIR is below
-				// the hybrid's, §6.2.2 footnote 15).
-				var lo, hi uint64
-				if bc.Module != nil {
-					lo, hi = NearestFuncRange(bc.Module, in.Addr)
-				}
-				EmitJumpCheck(e, in, lo, hi, JumpTableBase(id), true, nil)
-				t.recordSite(in.Addr, siteJump,
-					float64(hi-lo)+float64(len(t.st.Ensure(id).Jump)))
-			}
-		case isa.OpRet:
-			resolver := idx > 0 && ins[idx-1].Op == isa.OpPush
-			if resolver && t.cfg.Forward {
-				e.SetCC(telemetry.CCCFICheck)
-				EmitResolverRetCheck(e, in, CallTableBase(id), true, nil)
-				t.recordSite(in.Addr, siteCall, float64(len(t.st.Ensure(id).Call)))
-			} else if !resolver && t.cfg.Backward {
-				e.SetCC(telemetry.CCCFICheck)
-				EmitRetCheck(e, in, true, nil)
-				t.recordSite(in.Addr, siteRet, 1)
+	n := len(ins)
+	in := &ins[n-1]
+	rule := func(id rules.ID) rules.Rule {
+		return rules.Rule{ID: id, BBAddr: bc.Start, Instr: in.Addr,
+			Data: [4]uint64{rules.AllLive}}
+	}
+	var rs []rules.Rule
+	switch in.Op {
+	case isa.OpCallI:
+		rs = []rules.Rule{rule(rules.CFICall), rule(rules.ShadowPush)}
+	case isa.OpCall:
+		rs = []rules.Rule{rule(rules.ShadowPush)}
+	case isa.OpJmpI:
+		if n > 1 && ins[n-2].Op == isa.OpLdPC && ins[n-2].Rd == in.Rd {
+			// PLT dispatch (ldpc rX; jmpi rX): an inter-module call
+			// in disguise, checked against the call table.
+			rs = []rules.Rule{rule(rules.CFICall)}
+			break
+		}
+		// No static CFG block-locally: the nearest-symbol function
+		// range, whose raw byte count is the site's target count (this
+		// coarser range is why JCFI-dyn's jump AIR is below the
+		// hybrid's, §6.2.2 footnote 15). Rule data is module-relative;
+		// PlanStatic adds the PIC base back.
+		r := rule(rules.CFIJump)
+		if bc.Module != nil {
+			if lo, hi := NearestFuncRange(bc.Module, in.Addr); hi != 0 {
+				r.Data[1], r.Data[2] = bc.Module.LinkAddr(lo), bc.Module.LinkAddr(hi)
 			}
 		}
-		e.SetCC(telemetry.CCOther)
+		rs = []rules.Rule{r}
+	case isa.OpRet:
+		if isResolverRet(ins) {
+			rs = []rules.Rule{rule(rules.CFIResolverRet)}
+		} else {
+			rs = []rules.Rule{rule(rules.CFIRet)}
+		}
+	default:
+		return nil
 	}
+	return map[uint64][]rules.Rule{in.Addr: rs}
 }
 
 func (t *Tool) recordSite(addr uint64, kind siteKind, targets float64) {

@@ -32,8 +32,8 @@ func (*Tool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 // PlanStatic implements core.Tool as a no-op.
 func (*Tool) PlanStatic(*dbm.BlockContext, map[uint64][]rules.Rule) core.InstrPlan { return nil }
 
-// PlanDyn implements core.Tool as a no-op.
-func (*Tool) PlanDyn(*dbm.BlockContext) core.InstrPlan { return nil }
+// BlockRules implements core.Tool as a no-op.
+func (*Tool) BlockRules(*dbm.BlockContext) map[uint64][]rules.Rule { return nil }
 
 // RuntimeInit implements core.Tool as a no-op.
 func (*Tool) RuntimeInit(*core.Runtime) error { return nil }

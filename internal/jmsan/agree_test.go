@@ -196,7 +196,7 @@ int main() { return id(3); }`, false},
 // under tool, returning the tool's uninitialized-read report count. JMSan
 // runs its full hybrid pipeline (static rules + dynamic fallback);
 // valgrind-def is dynamic-only by construction (its StaticPass emits no
-// rules), so the empty rule set routes every block through PlanDyn.
+// rules), so the empty rule set routes every block through the fallback.
 func runAgreeTool(t *testing.T, src string, o2 bool, tool core.Tool, static bool) uint64 {
 	t.Helper()
 	mod, err := cc.Compile(src, cc.Options{Module: "agree", O2: o2})

@@ -210,8 +210,8 @@ func defInitBarrier(in *isa.Instr) bool {
 	return false
 }
 
-// PlanStatic implements core.Tool: rewrites a statically-seen block using
-// its rules (the hit path).
+// PlanStatic implements core.Tool: rewrites a block using its rules, from
+// the rule table (hit) or BlockRules (miss).
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -228,10 +228,10 @@ func (p *staticPlan) Before(e *dbm.Emitter, idx int) {
 		switch r.ID {
 		case rules.MemDefStore:
 			e.SetCC(telemetry.CCDefStore)
-			p.t.emitStoreUpdate(e, in, r.Data[0], true)
+			p.t.emitStoreUpdate(e, in, r.Data[0])
 		case rules.MemDefLoad:
 			e.SetCC(telemetry.CCDefCheck)
-			p.t.emitLoadCheck(e, in, r.Data[0], true)
+			p.t.emitLoadCheck(e, in, r.Data[0])
 		}
 	}
 	e.SetCC(telemetry.CCOther)
@@ -249,64 +249,45 @@ func (p *staticPlan) After(e *dbm.Emitter, idx int) {
 	}
 }
 
-// PlanDyn implements core.Tool: the simpler per-block analysis for code
-// only seen dynamically. Every store updates the shadow, every load is
-// checked (no sink filtering — the lattice needs whole-CFG liveness), and
-// prologue stack allocations are pattern-matched block-locally.
-func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
-	frameAt := map[int]uint64{}
+// BlockRules implements core.Tool: the simpler per-block analysis for
+// code only seen dynamically. Every store gets a MEM_DEF_STORE rule and
+// every load a MEM_DEF_LOAD rule (no sink filtering: the lattice needs
+// whole-CFG liveness), all with all-live liveness, and prologue stack
+// allocations are pattern-matched block-locally into FRAME_UNDEF rules.
+func (t *Tool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
+	out := map[uint64][]rules.Rule{}
 	for i := range bc.AppInstrs {
+		in := &bc.AppInstrs[i]
+		add := func(id rules.ID, size uint64) {
+			out[in.Addr] = append(out[in.Addr], rules.Rule{ID: id, BBAddr: bc.Start,
+				Instr: in.Addr, Data: [4]uint64{rules.AllLive, size}})
+		}
+		switch {
+		case in.IsMemAccess() && in.IsStore():
+			add(rules.MemDefStore, 0)
+		case in.IsMemAccess():
+			add(rules.MemDefLoad, 0)
+		}
 		if size := FrameAllocAt(bc.AppInstrs, i); size > 0 {
-			frameAt[i] = size
+			add(rules.FrameUndef, size)
 		}
 	}
-	return &dynPlan{t: t, bc: bc, frameAt: frameAt}
-}
-
-type dynPlan struct {
-	t       *Tool
-	bc      *dbm.BlockContext
-	frameAt map[int]uint64
-}
-
-func (p *dynPlan) Before(e *dbm.Emitter, idx int) {
-	in := &p.bc.AppInstrs[idx]
-	if !in.IsMemAccess() {
-		return
-	}
-	if in.IsStore() {
-		e.SetCC(telemetry.CCDefStore)
-		p.t.emitStoreUpdate(e, in, 0, false)
-	} else {
-		e.SetCC(telemetry.CCDefCheck)
-		p.t.emitLoadCheck(e, in, 0, false)
-	}
-	e.SetCC(telemetry.CCOther)
-}
-
-func (p *dynPlan) After(e *dbm.Emitter, idx int) {
-	if size, ok := p.frameAt[idx]; ok {
-		e.SetCC(telemetry.CCDefStore)
-		appAddr := p.bc.AppInstrs[idx].Addr
-		p.t.frameSizes[appAddr] = size
-		EmitFrameUndef(e, appAddr)
-		e.SetCC(telemetry.CCOther)
-	}
+	return out
 }
 
 // emitLoadCheck emits the inline definedness check for one load using the
 // packed liveness word (conservative save/restore when liveness use is
-// disabled or the block came through the dynamic fallback).
-func (t *Tool) emitLoadCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, saveFlags := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
+// disabled).
+func (t *Tool) emitLoadCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64) {
+	dead, saveFlags := core.LiveSaves(livePacked, t.cfg.UseLiveness)
 	shadow.EmitBitmapCheck(e, shadow.AccessPlan(in, dead, saveFlags),
 		isa.LayoutDefShadowBase, DefLoadTraps)
 }
 
 // emitStoreUpdate emits the shadow define for one store. Flags are never
 // touched, so only the scratch register may need saving.
-func (t *Tool) emitStoreUpdate(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, _ := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
+func (t *Tool) emitStoreUpdate(e *dbm.Emitter, in *isa.Instr, livePacked uint64) {
+	dead, _ := core.LiveSaves(livePacked, t.cfg.UseLiveness)
 	scratch, toSave := dbm.PickScratch(1, dead, dbm.ExcludeOperands(in))
 	EmitDefStore(e, in.Addr, in.AccessWidth(), scratch[0], toSave, shadow.AddrOf(in))
 }

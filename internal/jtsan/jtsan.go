@@ -199,8 +199,8 @@ func allocTrap(in *isa.Instr) bool {
 		(in.Imm == isa.TrapMalloc || in.Imm == isa.TrapFree)
 }
 
-// PlanStatic implements core.Tool: rewrites a statically-seen block using
-// its rules (the hit path).
+// PlanStatic implements core.Tool: rewrites a block using its rules, from
+// the rule table (hit) or BlockRules (miss).
 func (t *Tool) PlanStatic(bc *dbm.BlockContext, instrRules map[uint64][]rules.Rule) core.InstrPlan {
 	return &staticPlan{t: t, bc: bc, rules: instrRules}
 }
@@ -213,15 +213,14 @@ type staticPlan struct {
 
 func (p *staticPlan) Before(e *dbm.Emitter, idx int) {
 	in := &p.bc.AppInstrs[idx]
-	if allocTrap(in) {
-		e.SetCC(telemetry.CCQuarantine)
-		EmitQuarTick(e, in.Addr)
-	}
 	for _, r := range p.rules[in.Addr] {
 		switch r.ID {
+		case rules.QuarTick:
+			e.SetCC(telemetry.CCQuarantine)
+			EmitQuarTick(e, in.Addr)
 		case rules.MemGenCheck:
 			e.SetCC(telemetry.CCGenCheck)
-			p.t.emitGenCheck(e, in, r.Data[0], true)
+			p.t.emitGenCheck(e, in, r.Data[0])
 		case rules.MemAccessSafe:
 			// statically proven temporally safe: nothing to do (any
 			// residue would charge CCElided)
@@ -233,39 +232,30 @@ func (p *staticPlan) Before(e *dbm.Emitter, idx int) {
 
 func (p *staticPlan) After(*dbm.Emitter, int) {}
 
-// PlanDyn implements core.Tool: the simpler per-block analysis for code
-// only seen dynamically. Every memory access is generation-checked.
-func (t *Tool) PlanDyn(bc *dbm.BlockContext) core.InstrPlan {
-	return &dynPlan{t: t, bc: bc}
-}
-
-type dynPlan struct {
-	t  *Tool
-	bc *dbm.BlockContext
-}
-
-func (p *dynPlan) Before(e *dbm.Emitter, idx int) {
-	in := &p.bc.AppInstrs[idx]
-	if allocTrap(in) {
-		e.SetCC(telemetry.CCQuarantine)
-		EmitQuarTick(e, in.Addr)
-		e.SetCC(telemetry.CCOther)
+// BlockRules implements core.Tool: the simpler per-block analysis for
+// code only seen dynamically. Every memory access gets a MEM_GEN_CHECK rule
+// with all-live liveness, and every allocator trap a QUAR_TICK rule.
+func (t *Tool) BlockRules(bc *dbm.BlockContext) map[uint64][]rules.Rule {
+	out := map[uint64][]rules.Rule{}
+	for i := range bc.AppInstrs {
+		in := &bc.AppInstrs[i]
+		if allocTrap(in) {
+			out[in.Addr] = append(out[in.Addr], rules.Rule{ID: rules.QuarTick,
+				BBAddr: bc.Start, Instr: in.Addr})
+		}
+		if in.IsMemAccess() {
+			out[in.Addr] = append(out[in.Addr], rules.Rule{ID: rules.MemGenCheck,
+				BBAddr: bc.Start, Instr: in.Addr, Data: [4]uint64{rules.AllLive}})
+		}
 	}
-	if !in.IsMemAccess() {
-		return
-	}
-	e.SetCC(telemetry.CCGenCheck)
-	p.t.emitGenCheck(e, in, 0, false)
-	e.SetCC(telemetry.CCOther)
+	return out
 }
-
-func (p *dynPlan) After(*dbm.Emitter, int) {}
 
 // emitGenCheck emits the inline generation check for one access using the
 // packed liveness word (conservative save/restore when liveness use is
-// disabled or the block came through the dynamic fallback).
-func (t *Tool) emitGenCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64, haveLive bool) {
-	dead, saveFlags := core.LiveSaves(livePacked, haveLive && t.cfg.UseLiveness)
+// disabled).
+func (t *Tool) emitGenCheck(e *dbm.Emitter, in *isa.Instr, livePacked uint64) {
+	dead, saveFlags := core.LiveSaves(livePacked, t.cfg.UseLiveness)
 	shadow.EmitBitmapCheck(e, shadow.AccessPlan(in, dead, saveFlags),
 		isa.LayoutGenShadowBase, GenCheckTraps)
 }

@@ -338,6 +338,11 @@ func PackLiveness(liveRegs uint16, flagsLive bool, free []uint8) uint64 {
 	return v
 }
 
+// AllLive is the liveness word of a rule no liveness analysis backs (a
+// dynamic fallback block's): every register and the flags live, no free
+// register, so instrumentation saves whatever it uses.
+const AllLive uint64 = 1<<16 | 0xffff
+
 // UnpackLiveness reverses PackLiveness.
 func UnpackLiveness(v uint64) (liveRegs uint16, flagsLive bool, free []uint8) {
 	liveRegs = uint16(v)

@@ -69,7 +69,8 @@ echo "== offline CLI path: janitizer -> jrun =="
 # comprehensive composition must analyze and run a heap overflow and report
 # it; a tool analyzed under an alias must find its .jrw files when run
 # under the canonical name (fallback=0: no block ran without rules); a
-# baseline must report structured records; and an unknown name must fail.
+# dynamic-only run must report it from fallback rules alone; a baseline must
+# report structured records; and an unknown name must fail.
 CLI_DIR=$(mktemp -d)
 go build -o "$CLI_DIR/" ./cmd/jcc ./cmd/janitizer ./cmd/jrun ./cmd/jrw
 cat > "$CLI_DIR/overflow.c" <<'EOF'
@@ -93,6 +94,16 @@ for pair in "comprehensive comprehensive" "jasan jasan-hybrid"; do
 		exit 1
 	fi
 done
+# With no rule files every block takes the fallback: its block-local rules
+# must still drive JASan's checks to the overflow (static=0 noop=0: no block
+# came from a rule table).
+"$CLI_DIR/jrun" -tool jasan-dyn -stats "$CLI_DIR/overflow.jef" 2> "$CLI_DIR/stderr"
+if ! grep -q '^jasan: heap-buffer-overflow' "$CLI_DIR/stderr" ||
+	! grep -q ' static=0 noop=0 ' "$CLI_DIR/stderr"; then
+	echo "jrun -tool jasan-dyn: want a violation and only fallback blocks:" >&2
+	cat "$CLI_DIR/stderr" >&2
+	exit 1
+fi
 # A baseline's findings are structured records too: the Valgrind model's
 # -report output carries an ASan-style error block for the overflow.
 "$CLI_DIR/jrun" -tool valgrind -report "$CLI_DIR/overflow.jef" 2> "$CLI_DIR/stderr"
