@@ -53,6 +53,7 @@ func TestStatsJSONShape(t *testing.T) {
 			"disk_evictions", "disk_corrupt"},
 		"scheduler": {"submitted", "coalesced", "cache_hits", "analyzed",
 			"errors", "rejected", "workers"},
+		"violations": {"dropped"},
 	}
 	for section, fields := range want {
 		got, ok := payload[section]
